@@ -58,9 +58,12 @@ def _write_json(path, payload, config, seed):
         "wallclock_sec": payload.pop("_wallclock", None),
     }
     doc.update(payload)
+    try:
+        text = json.dumps(doc, indent=1, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report {path} would hold a non-finite value: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -263,8 +266,8 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
     if not 1 <= marked <= g.n:
         raise click.UsageError(f"--marked must lie in 1..{g.n}")
     w = marked - 1
-    h_g = search.graph_hamiltonian(g, kind)
-    stats = search.search_stats(h_g, w)
+    spec = search.search_spectrum(g, kind)
+    stats = search.search_stats(spec, w)
     if t_start is None and t_stop is None and t_step is None:
         t_stop = 3.0 * stats.predicted_t
         times = np.linspace(0.0, t_stop, 301)
@@ -273,7 +276,7 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
             raise click.UsageError("give all of --t-start/--t-stop/--t-step or none")
         times = _time_grid(t_start, t_stop, t_step)
     gm = gamma if gamma is not None else ("S1" if gamma_rule == "s1" else "caption")
-    run = search.run_search(h_g, w, gm, "principal", times)
+    run = search.run_search(spec, w, gm, "principal", times)
     _write_csv(out_csv, ["t", "p"], list(zip(times, run.probs)))
     payload = {
         "stats": {
@@ -305,12 +308,12 @@ def _sweep_er_p0(cfg, outdir, seed):
             g = graphs.gen_er(n, min(1.0, p0 * math.log(n) / n),
                               int(rng.integers(2**32)))
             gc = graphs.giant_component(g)
-            h_g = search.graph_hamiltonian(gc, "laplacian")
+            spec = search.search_spectrum(gc, "laplacian")
             t_meas = math.pi * math.sqrt(gc.n) / 2.0
             marked = rng.choice(gc.n, size=min(marked_per_graph, gc.n),
                                 replace=False)
             for w in marked:
-                run = search.run_search(h_g, int(w), "caption", "principal",
+                run = search.run_search(spec, int(w), "caption", "principal",
                                         np.array([t_meas]))
                 probs.append(run.probs[0])
         bound = search.lambert_bound(p0) if p0 > 1 else 0.0
@@ -333,9 +336,9 @@ def _sweep_ba_search(cfg, outdir, seed):
             rng = np.random.default_rng(children[s])
             g = graphs.gen_ba(int(n), m0, int(rng.integers(2**32)))
             w = int(n) - 1
-            h_g = search.graph_hamiltonian(g, "normalized_laplacian")
-            stats = search.search_stats(h_g, w)
-            run = search.run_search(h_g, w, "S1", "principal",
+            spec = search.search_spectrum(g, "normalized_laplacian")
+            stats = search.search_stats(spec, w)
+            run = search.run_search(spec, w, "S1", "principal",
                                     np.array([stats.predicted_t]))
             rows.append([n, stats.predicted_t, run.probs[0]])
     _write_csv(os.path.join(outdir, "aggregate.csv"), ["n", "T", "pT"], rows)

@@ -38,7 +38,13 @@ class WrongTopologyError(QswlabError, ValueError):
 
 
 class DegenerateTopError(QswlabError, ValueError):
-    """Top eigenvalue is degenerate; shift-and-rescale undefined."""
+    """Top eigenvalue is degenerate; shift-and-rescale and the search
+    spectral sums are undefined."""
+
+
+class ZeroOverlapError(QswlabError, ValueError):
+    """The marked vertex has no overlap with the principal eigenvector, so
+    the search started there can never find it."""
 
 
 class DensityInvariantViolated(QswlabError, RuntimeError):

@@ -5,6 +5,10 @@ H_G is a normalized graph matrix with top eigenvalue 1. Spectral overlap
 sums S_k drive the choice of gamma, the predicted measurement time, and
 the applicability condition. The classical comparison is the mean first
 passage time of the discrete uniform random walk.
+
+One `SearchSpectrum` per graph carries H_G and its eigensystem; the
+spectral sums, the gamma rules, the principal start state and the search
+for every marked vertex share it.
 """
 from __future__ import annotations
 
@@ -16,9 +20,17 @@ from scipy.special import lambertw
 
 from . import graphs, numkernel
 from ._kernels import hitting_steps_kernel
-from .exceptions import DegenerateTopError, OracleNeverSucceeds
+from .exceptions import (
+    DegenerateTopError,
+    DimensionError,
+    NumericalError,
+    OracleNeverSucceeds,
+    ZeroOverlapError,
+)
 
 GRAPH_MATRIX_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
+TOL_TOP_GAP = 1e-12   # relative gap below which the top eigenvalue counts as degenerate
+TOL_PROB = 1e-10      # rounding allowed above p = 1 before a probability is an error
 
 
 def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
@@ -33,16 +45,59 @@ def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
     raise ValueError(f"unknown graph matrix kind {kind!r}")
 
 
-def graph_hamiltonian(g: graphs.Graph, kind: str) -> np.ndarray:
-    """Normalized search matrix with top eigenvalue exactly 1."""
+@dataclass(frozen=True, eq=False)
+class SearchSpectrum:
+    """A search matrix H_G with its eigensystem, decomposed once.
+
+    `values` are sorted descending and `vectors` holds the matching
+    orthonormal eigenvectors as columns. The spectral sums assume the top
+    eigenvalue is 1, which `search_spectrum` guarantees; `of` takes any
+    Hermitian matrix as given. At least two vertices and a simple top
+    eigenvalue are required.
+    """
+
+    h: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise DimensionError(f"search needs at least 2 vertices, got {self.n}")
+        scale = max(1.0, float(np.abs(self.values).max()))
+        # written so that a NaN gap is rejected too
+        if not self.values[0] - self.values[1] > TOL_TOP_GAP * scale:
+            raise DegenerateTopError("top eigenvalue of the search matrix is not simple")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> SearchSpectrum:
+        """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
+        h = np.asarray(h)
+        es = numkernel.eig_hermitian(h)
+        return cls(h=h, values=es.values, vectors=es.vectors)
+
+
+def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
+    """H_G with top eigenvalue 1 from one decomposition of the graph matrix.
+
+    adjacency: A / lambda_max(A); laplacian: I - L / lambda_max(L);
+    normalized_laplacian: I - L_norm. The affine maps keep the eigenvectors,
+    so only the eigenvalues are transformed.
+    """
     m = _base_matrix(g, kind)
+    es = numkernel.eig_hermitian(m)
+    top = float(es.values[0])
+    if kind == "normalized_laplacian" or top <= 0.0:
+        # L_norm needs no scale; the zero matrix of an edgeless graph keeps
+        # scale 1 and is then rejected for its degenerate top eigenvalue
+        top = 1.0
     if kind == "adjacency":
-        top = np.linalg.eigvalsh(m)[-1]
-        return m / top
-    if kind == "laplacian":
-        top = np.linalg.eigvalsh(m)[-1]
-        return np.eye(g.n) - m / top
-    return np.eye(g.n) - m
+        return SearchSpectrum(h=m / top, values=es.values / top, vectors=es.vectors)
+    return SearchSpectrum(h=np.eye(g.n) - m / top, values=1.0 - es.values[::-1] / top,
+                          vectors=es.vectors[:, ::-1])
 
 
 def shift_rescale(h: np.ndarray) -> np.ndarray:
@@ -51,7 +106,8 @@ def shift_rescale(h: np.ndarray) -> np.ndarray:
     Balancing the second and bottom eigenvalues maximizes the worst-case
     success bound over shifts; eigenvectors are untouched.
     """
-    w = np.linalg.eigvalsh(np.asarray(h, dtype=complex))
+    h = np.asarray(h)
+    w = np.linalg.eigvalsh(h)
     lam1, lam2, lamn = w[-1], w[-2], w[0]
     if lam1 - lam2 <= 1e-12:
         raise DegenerateTopError("top eigenvalue is not simple")
@@ -61,6 +117,15 @@ def shift_rescale(h: np.ndarray) -> np.ndarray:
 
 def optimal_shift_success_bound(lam2: float, lamn: float) -> float:
     return (1.0 - lam2) / (1.0 - lamn)
+
+
+def _overlap_sums(spec: SearchSpectrum, w: int) -> tuple[float, float, float, float]:
+    """eps = |<v_1|w>|^2 and S_k = sum_{j>1} |<v_j|w>|^2 / (1 - lambda_j)^k, k = 1..3."""
+    overlaps = np.abs(spec.vectors[w, :]) ** 2
+    denom = 1.0 - spec.values[1:]
+    rest = overlaps[1:]
+    return (float(overlaps[0]), float(np.sum(rest / denom)),
+            float(np.sum(rest / denom**2)), float(np.sum(rest / denom**3)))
 
 
 @dataclass(frozen=True)
@@ -76,26 +141,24 @@ class SearchStats:
     gamma: float
 
 
-def search_stats(h_g: np.ndarray, w: int, c_const: float = 0.1) -> SearchStats:
-    es = numkernel.eig_hermitian(h_g)
-    lam, vec = es.values, es.vectors
-    overlaps = np.abs(vec[w, :]) ** 2
-    eps = float(overlaps[0])
-    denom = 1.0 - lam[1:]
-    s1 = float(np.sum(overlaps[1:] / denom))
-    s2 = float(np.sum(overlaps[1:] / denom**2))
-    s3 = float(np.sum(overlaps[1:] / denom**3))
-    gap = float(lam[0] - lam[1])
+def search_stats(spec: SearchSpectrum, w: int, c_const: float = 0.1) -> SearchStats:
+    eps, s1, s2, s3 = _overlap_sums(spec, w)
+    # an overlap amplitude at the eigensolver's rounding level is no overlap
+    if math.sqrt(eps) <= spec.n * np.finfo(float).eps:
+        raise ZeroOverlapError(
+            f"the marked vertex has no overlap with the principal eigenvector "
+            f"(eps = {eps:.3e}); the search cannot find it")
+    gap = float(spec.values[0] - spec.values[1])
     cond = math.sqrt(eps) < c_const * min(s1 * s2 / s3, gap * math.sqrt(s2))
-    predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1 if eps > 0 else math.inf
+    predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1
     return SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap,
                        condition_holds=cond, c_const=c_const,
                        predicted_t=predicted_t, gamma=s1)
 
 
-def caption_gamma(h_g: np.ndarray, w: int) -> float:
+def caption_gamma(spec: SearchSpectrum, w: int) -> float:
     """Transition rate S1 / (1 - eps), the spectral-average variant."""
-    st = search_stats(h_g, w)
+    st = search_stats(spec, w)
     return st.s1 / (1.0 - st.eps)
 
 
@@ -108,41 +171,43 @@ class SearchRun:
     gamma: float
 
 
-def run_search(h_g: np.ndarray, w: int, gamma, initial, times) -> SearchRun:
+def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun:
     """Success probability |<w| exp(-i(gamma H_G + |w><w|) t) |init>|^2.
 
     gamma may be "S1", "caption", or a number. initial may be
     "principal" (top eigenvector of H_G), "uniform", or a state vector.
+    Raises NumericalError when a probability is not finite or exceeds 1
+    by more than rounding.
     """
-    n = h_g.shape[0]
     if isinstance(gamma, str):
         if gamma == "S1":
-            gamma = search_stats(h_g, w).gamma
+            gamma = search_stats(spec, w).gamma
         elif gamma == "caption":
-            gamma = caption_gamma(h_g, w)
+            gamma = caption_gamma(spec, w)
         else:
             raise ValueError(f"unknown gamma rule {gamma!r}")
     if isinstance(initial, str):
         if initial == "principal":
-            vec = numkernel.eig_hermitian(h_g).vectors[:, 0]
-            if vec.real.sum() < 0:
-                vec = -vec
-            initial = vec
+            initial = spec.vectors[:, 0]
+            if initial.real.sum() < 0:
+                initial = -initial
         elif initial == "uniform":
-            initial = np.ones(n) / math.sqrt(n)
+            initial = np.ones(spec.n) / math.sqrt(spec.n)
         else:
             raise ValueError(f"unknown initial state {initial!r}")
-    psi0 = np.asarray(initial, dtype=complex)
-    h_search = float(gamma) * np.asarray(h_g, dtype=complex)
+    h_search = float(gamma) * spec.h
     h_search[w, w] += 1.0
     times = np.asarray(times, dtype=float)
     es = numkernel.eig_hermitian(h_search)
-    coeff = es.vectors.conj().T @ psi0
-    row_w = es.vectors[w, :]
-    probs = np.empty(times.size)
-    for i, t in enumerate(times):
-        amp = row_w @ (np.exp(-1j * t * es.values) * coeff)
-        probs[i] = min(1.0, abs(amp) ** 2)
+    weights = es.vectors[w, :] * (es.vectors.conj().T @ np.asarray(initial))
+    amps = np.exp(-1j * np.outer(times, es.values)) @ weights
+    probs = np.abs(amps) ** 2
+    bad = ~(probs <= 1.0 + TOL_PROB)  # NaN fails the comparison too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"success probability at t = {times[i]:.6g} is "
+                             f"{float(probs[i])!r}, not in [0, 1]")
+    probs = np.minimum(probs, 1.0)
     k = int(np.argmax(probs))
     return SearchRun(times=times, probs=probs, argmax_t=float(times[k]),
                      p_max=float(probs[k]), gamma=float(gamma))
@@ -155,13 +220,8 @@ def classical_mfpt(g: graphs.Graph, w: int) -> float:
     """Mean first passage time to w of the discrete uniform walk started
     from the stationary distribution: (2|E|/deg(w)) * S1 over I minus the
     normalized Laplacian."""
-    graphs.require_connected(g)
-    m = np.eye(g.n) - graphs.normalized_laplacian(g)
-    es = numkernel.eig_hermitian(m)
-    overlaps = np.abs(es.vectors[w, 1:]) ** 2
-    s1 = float(np.sum(overlaps / (1.0 - es.values[1:])))
-    e_count = len(g.edges)
-    return 2.0 * e_count / g.degree(w) * s1
+    _, s1, _, _ = _overlap_sums(search_spectrum(g, "normalized_laplacian"), w)
+    return 2.0 * len(g.edges) / g.degree(w) * s1
 
 
 def classical_mfpt_lower_bound(g: graphs.Graph, w: int) -> float:

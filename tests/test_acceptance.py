@@ -160,7 +160,7 @@ def test_acceptance_08_complete_graph_search():
     sizes = [64, 256, 1024]
     probs, argmaxes = [], []
     for n in sizes:
-        a = graphs.adjacency(graphs.complete(n))
+        a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
         gamma = 1.0 / (n - 2)
         p = search.run_search(a, 0, gamma, "uniform",
                               np.array([math.pi * math.sqrt(n) / 2])).probs[0]
@@ -181,7 +181,7 @@ def test_acceptance_09_star_graph():
 
     worst = 1.0
     for n in (64, 256):
-        hp = search.shift_rescale(graphs.adjacency(graphs.star(n)))
+        hp = search.SearchSpectrum.of(search.shift_rescale(graphs.adjacency(graphs.star(n))))
         st = search.search_stats(hp, 1)
         grid = np.linspace(0.0, 6.0 * st.predicted_t, 900)
         run = search.run_search(hp, 1, "S1", "principal", grid)
@@ -226,7 +226,7 @@ def test_acceptance_11_er_p0_sweep():
         for _ in range(20):
             g = graphs.gen_er(n, p0 * math.log(n) / n, int(rng.integers(2**32)))
             gc = graphs.giant_component(g)
-            hg = search.graph_hamiltonian(gc, "laplacian")
+            hg = search.search_spectrum(gc, "laplacian")
             t = math.pi * math.sqrt(gc.n) / 2.0
             for w in rng.choice(gc.n, 5, replace=False):
                 probs.append(search.run_search(hg, int(w), "caption",
@@ -244,7 +244,7 @@ def test_acceptance_12_ba_speedup_exponent():
         for _ in range(5):
             g = graphs.gen_ba(n, 3, seed=int(rng.integers(2**31)))
             w = n - 1
-            hg = search.graph_hamiltonian(g, "normalized_laplacian")
+            hg = search.search_spectrum(g, "normalized_laplacian")
             st = search.search_stats(hg, w)
             p = search.run_search(hg, w, "S1", "principal",
                                   np.array([st.predicted_t])).probs[0]

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qswlab import cli, graphs
+from qswlab import cli, graphs, numkernel, search
+from qswlab.exceptions import NumericalError
 
 
 @pytest.fixture
@@ -147,3 +150,67 @@ def test_sweep_ba_search_small(runner, tmp_path):
     doc = json.loads((outdir / "sweep.json").read_text())
     assert doc["config"]["kind"] == "ba_search"
     assert doc["version"]
+
+
+def _search_args(tmp_path, graph, marked):
+    return ["search", "--graph", graph, "--marked", str(marked),
+            "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")]
+
+
+@pytest.mark.parametrize("edges, n, marked, message", [
+    ([], 1, 1, "at least 2 vertices"),                     # path:1
+    ([[1, 2], [3, 4]], 4, 1, "not simple"),                # two disjoint K2
+    ([[1, 2], [2, 3], [4, 5]], 5, 5, "no overlap"),        # eps = 0
+])
+def test_search_domain_errors_exit_2(runner, tmp_path, edges, n, marked, message):
+    g_file = tmp_path / "g.json"
+    g_file.write_text(json.dumps({"n": n, "directed": False, "edges": edges}))
+    spec = "path:1" if n == 1 else f"file:{g_file}"
+    r = runner.invoke(cli.main, _search_args(tmp_path, spec, marked))
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert message in r.output
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(NumericalError):
+        cli._write_json(out, {"x": math.inf}, {}, seed=None)
+    assert not out.exists()
+    cli._write_json(out, {"x": 1.5}, {}, seed=None)
+    assert json.loads(out.read_text())["x"] == 1.5
+
+
+def test_search_non_finite_report_exits_3(runner, tmp_path, monkeypatch):
+    real = search.search_stats
+
+    def nan_gap(spec, w):
+        return dataclasses.replace(real(spec, w), gap=math.nan)
+
+    monkeypatch.setattr(search, "search_stats", nan_gap)
+    r = runner.invoke(cli.main, _search_args(tmp_path, "complete:16", 1))
+    assert r.exit_code == 3, r.output
+    assert "non-finite" in r.output
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_one_graph_decomposition_shared_by_marked_vertices(runner, tmp_path, monkeypatch):
+    eig_spy = []   # the input of every dense Hermitian eigensolve
+    real = numkernel.eig_hermitian
+    monkeypatch.setattr(numkernel, "eig_hermitian",
+                        lambda h: eig_spy.append(np.asarray(h)) or real(h))
+    marked, samples = 3, 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "er_p0", "n": 60, "p0": [2.0],
+                               "samples": samples, "marked_per_graph": marked,
+                               "seed": 4, "outdir": str(tmp_path / "er")}))
+    r = runner.invoke(cli.main, ["sweep", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    assert len(eig_spy) == samples * (1 + marked)
+
+    r = runner.invoke(cli.main, _search_args(tmp_path, "star:20", 2))
+    assert r.exit_code == 0, r.output
+    assert len(eig_spy) == samples * (1 + marked) + 2
+    assert not any(np.iscomplexobj(h) for h in eig_spy)

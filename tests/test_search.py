@@ -2,32 +2,56 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qswlab import _kernels, graphs, search
 from qswlab.exceptions import (
     DegenerateTopError,
+    DimensionError,
     DisconnectedGraphError,
+    NumericalError,
     OracleNeverSucceeds,
+    ZeroOverlapError,
 )
 
 
-def test_graph_hamiltonian_top_eigenvalue_one():
+def test_search_spectrum_top_eigenvalue_one():
     g = graphs.gen_er(30, 0.3, seed=2)
     g = graphs.giant_component(g)
     for kind in search.GRAPH_MATRIX_KINDS:
-        h = search.graph_hamiltonian(g, kind)
+        spec = search.search_spectrum(g, kind)
+        h = spec.h
         assert abs(np.linalg.eigvalsh(h)[-1] - 1.0) < 1e-10
+        # the transformed eigensystem of the graph matrix is that of H_G
+        assert np.all(np.diff(spec.values) <= 0)
+        assert np.abs(spec.values - np.linalg.eigvalsh(h)[::-1]).max() < 1e-12
+        assert np.abs(h @ spec.vectors - spec.vectors * spec.values).max() < 1e-12
+        assert np.abs(spec.vectors.T @ spec.vectors - np.eye(g.n)).max() < 1e-12
 
 
-def test_graph_hamiltonian_disconnected():
+def test_search_spectrum_disconnected():
     g = graphs.Graph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(DisconnectedGraphError):
-        search.graph_hamiltonian(g, "laplacian")
+        search.search_spectrum(g, "laplacian")
+    # two disjoint K2: the adjacency top eigenvalue 1 is double
+    with pytest.raises(DegenerateTopError):
+        search.search_spectrum(g, "adjacency")
+
+
+def test_search_spectrum_rejects_small_and_edgeless():
+    with pytest.raises(DimensionError):
+        search.search_spectrum(graphs.path(1), "adjacency")
+    with pytest.raises(DimensionError):
+        search.search_spectrum(graphs.path(1), "laplacian")
+    with pytest.raises(DegenerateTopError):
+        search.search_spectrum(graphs.Graph(3, frozenset()), "adjacency")
+    with pytest.raises(DegenerateTopError):
+        search.SearchSpectrum.of(np.eye(3))
 
 
 def test_laplacian_kind_top_eigenvector_uniform():
     g = graphs.gen_ba(40, 2, seed=8)
-    h = search.graph_hamiltonian(g, "laplacian")
+    h = search.search_spectrum(g, "laplacian").h
     w, v = np.linalg.eigh(h)
     vec = np.abs(v[:, -1])
     assert np.abs(vec - 1 / math.sqrt(40)).max() < 1e-10
@@ -35,7 +59,7 @@ def test_laplacian_kind_top_eigenvector_uniform():
 
 def test_normalized_laplacian_top_eigenvector_sqrt_degrees():
     g = graphs.gen_ba(40, 2, seed=8)
-    h = search.graph_hamiltonian(g, "normalized_laplacian")
+    h = search.search_spectrum(g, "normalized_laplacian").h
     w, v = np.linalg.eigh(h)
     want = np.sqrt(g.degrees() / (2 * len(g.edges)))
     assert np.abs(np.abs(v[:, -1]) - want).max() < 1e-10
@@ -66,23 +90,23 @@ def test_optimal_shift_success_bound():
 
 def test_search_stats_examples():
     n = 50
-    hg = search.graph_hamiltonian(graphs.complete(n), "adjacency")
+    hg = search.search_spectrum(graphs.complete(n), "adjacency")
     st = search.search_stats(hg, 7)
     assert abs(st.eps - 1 / n) < 1e-10
 
     star = graphs.star(n)
-    hub = search.search_stats(search.graph_hamiltonian(star, "adjacency"), 0)
+    hub = search.search_stats(search.search_spectrum(star, "adjacency"), 0)
     assert abs(hub.eps - 0.5) < 1e-10
 
     g = graphs.gen_ba(30, 2, seed=1)
-    hnl = search.graph_hamiltonian(g, "normalized_laplacian")
+    hnl = search.search_spectrum(g, "normalized_laplacian")
     for w in (0, 15):
         st = search.search_stats(hnl, w)
         assert abs(st.eps - g.degree(w) / (2 * len(g.edges))) < 1e-10
 
 
 def test_search_stats_vertex_transitive_independent_of_w():
-    hg = search.graph_hamiltonian(graphs.complete(12), "adjacency")
+    hg = search.search_spectrum(graphs.complete(12), "adjacency")
     stats = [search.search_stats(hg, w) for w in range(12)]
     for st in stats[1:]:
         assert abs(st.s1 - stats[0].s1) < 1e-10
@@ -91,7 +115,7 @@ def test_search_stats_vertex_transitive_independent_of_w():
 
 def test_run_search_complete_graph():
     n = 64
-    a = graphs.adjacency(graphs.complete(n))
+    a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
     good = search.run_search(a, 0, 1 / (n - 2), "uniform",
                              np.array([math.pi * math.sqrt(n) / 2]))
     assert good.probs[0] >= 0.9
@@ -103,27 +127,69 @@ def test_run_search_complete_graph():
 def test_run_search_sign_flip_invariance():
     g = graphs.gen_er(12, 0.5, seed=3)
     g = graphs.giant_component(g)
-    hg = search.graph_hamiltonian(g, "laplacian")
+    hg = search.search_spectrum(g, "laplacian").h
     times = np.linspace(0, 10, 21)
     # flipping the sign of the whole search Hamiltonian conjugates the
     # amplitudes, so probabilities are unchanged for real H and real start
     h_full = 0.7 * hg
     h_full[2, 2] += 1.0
-    direct = search.run_search(-h_full, 2, 0.0, "uniform", times)
-    ref = search.run_search(h_full, 2, 0.0, "uniform", times)
+    direct = search.run_search(search.SearchSpectrum.of(-h_full), 2, 0.0, "uniform", times)
+    ref = search.run_search(search.SearchSpectrum.of(h_full), 2, 0.0, "uniform", times)
     assert np.abs(direct.probs - ref.probs).max() < 1e-12
 
 
 def test_run_search_p0_is_eps_from_principal_start():
     g = graphs.gen_ba(20, 2, seed=9)
-    hg = search.graph_hamiltonian(g, "normalized_laplacian")
+    hg = search.search_spectrum(g, "normalized_laplacian")
     st = search.search_stats(hg, 5)
     run = search.run_search(hg, 5, "S1", "principal", np.array([0.0]))
     assert abs(run.probs[0] - st.eps) < 1e-10
 
 
+def test_run_search_matches_dense_expm():
+    """p(t) from one shared spectrum per graph against expm of the search
+    Hamiltonian, for several marked vertices and both gamma rules."""
+    er = graphs.giant_component(graphs.gen_er(80, 0.08, seed=41))
+    ba = graphs.gen_ba(90, 3, seed=42)
+    times = np.array([0.0, 0.7, 3.1, 11.5, 40.0])
+    for g, kind in ((er, "laplacian"), (ba, "normalized_laplacian")):
+        spec = search.search_spectrum(g, kind)
+        h_g = spec.h
+        for w, rule in ((0, "S1"), (g.n // 2, "caption"), (g.n - 1, "S1")):
+            run = search.run_search(spec, w, rule, "principal", times)
+            h = run.gamma * h_g
+            h[w, w] += 1.0
+            psi = spec.vectors[:, 0]
+            want = [abs(scipy.linalg.expm(-1j * t * h)[w] @ psi) ** 2 for t in times]
+            assert np.abs(run.probs - want).max() < 1e-12
+
+
+def test_run_search_rejects_bad_probabilities():
+    spec = search.search_spectrum(graphs.complete(8), "adjacency")
+    times = np.linspace(0.0, 5.0, 11)
+    with pytest.raises(NumericalError):
+        search.run_search(spec, 0, 1.0, np.full(8, np.nan), times)
+    with pytest.raises(NumericalError):
+        search.run_search(spec, 0, 1.0, 3.0 * np.ones(8) / math.sqrt(8), times)
+    # a start on the marked vertex rounds to p(0) = 1 and is clamped there
+    run = search.run_search(spec, 0, 1.0, np.eye(8)[0], times)
+    assert run.probs.max() <= 1.0
+    assert run.probs[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_search_stats_rejects_zero_overlap():
+    # vertex 4 lies outside the component that carries the top eigenvector
+    g = graphs.Graph(5, frozenset({(0, 1), (1, 2), (3, 4)}))
+    spec = search.search_spectrum(g, "adjacency")
+    with pytest.raises(ZeroOverlapError):
+        search.search_stats(spec, 4)
+    with pytest.raises(ZeroOverlapError):
+        search.run_search(spec, 4, "caption", "principal", np.array([1.0]))
+    assert search.search_stats(spec, 1).eps == pytest.approx(0.5)
+
+
 def test_caption_gamma_value():
-    hg = search.graph_hamiltonian(graphs.complete(10), "adjacency")
+    hg = search.search_spectrum(graphs.complete(10), "adjacency")
     st = search.search_stats(hg, 0)
     assert abs(search.caption_gamma(hg, 0) - st.s1 / (1 - st.eps)) < 1e-12
 
@@ -215,7 +281,7 @@ def test_complete_plus_leaf_eps_scaling():
     eps_leaf, eps_int = [], []
     for n in (40, 80, 160):
         g = graphs.complete_plus_leaf(n)
-        h = search.graph_hamiltonian(g, "normalized_laplacian")
+        h = search.search_spectrum(g, "normalized_laplacian")
         eps_leaf.append(search.search_stats(h, n - 1).eps)
         eps_int.append(search.search_stats(h, 2).eps)
     slope = np.polyfit(np.log([40, 80, 160]), np.log(eps_leaf), 1)[0]
