@@ -129,6 +129,8 @@ def cmd_graphgen(model, n, p, m0, a, b, directed, seed, out):
 
 
 def _time_grid(t_start, t_stop, t_step):
+    if not all(map(math.isfinite, (t_start, t_stop, t_step))):
+        raise click.UsageError("--t-start/--t-stop/--t-step must be finite")
     if t_step <= 0 or t_stop < t_start:
         raise click.UsageError("need t_step > 0 and t_stop >= t_start")
     grid = np.arange(t_start, t_stop + 1e-9 * t_step, t_step)
@@ -138,23 +140,18 @@ def _time_grid(t_start, t_stop, t_step):
 
 
 def _ngqsw_path_profiles(n, omega, times):
-    """Natural-measurement profiles of the symmetrized walk on a path."""
+    """Natural-measurement profiles of the symmetrized walk on a path, and
+    the largest trace and Hermiticity drift over the evolved states."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
-    lbs = nonmoral.symmetrized_path_lindblads(dg)
-    ops = nonmoral.NonmoralOperators(
-        hamiltonian=nonmoral.standard_hamiltonian(dg),
-        rotating=nonmoral.standard_rotating_hamiltonian(dg),
-        lindblads=lbs,
-    )
+    ops = nonmoral.standard_operators(dg, nonmoral.symmetrized_path_lindblads(dg))
     gen = nonmoral.ngqsw_generator(dg, ops, omega)
-    rho = nonmoral.block_mixed_state(dg, (n - 1) // 2)
-    out = np.empty((len(times), n))
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        rho = gksl.evolve(gen, rho, t - prev_t)
-        prev_t = t
-        out[i] = nonmoral.natural_measure(rho, dg)
-    return out
+    rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), times)
+    profiles = np.array([nonmoral.natural_measure(rho, dg) for rho in rhos])
+    drift = {
+        "max_trace_drift": max(abs(np.trace(rho) - 1.0) for rho in rhos),
+        "max_hermiticity_drift": max(np.abs(rho - rho.conj().T).max() for rho in rhos),
+    }
+    return profiles, drift
 
 
 @main.command("propagate")
@@ -174,18 +171,26 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     """Second-moment propagation sweep on a path, with scaling exponents."""
     t0 = time.time()
     times = _time_grid(t_start, t_stop, t_step)
+    if times[0] <= 0:
+        raise click.UsageError("--t-start must be positive: the exponents are log-log slopes")
+    if batch < 2 or times.size < batch:
+        raise click.UsageError(f"need --batch >= 2 and at least --batch time points, "
+                               f"got batch {batch} and {times.size} points")
     if not 0.0 <= omega <= 1.0:
         raise click.UsageError("--omega must lie in [0, 1]")
+    if length < 2:
+        raise click.UsageError("--length must be at least 2")
     n = length
     center = (n + 1) // 2  # 1-based
     positions = np.arange(1, n + 1) - center
     mu2 = np.empty(times.size)
+    diagnostics = None
     if model == "gqsw":
         for i, t in enumerate(times):
             p = analysis.path_probability_profile(n, center, t, omega)
             mu2[i] = analysis.second_moment(p / p.sum(), positions)
     else:
-        profiles = _ngqsw_path_profiles(n, omega, times)
+        profiles, diagnostics = _ngqsw_path_profiles(n, omega, times)
         for i in range(times.size):
             mu2[i] = analysis.second_moment(profiles[i], positions)
     trace = analysis.scaling_exponents(times, mu2, batch)
@@ -197,6 +202,8 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
             rows.append([t, mu2[i], "", ""])
     _write_csv(out_csv, ["t", "mu2", "alpha_mid", "alpha"], rows)
     payload = {"final_alpha": float(trace.alphas[-1]), "_wallclock": time.time() - t0}
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
     if trace.alphas.size >= 8:
         fit = analysis.fit_limit_model(trace.alpha_times, trace.alphas)
         payload["fit"] = {"p": fit.params, "residual": fit.residual,
@@ -265,6 +272,8 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         raise click.UsageError("search requires an undirected graph")
     if not 1 <= marked <= g.n:
         raise click.UsageError(f"--marked must lie in 1..{g.n}")
+    if gamma is not None and not math.isfinite(gamma):
+        raise click.UsageError("--gamma must be finite")
     w = marked - 1
     spec = search.search_spectrum(g, kind)
     stats = search.search_stats(spec, w)

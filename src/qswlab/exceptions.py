@@ -47,6 +47,11 @@ class ZeroOverlapError(QswlabError, ValueError):
     the search started there can never find it."""
 
 
+class TimeGridError(QswlabError, ValueError):
+    """Times are negative or non-finite, or a grid does not ascend with a
+    constant step."""
+
+
 class DensityInvariantViolated(QswlabError, RuntimeError):
     """Evolved state drifted beyond density-matrix tolerances."""
 

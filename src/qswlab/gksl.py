@@ -133,20 +133,21 @@ def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     return WalkSpec("GQSW", h, (l,), 1.0 - omega, omega)
 
 
-def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t: float,
+def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
            validate: bool = True) -> np.ndarray:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    """exp(S t) applied to rho0: one state for a scalar t, or a stack with
+    one state per time for an ascending grid with a constant step (see
+    numkernel.expm_apply). With validate, every returned state must pass
+    check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
-    rho = numkernel.unvec(numkernel.expm_apply(gen.s, v, t))
+    rhos = numkernel.expm_apply(gen.s, v, t).reshape(-1, gen.dim, gen.dim)
     if validate:
-        check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL, eig_floor=-DRIFT_TOL)
-        # renormalize the tiny drift away so long chained evolutions stay clean
-        rho = (rho + rho.conj().T) / 2
-        rho = rho / np.trace(rho).real
-    return rho
+        for rho in rhos:
+            check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL,
+                          eig_floor=-DRIFT_TOL)
+    return rhos[0] if np.ndim(t) == 0 else rhos
 
 
 def measure(rho: np.ndarray) -> np.ndarray:

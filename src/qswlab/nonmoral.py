@@ -150,11 +150,15 @@ class NonmoralOperators:
     lindblads: tuple
 
 
-def standard_operators(dg: DemoralizedGraph) -> NonmoralOperators:
+def standard_operators(dg: DemoralizedGraph, lindblads=None) -> NonmoralOperators:
+    """The standard and rotating Hamiltonians with the given Lindblads; by
+    default the single Fourier-family Lindblad."""
+    if lindblads is None:
+        lindblads = (build_nonmoral_lindblad(dg, fourier_family(dg)),)
     return NonmoralOperators(
         hamiltonian=standard_hamiltonian(dg),
         rotating=standard_rotating_hamiltonian(dg),
-        lindblads=(build_nonmoral_lindblad(dg, fourier_family(dg)),),
+        lindblads=tuple(lindblads),
     )
 
 

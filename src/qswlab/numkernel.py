@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .exceptions import DimensionError, NumericalError
+from .exceptions import DimensionError, NumericalError, TimeGridError
 
 TOL_HERM = 1e-12
 
@@ -39,6 +39,8 @@ def check_hermitian(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise NumericalError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     dev = float(np.abs(h - h.conj().T).max(initial=0.0))
     if dev > tol * scale:
@@ -73,19 +75,68 @@ def eig_general(m) -> np.ndarray:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def expm_apply(m, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) @ v for dense or sparse m; exact passthrough at t = 0."""
+GRID_RTOL = 1e-9
+
+
+def _time_grid_step(times: np.ndarray) -> float:
+    """The constant step of an ascending time grid (0 for a single point).
+
+    Raises TimeGridError unless every time is finite and nonnegative and
+    the steps agree to GRID_RTOL relative, beyond the rounding of the
+    times themselves."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise TimeGridError(f"expected a nonempty 1-D time grid, got shape {times.shape}")
+    if not np.all(np.isfinite(times)) or times[0] < 0:
+        raise TimeGridError("times must be finite and nonnegative")
+    if times.size == 1:
+        return 0.0
+    step = (times[-1] - times[0]) / (times.size - 1)
+    tol = GRID_RTOL * step + 4 * np.finfo(float).eps * times[-1]
+    if not step > 0 or np.abs(np.diff(times) - step).max() > tol:
+        raise TimeGridError("times must ascend with a constant step")
+    return float(step)
+
+
+def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
+    """exp(t*m) @ v for dense or sparse m; exact passthrough at t = 0.
+
+    t is a scalar, giving one vector, or an ascending grid with a constant
+    step, giving one row per time. A grid is evaluated by one call of
+    scipy's interval mode, which picks the Al-Mohy--Higham Taylor degree
+    and substep count once for the whole span and reuses them every step.
+    That mode fixes the substeps for the span t_last - t_first and then
+    also applies them from 0 to t_first, which is wrong when t_first is
+    large against the span, so every interval here starts at 0. When the
+    first time is k steps with k at most the number of grid points, the k
+    earlier multiples are prepended and dropped again; any other grid is
+    first stepped to its first time alone, and the interval runs on from
+    that state.
+    """
     v = np.asarray(v)
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or v.shape[0] != n:
         raise DimensionError(f"shape mismatch: m {m.shape} vs v {v.shape}")
-    if t == 0:
-        return v.copy()
+    scalar = np.ndim(t) == 0
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    step = _time_grid_step(times)
     if scipy.sparse.issparse(m):
-        a = (m * t).tocsr()
+        m = m.tocsr()
+    t0 = times[0]
+    k = round(t0 / step) if step else 0
+    if step and k <= times.size and abs(k * step - t0) <= GRID_RTOL * step:
+        start, origin, skip = v, 0.0, k
     else:
-        a = np.asarray(m) * t
-    return scipy.sparse.linalg.expm_multiply(a, v)
+        start = scipy.sparse.linalg.expm_multiply(m * t0, v) if t0 else v
+        origin, skip = t0, 0
+    if times.size == 1:
+        out = start[None].copy()
+    else:
+        q = skip + times.size - 1
+        out = scipy.sparse.linalg.expm_multiply(
+            m, start, start=0.0, stop=times[-1] - origin, num=q + 1,
+            endpoint=True)[skip:]
+    return out[0] if scalar else out
 
 
 def unitary_apply(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:

@@ -6,9 +6,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 
-from qswlab import cli, graphs, numkernel, search
+from qswlab import cli, gksl, graphs, nonmoral, numkernel, search
 from qswlab.exceptions import NumericalError
 
 
@@ -75,6 +76,7 @@ def test_propagate_gqsw(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "mu2", "alpha_mid", "alpha"]
     assert len(rows) == 11
+    assert "diagnostics" not in doc   # the closed form evolves no density matrix
 
 
 def test_propagate_empty_grid_exits_2(runner, tmp_path):
@@ -214,3 +216,95 @@ def test_one_graph_decomposition_shared_by_marked_vertices(runner, tmp_path, mon
     assert r.exit_code == 0, r.output
     assert len(eig_spy) == samples * (1 + marked) + 2
     assert not any(np.iscomplexobj(h) for h in eig_spy)
+
+
+def _propagate_args(tmp_path, model, length, grid, batch=5):
+    return ["propagate", "--model", model, "--omega", "0.5", "--length", str(length),
+            "--t-start", grid[0], "--t-stop", grid[1], "--t-step", grid[2],
+            "--batch", str(batch),
+            "--out-csv", str(tmp_path / "p.csv"), "--out-json", str(tmp_path / "p.json")]
+
+
+def _assert_usage_error(r, tmp_path):
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert not (tmp_path / "p.json").exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("grid", [("0", "inf", "1"), ("0", "5", "nan"),
+                                  ("nan", "5", "1"), ("-inf", "5", "1")])
+def test_search_non_finite_grid_exits_2(runner, tmp_path, grid):
+    args = _search_args(tmp_path, "complete:8", 1) + [
+        "--t-start", grid[0], "--t-stop", grid[1], "--t-step", grid[2]]
+    r = runner.invoke(cli.main, args)
+    _assert_usage_error(r, tmp_path)
+    assert "finite" in r.output
+
+
+@pytest.mark.parametrize("model", ["gqsw", "ngqsw"])
+@pytest.mark.parametrize("grid, batch, message", [
+    (("1", "inf", "1"), 5, "finite"),
+    (("1", "5", "nan"), 5, "finite"),
+    (("0", "8", "2"), 5, "positive"),           # log-log slopes need t > 0
+    (("1", "3", "1"), 5, "at least --batch"),   # 3 points, batch 5
+    (("1", "5", "1"), 1, "--batch >= 2"),
+])
+def test_propagate_bad_grid_exits_2(runner, tmp_path, model, grid, batch, message):
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, model, 9, grid, batch))
+    _assert_usage_error(r, tmp_path)
+    assert message in r.output
+
+
+@pytest.mark.parametrize("model", ["gqsw", "ngqsw"])
+@pytest.mark.parametrize("length", [-3, 0, 1])
+def test_propagate_short_path_exits_2(runner, tmp_path, model, length):
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, model, length, ("1", "5", "1")))
+    _assert_usage_error(r, tmp_path)
+    assert "--length must be at least 2" in r.output
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_search_non_finite_gamma_exits_2(runner, tmp_path, gamma):
+    r = runner.invoke(cli.main, _search_args(tmp_path, "complete:8", 1) + ["--gamma", gamma])
+    _assert_usage_error(r, tmp_path)
+    assert "--gamma must be finite" in r.output
+
+
+def test_propagate_ngqsw_matches_dense_expm(runner, tmp_path):
+    n = 21
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", n, ("1", "2", "1"), 2))
+    assert r.exit_code == 0, r.output
+    with open(tmp_path / "p.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    times = np.array([float(row["t"]) for row in rows])
+    mu2 = np.array([float(row["mu2"]) for row in rows])
+    assert np.array_equal(times, [1.0, 2.0])
+
+    # independent oracle: a dense exp(S t) for each time, nothing chained
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
+    h = 0.5 * nonmoral.standard_hamiltonian(dg) + 0.5 * nonmoral.standard_rotating_hamiltonian(dg)
+    s = gksl.build_generator(h, nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5).s.toarray()
+    rho0 = nonmoral.block_mixed_state(dg, (n - 1) // 2).reshape(-1)
+    positions = np.arange(1, n + 1) - (n + 1) // 2
+    for t, got in zip(times, mu2):
+        diag = (scipy.linalg.expm(s * t) @ rho0).reshape(dg.dim, dg.dim).diagonal().real
+        p = np.array([diag[list(dg.index[v])].sum() for v in range(n)])
+        want = float(np.sum(positions ** 2 * p))
+        assert abs(got - want) <= 1e-8 * want
+
+    diagnostics = json.loads((tmp_path / "p.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"max_trace_drift", "max_hermiticity_drift"}
+    for value in diagnostics.values():
+        assert math.isfinite(value) and 0.0 <= value < gksl.DRIFT_TOL
+
+
+def test_propagate_ngqsw_one_expm_call(runner, tmp_path, monkeypatch):
+    calls = []
+    real = numkernel.expm_apply
+    monkeypatch.setattr(numkernel, "expm_apply",
+                        lambda m, v, t: calls.append(np.asarray(t)) or real(m, v, t))
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 9, ("2", "12", "2")))
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswlab import gksl, graphs, numkernel
-from qswlab.exceptions import DensityInvariantViolated, DimensionError
+from qswlab import gksl, graphs, nonmoral, numkernel
+from qswlab.exceptions import DensityInvariantViolated, DimensionError, TimeGridError
 
 
 def random_density(n, seed):
@@ -111,6 +111,49 @@ def test_semigroup_property():
     one = gksl.evolve(gen, rho, 2.5)
     two = gksl.evolve(gen, gksl.evolve(gen, rho, 1.0), 1.5)
     assert np.abs(one - two).max() < 1e-8
+
+
+def _grid_fixture(model):
+    if model == "lqsw":
+        g = graphs.DiGraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)}))
+        return gksl.generator_from_spec(gksl.lqsw_spec(g, 0.4)), random_density(5, 3)
+    if model == "gqsw":
+        g = graphs.to_digraph(graphs.path(8))
+        return gksl.generator_from_spec(gksl.gqsw_spec(g, 0.5)), gksl.pure_state(8, 3)
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
+    ops = nonmoral.standard_operators(dg, nonmoral.symmetrized_path_lindblads(dg))
+    return nonmoral.ngqsw_generator(dg, ops, 0.5), nonmoral.block_mixed_state(dg, 3)
+
+
+@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
+@pytest.mark.parametrize("times", [
+    [0.5, 1.0, 1.5, 2.0],      # aligned: multiples of the step
+    [0.7, 1.2, 1.7],           # unaligned first time
+    [200.0, 200.5, 201.0],     # late short grid, where scipy's start > 0 fails
+])
+def test_evolve_grid_matches_single_calls(model, times):
+    gen, rho0 = _grid_fixture(model)
+    rhos = gksl.evolve(gen, rho0, np.array(times))
+    assert rhos.shape == (len(times), gen.dim, gen.dim)
+    for rho, t in zip(rhos, times):
+        assert np.abs(rho - gksl.evolve(gen, rho0, t)).max() < 1e-10
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+
+
+def test_evolve_returns_unrenormalised_states():
+    gen, rho0 = _grid_fixture("lqsw")
+    times = np.array([1.0, 2.0, 3.0])
+    raw = numkernel.expm_apply(gen.s, numkernel.vec(rho0), times)
+    assert np.array_equal(gksl.evolve(gen, rho0, times), raw.reshape(3, 5, 5))
+    one = numkernel.expm_apply(gen.s, numkernel.vec(rho0), 2.0)
+    assert np.array_equal(gksl.evolve(gen, rho0, 2.0), one.reshape(5, 5))
+
+
+def test_evolve_rejects_bad_grids():
+    gen, rho0 = _grid_fixture("gqsw")
+    for times in ([1.0, 2.0, 4.0], [2.0, 1.0], [-1.0], [np.inf]):
+        with pytest.raises(TimeGridError):
+            gksl.evolve(gen, rho0, np.array(times))
 
 
 def test_measure_examples():

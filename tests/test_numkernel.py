@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswlab import numkernel
-from qswlab.exceptions import DimensionError, NumericalError
+from qswlab.exceptions import DimensionError, NumericalError, TimeGridError
 
 
 def random_hermitian(n, seed):
@@ -83,6 +83,64 @@ def test_expm_apply_t_zero_copies():
     v = np.ones(4)
     out = numkernel.expm_apply(np.eye(4), v, 0.0)
     assert np.array_equal(out, v) and out is not v
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_check_hermitian_rejects_non_finite(value):
+    bad = random_hermitian(4, 1)
+    bad[2, 2] = value
+    with pytest.raises(NumericalError, match="non-finite"):
+        numkernel.check_hermitian(bad)
+    with pytest.raises(NumericalError):
+        numkernel.eig_hermitian(bad)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.5, 1.0, 1.5],     # from 0
+    [1.0, 1.5, 2.0],          # first time a multiple of the step
+    [0.7, 1.2, 1.7],          # first time off the step lattice
+    [200.0, 200.5, 201.0],    # late and short: scipy's start > 0 fails here
+])
+def test_expm_apply_grid_matches_dense_expm(times):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((6, 6))
+    m = (x - x.T) / 2        # exp(t m) is orthogonal, so late states stay O(1)
+    v = rng.standard_normal(6)
+    for a in (m, sp.csr_matrix(m)):
+        got = numkernel.expm_apply(a, v, np.array(times))
+        assert got.shape == (len(times), 6)
+        for row, t in zip(got, times):
+            want = scipy.linalg.expm(t * m) @ v
+            assert np.abs(row - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_expm_apply_one_point_grid_is_scalar_form():
+    rng = np.random.default_rng(9)
+    m, v = rng.standard_normal((5, 5)), rng.standard_normal(5)
+    grid = numkernel.expm_apply(m, v, [1.3])
+    assert grid.shape == (1, 5)
+    assert np.array_equal(grid[0], numkernel.expm_apply(m, v, 1.3))
+
+
+@pytest.mark.parametrize("times", [
+    [1.0, 0.5],                # descending
+    [0.0, 1.0, 3.0],           # uneven steps
+    [1.0, 1.0],                # zero step
+    [-1.0, 0.0],               # negative
+    [0.0, np.nan],             # non-finite
+    [],                        # empty
+    [[0.0, 1.0]],              # not 1-D
+])
+def test_expm_apply_rejects_bad_grids(times):
+    with pytest.raises(TimeGridError):
+        numkernel.expm_apply(np.eye(3), np.ones(3), np.array(times))
+
+
+@pytest.mark.parametrize("start, step", [(30.0, 30.0), (0.0, 0.1), (1e6, 1e-6)])
+def test_expm_apply_accepts_rounded_arange_grids(start, step):
+    times = np.arange(start, start + 52.5 * step, step)
+    out = numkernel.expm_apply(np.zeros((2, 2)), np.ones(2), times)
+    assert np.array_equal(out, np.ones((times.size, 2)))
 
 
 def test_unitary_apply_matches_expm():
