@@ -1,11 +1,10 @@
-"""Hot numerical loops with two interchangeable backends.
+"""The Monte Carlo hitting-time loop, with two interchangeable backends.
 
-The default backend JIT-compiles per-walk loops with numba. Setting the
-environment variable QSWLAB_DISABLE_NUMBA (to any non-empty value) selects
-pure-numpy implementations instead; both produce identical results for a
-given seed because they consume the same pre-drawn uniforms. The active
-backend name is exposed as BACKEND; both implementations stay importable
-so they can be benchmarked against each other.
+When numba is installed the per-walk loop is JIT-compiled. Setting the
+environment variable QSWLAB_DISABLE_NUMBA (to any non-empty value), or a
+missing numba, selects the lockstep numpy implementation instead. Both
+consume the same pre-drawn uniforms, so they walk the same paths for a
+given seed. The active backend name is exposed as BACKEND.
 """
 from __future__ import annotations
 
@@ -63,31 +62,8 @@ def hitting_steps_numpy(indptr, indices, starts, target, max_steps, raw):
     return steps
 
 
-def _path_profile_loop(t, omega, s_rows, lam):
-    """Contract eigenbasis weights s_i against the eigenvalue-difference
-    kernel of the interpolated walk on a path."""
-    n = lam.shape[0]
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            d = lam[i] - lam[j]
-            acc += s_rows[i] * s_rows[j] * np.exp(-0.5 * t * omega * d * d) * np.cos(
-                t * (1.0 - omega) * d
-            )
-    return acc
-
-
-def path_profile_numpy(t, omega, s_rows, lam):
-    d = lam[:, None] - lam[None, :]
-    w = np.exp(-0.5 * t * omega * d * d) * np.cos(t * (1.0 - omega) * d)
-    return float(s_rows @ w @ s_rows)
-
-
 if _USE_NUMBA:
     hitting_steps_numba = numba.njit(cache=True)(_hitting_steps_loop)
-    path_profile_numba = numba.njit(cache=True)(_path_profile_loop)
     hitting_steps_kernel = hitting_steps_numba
-    path_profile_kernel = path_profile_numba
 else:
     hitting_steps_kernel = hitting_steps_numpy
-    path_profile_kernel = path_profile_numpy

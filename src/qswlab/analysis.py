@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize, special
 
-from . import graphs, numkernel
-from ._kernels import path_profile_kernel
-from .exceptions import DimensionError, NumericalError
+from . import gksl, graphs, numkernel
+from .exceptions import DimensionError, NumericalError, TimeGridError
 
 GENERATOR_DIM_CAP = 2500  # largest n^2 we will diagonalize densely
+HERMITIAN_BASIS_TOL = 1e-12
 
 
 def second_moment(p: np.ndarray, positions: np.ndarray) -> float:
@@ -90,48 +90,78 @@ def fit_limit_model(times, alphas) -> LimitFit:
 
 def path_probability_closed_form(n: int, l: int, k: int, t: float, omega: float) -> float:
     """Probability of vertex k at time t, started at vertex l, on the
-    n-vertex path; vertices numbered 1..n."""
-    if not (1 <= l <= n and 1 <= k <= n):
+    n-vertex path; vertices numbered 1..n. Entry k-1 of the profile."""
+    if not 1 <= k <= n:
         raise ValueError("vertex labels must lie in 1..n")
+    return float(path_probability_profile(n, l, t, omega)[k - 1])
+
+
+PROFILE_NEG_TOL = 1e-12
+PROFILE_SUM_TOL = 1e-10
+
+
+def path_probability_profile(n: int, l: int, t, omega: float) -> np.ndarray:
+    """Occupation probabilities of all n path vertices (1-based start l) for
+    the interpolated global walk, from the eigenbasis of the path:
+
+        p_k(t) = sum_ij m_ki m_kj exp(-t omega d_ij^2 / 2) cos(b d_ij),
+
+    with m_ki = (2/(n+1)) sin(k i theta) sin(l i theta), d_ij = lam_i - lam_j
+    and b = t (1 - omega). t is a scalar, giving one profile, or a 1-D array
+    of times, giving one row per time. Since cos(b d_ij) = c_i c_j + s_i s_j
+    with c = cos(b lam) and s = sin(b lam), a time costs n trig calls and
+    two matrix products. A profile with an entry below -PROFILE_NEG_TOL or a
+    sum off 1 by more than PROFILE_SUM_TOL raises NumericalError; nothing is
+    clipped or renormalised."""
+    if not 1 <= l <= n:
+        raise ValueError("vertex labels must lie in 1..n")
+    gksl.check_omega(omega)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0 or not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise TimeGridError("times must be a scalar or a nonempty 1-D array, "
+                            "finite and nonnegative")
     theta = np.pi / (n + 1)
     i = np.arange(1, n + 1)
     lam = 2.0 * np.cos(i * theta)
-    s = (2.0 / (n + 1)) * np.sin(k * i * theta) * np.sin(l * i * theta)
-    return float(path_profile_kernel(float(t), float(omega), s, lam))
+    sines = np.sin(np.outer(i, i) * theta)  # [k, i]
+    m = (2.0 / (n + 1)) * sines * sines[l - 1]
+    d2 = (lam[:, None] - lam[None, :]) ** 2
+    p = np.empty((times.size, n))
+    for r, tr in enumerate(times.reshape(-1)):
+        c, s = np.cos(tr * (1.0 - omega) * lam), np.sin(tr * (1.0 - omega) * lam)
+        w = np.exp(-0.5 * tr * omega * d2) * (np.outer(c, c) + np.outer(s, s))
+        p[r] = ((m @ w) * m).sum(1)
+    sum_err = np.abs(p.sum(1) - 1.0).max()
+    if p.min() < -PROFILE_NEG_TOL or sum_err > PROFILE_SUM_TOL:
+        raise NumericalError(f"path profile is not a distribution: min {p.min():.3e}, "
+                             f"largest sum error {sum_err:.3e}")
+    return p[0] if times.ndim == 0 else p
 
 
-def path_probability_profile(n: int, l: int, t: float, omega: float) -> np.ndarray:
-    """Vectorized profile over all n vertices via the eigenbasis contraction."""
-    theta = np.pi / (n + 1)
-    i = np.arange(1, n + 1)
-    lam = 2.0 * np.cos(i * theta)
-    sines = np.sin(np.outer(np.arange(1, n + 1), i) * theta)  # [k, i]
-    d = lam[:, None] - lam[None, :]
-    w = np.exp(-0.5 * t * omega * d * d) * np.cos(t * (1.0 - omega) * d)
-    m = sines * sines[l - 1]
-    p = (2.0 / (n + 1)) ** 2 * np.einsum("ki,ij,kj->k", m, w, m)
-    return np.clip(p, 0.0, None)
+INFINITE_PATH_TOL = 1e-12
+INFINITE_PATH_MAX_NODES = 2 ** 15
 
 
 def infinite_path_probability(k: int, t: float, omega: float) -> float:
-    """Occupation probability of site k (start at 0) on the infinite path,
-    by 2-D quadrature over the momentum torus."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    """Occupation probability of site k (start at 0) on the infinite path.
 
-    def integrand(y, x):
-        d = np.cos(x) - np.cos(y)
-        return (
-            np.cos(k * x) * np.cos(k * y)
-            * np.exp(-2.0 * omega * t * d * d)
-            * np.cos(2.0 * t * (1.0 - omega) * d)
-        )
-
-    val, err = integrate.dblquad(integrand, -np.pi, np.pi, -np.pi, np.pi,
-                                 epsabs=1e-9, epsrel=1e-9)
-    if err > 1e-6:
-        raise NumericalError(f"quadrature error estimate {err} too large")
-    return val / (4.0 * np.pi * np.pi)
+    The walk's generator averages the coherent walk over Gaussian noise:
+    p_k(t) = E[J_k(2(1-omega)t + u)^2] with u ~ N(0, 4 omega t). The mean is
+    taken by Gauss-Hermite quadrature, doubling the node count from 32 until
+    two estimates agree to INFINITE_PATH_TOL."""
+    if not (math.isfinite(t) and t >= 0):
+        raise TimeGridError("time must be finite and nonnegative")
+    gksl.check_omega(omega)
+    centre, sigma = 2.0 * (1.0 - omega) * t, 2.0 * math.sqrt(omega * t)
+    prev, nodes = math.nan, 32
+    while nodes <= INFINITE_PATH_MAX_NODES:
+        x, w = special.roots_hermite(nodes)
+        est = float(w @ special.jv(k, centre + math.sqrt(2.0) * sigma * x) ** 2) / math.sqrt(math.pi)
+        if abs(est - prev) <= INFINITE_PATH_TOL:
+            return est
+        prev, nodes = est, 2 * nodes
+    raise NumericalError(f"Gauss-Hermite estimates did not settle within "
+                         f"{INFINITE_PATH_MAX_NODES} nodes")
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -198,13 +228,25 @@ class ConvergenceReport:
 def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
     """Classify from the generator spectrum: eigenvalues below tol in
     modulus count as zero; eigenvalues with tiny real part but nonzero
-    imaginary part witness possible periodicity."""
+    imaginary part witness possible periodicity.
+
+    The spectrum is that of the real matrix R = T^H S T in the Hermitian
+    basis T of numkernel.hermitian_basis, which is similar to S. R must be
+    real to HERMITIAN_BASIS_TOL relative, or NumericalError is raised."""
     m = gen.s
     if m.shape[0] > GENERATOR_DIM_CAP:
         raise DimensionError(
             f"generator size {m.shape[0]} exceeds dense cap {GENERATOR_DIM_CAP}"
         )
-    lam = numkernel.eig_general(m)
+    basis = numkernel.hermitian_basis(gen.dim)
+    r = (basis.conj().T @ m @ basis).tocsr()
+    scale = max(1.0, float(np.abs(r.data).max(initial=0.0)))
+    leak = float(np.abs(r.data.imag).max(initial=0.0))
+    if leak > HERMITIAN_BASIS_TOL * scale:
+        raise NumericalError(
+            f"generator does not preserve Hermiticity: its real-basis form has "
+            f"imaginary entries up to {leak:.3e}")
+    lam = numkernel.eig_general(r.real)
     mods = np.abs(lam)
     zero = int(np.sum(mods < tol))
     imag = int(np.sum((np.abs(lam.real) < tol) & (np.abs(lam.imag) > tol)))

@@ -183,16 +183,12 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     n = length
     center = (n + 1) // 2  # 1-based
     positions = np.arange(1, n + 1) - center
-    mu2 = np.empty(times.size)
     diagnostics = None
     if model == "gqsw":
-        for i, t in enumerate(times):
-            p = analysis.path_probability_profile(n, center, t, omega)
-            mu2[i] = analysis.second_moment(p / p.sum(), positions)
+        profiles = analysis.path_probability_profile(n, center, times, omega)
     else:
         profiles, diagnostics = _ngqsw_path_profiles(n, omega, times)
-        for i in range(times.size):
-            mu2[i] = analysis.second_moment(profiles[i], positions)
+    mu2 = np.array([analysis.second_moment(p, positions) for p in profiles])
     trace = analysis.scaling_exponents(times, mu2, batch)
     rows = []
     for i, t in enumerate(times):
@@ -224,6 +220,8 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
 def cmd_converge(model, graph_spec, omega, tol, out):
     """Classify the generator spectrum of a walk on the given graph."""
     t0 = time.time()
+    if not (math.isfinite(tol) and tol > 0):
+        raise click.UsageError("--tol must be finite and positive")
     g = parse_graph_spec(graph_spec)
     dig = g if isinstance(g, graphs.DiGraph) else graphs.to_digraph(g)
     if model == "lqsw":

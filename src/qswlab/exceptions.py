@@ -52,6 +52,11 @@ class TimeGridError(QswlabError, ValueError):
     constant step."""
 
 
+class ParameterRangeError(QswlabError, ValueError):
+    """A model parameter, such as the interpolation weight omega, lies
+    outside its domain or is not finite."""
+
+
 class DensityInvariantViolated(QswlabError, RuntimeError):
     """Evolved state drifted beyond density-matrix tolerances."""
 

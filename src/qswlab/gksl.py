@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import graphs, numkernel
-from .exceptions import DensityInvariantViolated, DimensionError
+from .exceptions import DensityInvariantViolated, DimensionError, ParameterRangeError
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -67,9 +67,21 @@ class WalkSpec:
     diss_weight: float
 
 
+def _from_entries(entries, shape) -> sp.csr_matrix:
+    """CSR matrix from (rows, cols, values) triples; repeated positions add.
+    A single triple is not copied, which keeps the peak memory down."""
+    rows, cols, vals = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> EvolutionGenerator:
-    """S = w_h * (-i)(H x I - I x conj(H)) + w_d * sum_L (L x conj(L)
-    - 1/2 L'L x I - 1/2 I x L^T conj(L)), row-major vec convention."""
+    """S = w_h * (-i)(H x I - I x conj(H)) + w_d * (sum_L L x conj(L)
+    - 1/2 K x I - 1/2 I x K^T) with K = sum_L L'L, row-major vec convention.
+
+    Each L x conj(L) is built from the products of L's nonzeros, and
+    K = B'B for the Lindblads stacked into one tall matrix B, so the
+    anticommutator costs two Kronecker products whatever the number of
+    Lindblads."""
     if ham_weight < 0 or diss_weight < 0:
         raise ValueError("weights must be nonnegative")
     h = sp.csr_matrix(np.asarray(h, dtype=complex))
@@ -80,18 +92,30 @@ def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> Evol
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
     if ham_weight > 0:
         s = s + ham_weight * (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.conj()))
-    if diss_weight > 0:
-        for l in lindblads:
-            l = sp.csr_matrix(np.asarray(l, dtype=complex))
+    if diss_weight > 0 and len(lindblads):
+        stack, jumps, pending = [], [], 0
+        for j, l in enumerate(lindblads):
+            l = np.asarray(l, dtype=complex)
             if l.shape != (n, n):
                 raise DimensionError("Lindblad dimension mismatch")
-            ldl = (l.conj().T @ l).tocsr()
-            s = s + diss_weight * (
-                sp.kron(l, l.conj())
-                - 0.5 * sp.kron(ldl, eye)
-                - 0.5 * sp.kron(eye, ldl.T)
-            )
-    return EvolutionGenerator(s=sp.csr_matrix(s), dim=n)
+            r, c = np.nonzero(l)
+            v = l[r, c]
+            stack.append((r + j * n, c, v))
+            jumps.append(((r[:, None] * n + r).ravel(), (c[:, None] * n + c).ravel(),
+                          diss_weight * np.outer(v, v.conj()).ravel()))
+            pending += v.size ** 2
+            # Fold the buffered jump terms into s once they outnumber its
+            # entries, and after the last Lindblad: few sparse additions, and
+            # a buffer no larger than s. The buffer is dropped before the
+            # addition allocates.
+            if pending >= s.nnz or j == len(lindblads) - 1:
+                flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
+                s = s + flushed
+        b = _from_entries(stack, (len(stack) * n, n))
+        k = (b.conj().T @ b).tocsr()
+        s = s - 0.5 * diss_weight * (sp.kron(k, eye) + sp.kron(eye, k.T))
+    s.eliminate_zeros()
+    return EvolutionGenerator(s=s, dim=n)
 
 
 def generator_from_spec(spec: WalkSpec) -> EvolutionGenerator:
@@ -116,18 +140,22 @@ def ctrw_rate_matrix(g: graphs.Graph) -> np.ndarray:
     return -graphs.laplacian(g)
 
 
+def check_omega(omega: float) -> None:
+    """Raise ParameterRangeError unless the interpolation weight lies in [0, 1]."""
+    if not 0.0 <= omega <= 1.0:
+        raise ParameterRangeError(f"omega must lie in [0, 1], got {omega}")
+
+
 def lqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     """One Lindblad |w><v| per arc; Hamiltonian from the underlying graph."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
+    check_omega(omega)
     h = graphs.adjacency(graphs.underlying(g)).astype(complex)
     return WalkSpec("LQSW", h, _arc_lindblads(g), 1.0 - omega, omega)
 
 
 def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     """Single whole-matrix Lindblad equal to the digraph adjacency."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
+    check_omega(omega)
     h = graphs.adjacency(graphs.underlying(g)).astype(complex)
     l = graphs.adjacency(g).astype(complex)
     return WalkSpec("GQSW", h, (l,), 1.0 - omega, omega)

@@ -165,8 +165,7 @@ def standard_operators(dg: DemoralizedGraph, lindblads=None) -> NonmoralOperator
 def ngqsw_generator(dg: DemoralizedGraph, ops: NonmoralOperators,
                     omega: float) -> gksl.EvolutionGenerator:
     """Coherent part (1-omega) H + omega H_rot; dissipator weight omega."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
+    gksl.check_omega(omega)
     h = (1.0 - omega) * ops.hamiltonian + omega * ops.rotating
     return gksl.build_generator(h, ops.lindblads, 1.0, omega)
 

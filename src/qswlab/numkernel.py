@@ -1,5 +1,6 @@
 """Dense complex linear algebra: eigendecompositions, matrix-exponential
-action, and Kronecker/vectorization primitives.
+action, Kronecker/vectorization primitives and the real Hermitian basis for
+superoperators.
 
 Vectorization is row-major: vec(B) = sum_xy b_xy |xy>, so
 vec(A B C) = (A kron C^T) vec(B).
@@ -73,6 +74,28 @@ def eig_general(m) -> np.ndarray:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def hermitian_basis(n: int) -> scipy.sparse.csr_matrix:
+    """Sparse unitary T (n^2 x n^2) whose columns are vec of an orthonormal
+    basis of the Hermitian n x n matrices: |x><x|, then
+    (|x><y| + |y><x|)/sqrt2 and then i(|x><y| - |y><x|)/sqrt2 over x < y.
+
+    For a superoperator S that maps Hermitian matrices to Hermitian
+    matrices, T^H S T has entries Tr(B_c S(B_d)) over basis matrices B, so it
+    is real, and it is similar to S."""
+    if n < 1:
+        raise DimensionError(f"basis size must be positive, got {n}")
+    x, y = np.triu_indices(n, 1)
+    p = x.size
+    r = 1.0 / math.sqrt(2.0)
+    diag = np.arange(n)
+    rows = np.concatenate([diag * (n + 1), x * n + y, y * n + x, x * n + y, y * n + x])
+    cols = np.concatenate([diag, n + np.arange(p), n + np.arange(p),
+                           n + p + np.arange(p), n + p + np.arange(p)])
+    vals = np.concatenate([np.ones(n), np.full(2 * p, r), np.full(p, 1j * r),
+                           np.full(p, -1j * r)])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
 
 
 GRID_RTOL = 1e-9

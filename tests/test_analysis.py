@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from qswlab import analysis, gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import DimensionError
+from qswlab.exceptions import (DimensionError, NumericalError, ParameterRangeError,
+                               TimeGridError)
 
 
 def test_second_moment_basics():
@@ -64,6 +71,85 @@ def test_path_closed_form_matches_evolve():
     p = gksl.measure(gksl.evolve(gen, gksl.pure_state(n, 10), t))
     prof = analysis.path_probability_profile(n, 11, t, omega)
     assert np.abs(p - prof).max() < 1e-8
+
+
+def _einsum_profile(n, l, t, omega):
+    """Reference profile: the kernel cos(t(1-omega)(lam_i - lam_j)) built
+    entry by entry and contracted by einsum."""
+    theta = np.pi / (n + 1)
+    i = np.arange(1, n + 1)
+    lam = 2.0 * np.cos(i * theta)
+    sines = np.sin(np.outer(i, i) * theta)
+    d = lam[:, None] - lam[None, :]
+    w = np.exp(-0.5 * t * omega * d * d) * np.cos(t * (1.0 - omega) * d)
+    m = sines * sines[l - 1]
+    return (2.0 / (n + 1)) ** 2 * np.einsum("ki,ij,kj->k", m, w, m)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.35, 1.0])
+def test_path_profile_grid_rows_equal_scalar_calls(omega):
+    n, l = 41, 17
+    times = np.array([0.0, 0.5, 3.0, 17.25, 90.0])
+    grid = analysis.path_probability_profile(n, l, times, omega)
+    assert grid.shape == (times.size, n)
+    for row, t in zip(grid, times):
+        one = analysis.path_probability_profile(n, l, t, omega)
+        assert one.shape == (n,)
+        assert np.abs(row - one).max() <= 1e-14
+        assert np.abs(row - _einsum_profile(n, l, t, omega)).max() <= 1e-13
+        assert abs(row.sum() - 1.0) <= 1e-12
+    assert analysis.path_probability_profile(n, l, times[:1], omega).shape == (1, n)
+    k = 5
+    assert analysis.path_probability_closed_form(n, l, k, 3.0, omega) == grid[2, k - 1]
+
+
+@pytest.mark.parametrize("args, error", [
+    ((9, 0, 1.0, 0.5), ValueError),              # start vertex outside 1..n
+    ((9, 10, 1.0, 0.5), ValueError),
+    ((9, 5, 1.0, 1.5), ParameterRangeError),
+    ((9, 5, 1.0, np.nan), ParameterRangeError),
+    ((9, 5, -1.0, 0.5), TimeGridError),
+    ((9, 5, np.array([1.0, np.inf]), 0.5), TimeGridError),
+    ((9, 5, np.ones((2, 2)), 0.5), TimeGridError),
+    ((9, 5, np.array([]), 0.5), TimeGridError),
+])
+def test_path_profile_rejects_bad_input(args, error):
+    with pytest.raises(error):
+        analysis.path_probability_profile(*args)
+
+
+def _dblquad_infinite_path(k, t, omega):
+    """Reference: 2-D quadrature over the momentum torus."""
+    def integrand(y, x):
+        d = np.cos(x) - np.cos(y)
+        return (np.cos(k * x) * np.cos(k * y) * np.exp(-2.0 * omega * t * d * d)
+                * np.cos(2.0 * t * (1.0 - omega) * d))
+
+    val, err = integrate.dblquad(integrand, -np.pi, np.pi, -np.pi, np.pi,
+                                 epsabs=1e-9, epsrel=1e-9)
+    assert err < 1e-6
+    return val / (4.0 * np.pi * np.pi)
+
+
+@pytest.mark.parametrize("k, t, omega", [(0, 1.0, 0.5), (3, 5.0, 0.4), (2, 0.5, 1.0),
+                                         (1, 2.0, 0.0), (7, 20.0, 0.9)])
+def test_infinite_path_matches_dblquad(k, t, omega):
+    want = _dblquad_infinite_path(k, t, omega)
+    assert abs(analysis.infinite_path_probability(k, t, omega) - want) < 1e-10
+
+
+@pytest.mark.parametrize("t, omega, error", [(-1.0, 0.5, TimeGridError),
+                                              (np.nan, 0.5, TimeGridError),
+                                              (1.0, 1.5, ParameterRangeError)])
+def test_infinite_path_rejects_bad_input(t, omega, error):
+    with pytest.raises(error):
+        analysis.infinite_path_probability(0, t, omega)
+
+
+def test_infinite_path_raises_when_nodes_do_not_settle(monkeypatch):
+    monkeypatch.setattr(analysis, "INFINITE_PATH_MAX_NODES", 64)
+    with pytest.raises(NumericalError):
+        analysis.infinite_path_probability(3, 1000.0, 0.5)
 
 
 def test_infinite_path_trivial_and_normalized():
@@ -136,6 +222,68 @@ def test_classifier_circulant_periodic():
     assert rep.classification == "PossiblyPeriodic"
     lam = numkernel.eig_general(gen.s)
     assert np.abs(lam - 2 * (1 - 0.5) * 1j).min() < 1e-8
+
+
+def _reference_classification(lam, tol=1e-10):
+    """The classifier's rules applied to eigenvalues of the complex S."""
+    mods = np.abs(lam)
+    zero = int(np.sum(mods < tol))
+    imag = int(np.sum((np.abs(lam.real) < tol) & (np.abs(lam.imag) > tol)))
+    cls = "PossiblyPeriodic" if imag else ("Relaxing" if zero == 1 else "ConvergentNonRelaxing")
+    return cls, zero, imag
+
+
+def _assert_same_spectrum(a, b, tol):
+    """Pair a with b by minimal total distance, then compare cluster by
+    cluster. A cluster of b (eigenvalues closer than 1e-4 chained together)
+    may be a perturbed Jordan block, whose eigenvalues move by eps^(1/k) while
+    their mean stays well conditioned; an isolated eigenvalue is its own
+    cluster and must match to tol."""
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    a, b = a[rows], b[cols]
+    ncl, label = connected_components(sp.csr_matrix(np.abs(b[:, None] - b[None, :]) < 1e-4))
+    for c in range(ncl):
+        sel = label == c
+        assert np.abs(a[sel] - b[sel]).max() < 1e-4
+        assert abs(a[sel].mean() - b[sel].mean()) <= tol, (a[sel], b[sel])
+
+
+@st.composite
+def _walk_generators(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graphs.DiGraph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+    omega = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    model = draw(st.sampled_from(["lqsw", "gqsw", "ngqsw"]))
+    if model == "lqsw":
+        return gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
+    if model == "gqsw":
+        return gksl.generator_from_spec(gksl.gqsw_spec(g, omega))
+    dg = nonmoral.demoralize(g)
+    return nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_walk_generators())
+def test_hermitian_basis_spectrum_matches_complex_generator(gen):
+    t = numkernel.hermitian_basis(gen.dim)
+    assert abs(t.conj().T @ t - sp.identity(gen.dim ** 2)).max() < 1e-15
+    r = (t.conj().T @ gen.s @ t).toarray()
+    scale = max(1.0, np.abs(r).max())
+    assert np.abs(r.imag).max() <= 1e-13 * scale
+    lam = numkernel.eig_general(gen.s)
+    _assert_same_spectrum(numkernel.eig_general(r.real), lam, 1e-10 * scale)
+    rep = analysis.classify_convergence(gen)
+    assert (rep.classification, rep.zero_multiplicity, rep.imaginary_count) == \
+        _reference_classification(lam)
+
+
+def test_classifier_rejects_non_hermiticity_preserving_generator():
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    with pytest.raises(NumericalError, match="Hermiticity"):
+        analysis.classify_convergence(gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3))
 
 
 def test_classifier_dimension_cap():

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from click.testing import CliRunner
 
-from qswlab import cli, gksl, graphs, nonmoral, numkernel, search
+from qswlab import analysis, cli, gksl, graphs, nonmoral, numkernel, search
 from qswlab.exceptions import NumericalError
 
 
@@ -308,3 +308,40 @@ def test_propagate_ngqsw_one_expm_call(runner, tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
     assert len(calls) == 1
     assert np.array_equal(calls[0], [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+
+
+def test_propagate_gqsw_one_profile_call(runner, tmp_path, monkeypatch):
+    calls = []
+    real = analysis.path_probability_profile
+    monkeypatch.setattr(analysis, "path_probability_profile",
+                        lambda n, l, t, omega: calls.append(np.asarray(t)) or real(n, l, t, omega))
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "gqsw", 31, ("2", "12", "2")))
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    with open(tmp_path / "p.csv") as fh:
+        mu2 = np.array([float(row["mu2"]) for row in csv.DictReader(fh)])
+    p = real(31, 16, calls[0], 0.5)
+    positions = np.arange(1, 32) - 16
+    assert np.array_equal(mu2, [float(np.sum(positions ** 2 * row)) for row in p])
+
+
+@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--omega", "nan", "omega must lie in [0, 1]"),
+    ("--omega", "2", "omega must lie in [0, 1]"),
+    ("--omega", "-0.5", "omega must lie in [0, 1]"),
+    ("--tol", "nan", "--tol must be finite and positive"),
+    ("--tol", "inf", "--tol must be finite and positive"),
+    ("--tol", "-1", "--tol must be finite and positive"),
+    ("--tol", "0", "--tol must be finite and positive"),
+])
+def test_converge_bad_parameters_exit_2(runner, tmp_path, model, flag, value, message):
+    out = tmp_path / "c.json"
+    r = runner.invoke(cli.main, ["converge", "--model", model, "--graph", "path:4",
+                                 flag, value, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert message in r.output
+    assert not out.exists()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswlab import gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import DensityInvariantViolated, DimensionError, TimeGridError
+from qswlab.exceptions import (DensityInvariantViolated, DimensionError, ParameterRangeError,
+                               TimeGridError)
 
 
 def random_density(n, seed):
@@ -39,6 +41,57 @@ def test_trace_functional_annihilated():
     gen = gksl.build_generator(np.diag([1.0, 2, 3, 4]), [l], 0.7, 0.3)
     tr = numkernel.vec(np.eye(4))
     assert np.abs(tr @ gen.s.toarray()).max() < 1e-9
+
+
+def _per_lindblad_generator(h, lindblads, ham_weight, diss_weight):
+    """Reference assembly: three Kronecker products per Lindblad, added one
+    term at a time."""
+    h = sp.csr_matrix(np.asarray(h, dtype=complex))
+    n = h.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csr")
+    s = sp.csr_matrix((n * n, n * n), dtype=complex)
+    if ham_weight > 0:
+        s = s + ham_weight * (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.conj()))
+    if diss_weight > 0:
+        for l in lindblads:
+            l = sp.csr_matrix(np.asarray(l, dtype=complex))
+            ldl = (l.conj().T @ l).tocsr()
+            s = s + diss_weight * (sp.kron(l, l.conj()) - 0.5 * sp.kron(ldl, eye)
+                                   - 0.5 * sp.kron(eye, ldl.T))
+    return sp.csr_matrix(s)
+
+
+def _generator_fixtures():
+    tri = graphs.DiGraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)}))
+    yield gksl.lqsw_spec(tri, 0.4)
+    yield gksl.gqsw_spec(graphs.to_digraph(graphs.star(5)), 0.7)
+    for g in (graphs.premature_graph(), graphs.to_digraph(graphs.path(5))):
+        dg = nonmoral.demoralize(g)
+        ops = nonmoral.standard_operators(dg)
+        h = 0.6 * ops.hamiltonian + 0.4 * ops.rotating
+        yield gksl.WalkSpec("NGQSW", h, ops.lindblads, 1.0, 0.4)
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(5)))
+    yield gksl.WalkSpec("NGQSW", nonmoral.standard_hamiltonian(dg),
+                        nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("spec", list(_generator_fixtures()), ids=lambda s: s.model)
+def test_build_generator_matches_per_lindblad_assembly(spec):
+    got = gksl.generator_from_spec(spec).s
+    want = _per_lindblad_generator(spec.hamiltonian, spec.lindblads,
+                                   spec.ham_weight, spec.diss_weight)
+    assert abs(got - want).max() <= 1e-14
+    assert got.nnz <= want.nnz
+
+
+@pytest.mark.parametrize("omega", [np.nan, -0.1, 1.5, np.inf])
+def test_walk_specs_reject_omega_outside_unit_interval(omega):
+    g = graphs.to_digraph(graphs.path(3))
+    dg = nonmoral.demoralize(g)
+    for make in (lambda: gksl.lqsw_spec(g, omega), lambda: gksl.gqsw_spec(g, omega),
+                 lambda: nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)):
+        with pytest.raises(ParameterRangeError):
+            make()
 
 
 def test_generator_spectrum_left_half_plane():

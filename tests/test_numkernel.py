@@ -143,6 +143,27 @@ def test_expm_apply_accepts_rounded_arange_grids(start, step):
     assert np.array_equal(out, np.ones((times.size, 2)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hermitian_basis_is_unitary_onto_hermitian_matrices(n):
+    t = numkernel.hermitian_basis(n)
+    assert t.shape == (n * n, n * n)
+    dense = t.toarray()
+    assert np.abs(dense.conj().T @ dense - np.eye(n * n)).max() < 1e-15
+    for col in dense.T:
+        b = numkernel.unvec(col)
+        assert np.array_equal(b, b.conj().T)
+    # Hermitian input has real coordinates in the basis
+    h = random_hermitian(n, n)
+    coords = t.conj().T @ numkernel.vec(h)
+    assert np.abs(coords.imag).max() < 1e-14
+    assert np.abs(t @ coords.real - numkernel.vec(h)).max() < 1e-13
+
+
+def test_hermitian_basis_rejects_empty():
+    with pytest.raises(DimensionError):
+        numkernel.hermitian_basis(0)
+
+
 def test_unitary_apply_matches_expm():
     h = random_hermitian(5, 2)
     psi = np.random.default_rng(4).standard_normal(5).astype(complex)
