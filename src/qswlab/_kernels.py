@@ -26,8 +26,8 @@ def _hitting_steps_loop(indptr, indices, starts, target, max_steps, raw):
     """Steps of a simple random walk from each start until hitting target.
 
     raw supplies one uniform(0,1) row per walk; a walk that exhausts its
-    row without arriving is reported as max_steps. Walks starting on the
-    target take 0 steps.
+    row without arriving is censored and reported as -1. Walks starting on
+    the target take 0 steps.
     """
     n_walks = starts.shape[0]
     out = np.empty(n_walks, dtype=np.int64)
@@ -39,7 +39,7 @@ def _hitting_steps_loop(indptr, indices, starts, target, max_steps, raw):
             deg = indptr[v + 1] - lo
             v = indices[lo + int(raw[w, steps] * deg)]
             steps += 1
-        out[w] = steps
+        out[w] = steps if v == target else -1
     return out
 
 
@@ -59,6 +59,7 @@ def hitting_steps_numpy(indptr, indices, starts, target, max_steps, raw):
         steps[idx] += 1
         active[idx] = pos[idx] != target
         k += 1
+    steps[active] = -1
     return steps
 
 

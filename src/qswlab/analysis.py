@@ -232,7 +232,13 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
 
     The spectrum is that of the real matrix R = T^H S T in the Hermitian
     basis T of numkernel.hermitian_basis, which is similar to S. R must be
-    real to HERMITIAN_BASIS_TOL relative, or NumericalError is raised."""
+    real to HERMITIAN_BASIS_TOL relative, or NumericalError is raised.
+
+    Accuracy of `second_smallest_abs`: S is not normal, so an eigenvalue
+    in a Jordan block of size k is only accurate to about
+    eps^(1/k) * ||S|| (eps^(1/3) is about 6e-6), while a simple one is good
+    to about eps * ||S|| times its condition number. A defective gap can
+    move in its fifth digit with the LAPACK path or the BLAS thread count."""
     m = gen.s
     if m.shape[0] > GENERATOR_DIM_CAP:
         raise DimensionError(

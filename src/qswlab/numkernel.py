@@ -1,26 +1,24 @@
-"""Dense complex linear algebra: eigendecompositions, matrix-exponential
-action, Kronecker/vectorization primitives and the real Hermitian basis for
-superoperators.
+"""Dense complex linear algebra: eigendecompositions, the eigensystem of a
+diagonal plus rank-one matrix, matrix-exponential action, vectorization and
+the real Hermitian basis for superoperators.
 
 Vectorization is row-major: vec(B) = sum_xy b_xy |xy>, so
 vec(A B C) = (A kron C^T) vec(B).
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import cython_lapack
 
 from .exceptions import DimensionError, NumericalError, TimeGridError
 
 TOL_HERM = 1e-12
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def vec(b: np.ndarray) -> np.ndarray:
@@ -61,6 +59,100 @@ def eig_hermitian(h: np.ndarray) -> EigenSystem:
     h = check_hermitian(h)
     w, v = np.linalg.eigh(h)
     return EigenSystem(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+
+
+def _lapack_routine(name: str, nargs: int):
+    """A LAPACK routine from scipy's Cython table, called through ctypes.
+
+    Every argument of a Fortran routine is a pointer. The capsule's name
+    carries the C signature and is also the key that unlocks the pointer."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+# DLAED9(K, KSTART, KSTOP, N, D, Q, LDQ, RHO, DLAMDA, W, S, LDS, INFO): the
+# secular-equation roots by dlaed4 (Gu and Eisenstat's scheme) and the
+# eigenvectors from the recomputed updating vector, orthogonal to working
+# precision.
+_DLAED9 = _lapack_routine("dlaed9", 13)
+
+
+@dataclass(frozen=True)
+class RankOneEigenSystem:
+    """Eigensystem of diag(d) + z z^T restricted to where z has weight.
+
+    Deflation leaves K merged poles. `index` lists the surviving entries
+    of d in ascending order and group g spans index[starts[g]:starts[g+1]];
+    its direction is z_group / weights[g] with weights[g] = ||z_group||.
+    `values` holds the K eigenvalues ascending and the columns of `vectors`
+    (K x K, orthogonal) their eigenvectors in the basis of group directions.
+    Every deflated eigenvector is orthogonal to z to within the tolerance.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+    index: np.ndarray
+    starts: np.ndarray
+
+    def fold(self, c: np.ndarray) -> np.ndarray:
+        """Sum of c over each group, divided by the group weight; with
+        c = z * x these are the coordinates of x along the group directions."""
+        return np.add.reduceat(np.asarray(c)[self.index], self.starts) / self.weights
+
+
+def rank_one_eig(d: np.ndarray, z: np.ndarray) -> RankOneEigenSystem:
+    """Eigenvalues and eigenvectors of diag(d) + z z^T in O(n^2).
+
+    Deflation follows LAPACK dlaed2 with tol = 8 eps max(|d|, |z|): weights
+    |z_j| <= tol are dropped, and sorted poles whose gap is at most tol merge
+    into one pole at their z^2-weighted mean with weight ||z_group||. The K
+    remaining poles are strictly increasing and go to one dlaed9 call with
+    w = zeta / ||zeta|| and rho = ||zeta||^2. Raises NumericalError when an
+    input is not finite or the root finder fails.
+    """
+    d = np.asarray(d, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if d.ndim != 1 or z.shape != d.shape:
+        raise DimensionError(f"shape mismatch: d {d.shape} vs z {z.shape}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
+        raise NumericalError("rank-one update has non-finite entries")
+    tol = 8.0 * np.finfo(float).eps * max(np.abs(d).max(initial=0.0),
+                                          np.abs(z).max(initial=0.0))
+    order = np.argsort(d, kind="stable")
+    index = order[np.abs(z[order]) > tol]
+    poles = d[index]
+    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > tol)
+    k = starts.size
+    if k == 0:
+        empty = np.zeros(0)
+        return RankOneEigenSystem(values=empty, vectors=np.zeros((0, 0)),
+                                  weights=empty, index=index, starts=starts)
+    sq = z[index] ** 2
+    weights = np.sqrt(np.add.reduceat(sq, starts))
+    merged = np.add.reduceat(sq * poles, starts) / weights**2
+    rho = float(weights @ weights)
+    w = weights / math.sqrt(rho)
+    values = np.empty(k)
+    work = np.empty((k, k), order="F")
+    vectors = np.empty((k, k), order="F")
+    k_c, one, info = ctypes.c_int(k), ctypes.c_int(1), ctypes.c_int(0)
+    rho_c = ctypes.c_double(rho)
+    ref = ctypes.byref
+    # K serves as KSTOP, N, LDQ and LDS
+    _DLAED9(ref(k_c), ref(one), ref(k_c), ref(k_c), values.ctypes.data,
+            work.ctypes.data, ref(k_c), ref(rho_c),
+            merged.ctypes.data, w.ctypes.data, vectors.ctypes.data, ref(k_c),
+            ref(info))
+    if info.value != 0:
+        raise NumericalError(f"secular equation solver dlaed9 failed (INFO = {info.value})")
+    return RankOneEigenSystem(values=values, vectors=vectors, weights=weights,
+                              index=index, starts=starts)
 
 
 def eig_general(m) -> np.ndarray:
@@ -160,13 +252,3 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
             m, start, start=0.0, stop=times[-1] - origin, num=q + 1,
             endpoint=True)[skip:]
     return out[0] if scalar else out
-
-
-def unitary_apply(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) @ psi via the eigendecomposition of Hermitian H."""
-    psi = np.asarray(psi, dtype=complex)
-    es = eig_hermitian(h)
-    if psi.shape[0] != es.vectors.shape[0]:
-        raise DimensionError("state dimension does not match the Hamiltonian")
-    phases = np.exp(-1j * t * es.values)
-    return es.vectors @ (phases * (es.vectors.conj().T @ psi))

@@ -31,6 +31,7 @@ from .exceptions import (
 GRAPH_MATRIX_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
 TOL_TOP_GAP = 1e-12   # relative gap below which the top eigenvalue counts as degenerate
 TOL_PROB = 1e-10      # rounding allowed above p = 1 before a probability is an error
+TOL_AMP = 1e-12       # allowed miss of the t = 0 amplitude against <w|init>, per unit norm
 
 
 def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
@@ -176,8 +177,14 @@ def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun
 
     gamma may be "S1", "caption", or a number. initial may be
     "principal" (top eigenvector of H_G), "uniform", or a state vector.
-    Raises NumericalError when a probability is not finite or exceeds 1
-    by more than rounding.
+
+    In the eigenbasis V of H_G the search matrix is gamma Lambda + a a^H
+    with a = V^H e_w. Moving the phases of a into the start state leaves
+    the real diag(gamma lambda) + |a| |a|^T, whose eigensystem
+    `numkernel.rank_one_eig` finds in O(n^2) from the secular equation.
+    Raises NumericalError when the t = 0 amplitude misses <w|init> by more
+    than TOL_AMP, or a probability is not finite or exceeds 1 by more than
+    rounding.
     """
     if isinstance(gamma, str):
         if gamma == "S1":
@@ -186,21 +193,30 @@ def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun
             gamma = caption_gamma(spec, w)
         else:
             raise ValueError(f"unknown gamma rule {gamma!r}")
-    if isinstance(initial, str):
-        if initial == "principal":
-            initial = spec.vectors[:, 0]
-            if initial.real.sum() < 0:
-                initial = -initial
-        elif initial == "uniform":
+    row = spec.vectors[w, :]   # <w|v_j>
+    if isinstance(initial, str) and initial == "principal":
+        # the start is +-v_1, so its coordinates are +-e_1
+        sign = -1.0 if spec.vectors[:, 0].real.sum() < 0 else 1.0
+        xhat = np.zeros(spec.n)
+        xhat[0] = sign
+        x_w, x_norm = sign * row[0], 1.0
+    else:
+        if isinstance(initial, str):
+            if initial != "uniform":
+                raise ValueError(f"unknown initial state {initial!r}")
             initial = np.ones(spec.n) / math.sqrt(spec.n)
-        else:
-            raise ValueError(f"unknown initial state {initial!r}")
-    h_search = float(gamma) * spec.h
-    h_search[w, w] += 1.0
+        x = np.asarray(initial)
+        xhat = spec.vectors.conj().T @ x
+        x_w, x_norm = x[w], float(np.linalg.norm(x))
     times = np.asarray(times, dtype=float)
-    es = numkernel.eig_hermitian(h_search)
-    weights = es.vectors[w, :] * (es.vectors.conj().T @ np.asarray(initial))
-    amps = np.exp(-1j * np.outer(times, es.values)) @ weights
+    r1 = numkernel.rank_one_eig(float(gamma) * spec.values, np.abs(row))
+    # <w|u_i> and <u_i|x> for the eigenvectors u_i that overlap w
+    weights = (r1.weights @ r1.vectors) * (r1.fold(row * xhat) @ r1.vectors)
+    amp0 = complex(weights.sum())
+    if not abs(amp0 - x_w) <= TOL_AMP * max(1.0, x_norm):
+        raise NumericalError(f"search amplitude at t = 0 is {amp0!r}, not "
+                             f"<w|init> = {complex(x_w)!r}")
+    amps = np.exp(-1j * np.outer(times, r1.values)) @ weights
     probs = np.abs(amps) ** 2
     bad = ~(probs <= 1.0 + TOL_PROB)  # NaN fails the comparison too
     if bad.any():
@@ -245,7 +261,9 @@ def _csr_arrays(g: graphs.Graph):
 def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
                       max_steps: int | None = None) -> float:
     """Monte Carlo estimate: walks start from the stationary distribution
-    (degree / 2|E|); a start on w counts as 0 steps."""
+    (degree / 2|E|); a start on w counts as 0 steps. Raises NumericalError
+    when a walk has not reached w after max_steps steps, since counting
+    the censored walks at any length would bias the mean."""
     graphs.require_connected(g)
     indptr, indices = _csr_arrays(g)
     deg = g.degrees().astype(float)
@@ -255,12 +273,17 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
         max_steps = max(100, int(100 * len(g.edges) / g.degree(w)))
     chunk = max(1, int(2e7) // max_steps)
     total = 0.0
+    censored = 0
     for lo in range(0, walks, chunk):
         batch = starts[lo:lo + chunk]
         raw = rng.random((batch.size, max_steps))
         steps = hitting_steps_kernel(indptr, indices, batch, np.int64(w),
                                      np.int64(max_steps), raw)
+        censored += int(np.count_nonzero(steps < 0))
         total += steps.sum()
+    if censored:
+        raise NumericalError(f"{censored} of {walks} walks did not reach vertex {w} "
+                             f"within max_steps = {max_steps}")
     return total / walks
 
 
@@ -305,32 +328,3 @@ def lambert_bound(p0: float) -> float:
         raise ValueError("p0 must exceed 1")
     x = (1.0 - p0) / (math.e * p0)
     return _lambert_branch(x, 0) / _lambert_branch(x, -1)
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    lam1: float
-    lam2: float
-    lamn: float
-    gap: float
-    overlap: float
-    maxdev: float
-
-
-def spectral_report(g: graphs.Graph, kind: str = "adjacency") -> SpectralReport:
-    """Top-of-spectrum statistics of the raw graph matrix, plus agreement
-    of its principal eigenvector with the uniform superposition."""
-    m = _base_matrix(g, kind)
-    es = numkernel.eig_hermitian(m)
-    vec = es.vectors[:, 0]
-    if vec.real.sum() < 0:
-        vec = -vec
-    s = np.ones(g.n) / math.sqrt(g.n)
-    return SpectralReport(
-        lam1=float(es.values[0]),
-        lam2=float(es.values[1]),
-        lamn=float(es.values[-1]),
-        gap=float(es.values[0] - es.values[1]),
-        overlap=float(abs(vec @ s)),
-        maxdev=float(np.abs(vec.real - s).max()),
-    )

@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
+import oracles
 from qswlab import analysis, gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DimensionError, NumericalError, ParameterRangeError,
                                TimeGridError)
@@ -60,7 +61,7 @@ def test_path_closed_form_omega0_is_ctqw():
     a = graphs.adjacency(graphs.path(n))
     psi0 = np.zeros(n, dtype=complex)
     psi0[l - 1] = 1.0
-    p = np.abs(numkernel.unitary_apply(a, psi0, t)) ** 2
+    p = np.abs(oracles.unitary_apply(a, psi0, t)) ** 2
     for k in range(1, n + 1):
         assert abs(analysis.path_probability_closed_form(n, l, k, t, 0.0) - p[k - 1]) < 1e-10
 

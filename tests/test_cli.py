@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -198,6 +199,18 @@ def test_search_non_finite_report_exits_3(runner, tmp_path, monkeypatch):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_search_secular_solver_failure_exits_3(runner, tmp_path, monkeypatch):
+    @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)
+    def failing(*args):
+        ctypes.c_int.from_address(args[12]).value = 1   # INFO
+
+    monkeypatch.setattr(numkernel, "_DLAED9", failing)
+    r = runner.invoke(cli.main, _search_args(tmp_path, "complete:8", 1))
+    assert r.exit_code == 3, r.output
+    assert "dlaed9" in r.output and "Traceback" not in r.output
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_one_graph_decomposition_shared_by_marked_vertices(runner, tmp_path, monkeypatch):
     eig_spy = []   # the input of every dense Hermitian eigensolve
     real = numkernel.eig_hermitian
@@ -210,11 +223,11 @@ def test_one_graph_decomposition_shared_by_marked_vertices(runner, tmp_path, mon
                                "seed": 4, "outdir": str(tmp_path / "er")}))
     r = runner.invoke(cli.main, ["sweep", "--config", str(cfg)])
     assert r.exit_code == 0, r.output
-    assert len(eig_spy) == samples * (1 + marked)
+    assert len(eig_spy) == samples   # one per graph, none per marked vertex
 
     r = runner.invoke(cli.main, _search_args(tmp_path, "star:20", 2))
     assert r.exit_code == 0, r.output
-    assert len(eig_spy) == samples * (1 + marked) + 2
+    assert len(eig_spy) == samples + 1
     assert not any(np.iscomplexobj(h) for h in eig_spy)
 
 

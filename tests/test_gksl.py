@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DensityInvariantViolated, DimensionError, ParameterRangeError,
                                TimeGridError)
@@ -152,7 +153,7 @@ def test_ctqw_pure_state_consistency():
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
     t = 2.7
-    psi = numkernel.unitary_apply(spec.hamiltonian, psi0, t)
+    psi = oracles.unitary_apply(spec.hamiltonian, psi0, t)
     rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), t)
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-9
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qswlab import _kernels, graphs, search
+from qswlab import _kernels, graphs, numkernel, search
 from qswlab.exceptions import (
     DegenerateTopError,
     DimensionError,
@@ -164,6 +166,100 @@ def test_run_search_matches_dense_expm():
             assert np.abs(run.probs - want).max() < 1e-12
 
 
+def dense_search_probs(spec, w, gamma, x, times):
+    """Oracle: p(t) from a dense eigendecomposition of gamma H_G + |w><w|."""
+    h = gamma * spec.h
+    h[w, w] += 1.0
+    values, vectors = np.linalg.eigh(h)
+    weights = vectors[w, :] * (vectors.conj().T @ x)
+    return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
+
+
+def principal_state(spec):
+    v = spec.vectors[:, 0]
+    return -v if v.real.sum() < 0 else v
+
+
+def explicit_state(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+SECULAR_CASES = {
+    # star, complete and complete-plus-leaf have degenerate poles
+    "star": (graphs.star(9), "adjacency", (0, 4)),
+    "complete": (graphs.complete(8), "adjacency", (0, 5)),
+    "complete_plus_leaf": (graphs.complete_plus_leaf(12), "normalized_laplacian", (0, 5, 11)),
+    "complete_plus_leaf_laplacian": (graphs.complete_plus_leaf(10), "laplacian", (9,)),
+    "path": (graphs.path(15), "laplacian", (0, 7)),
+    "er": (graphs.giant_component(graphs.gen_er(80, 0.08, seed=41)), "laplacian", (0, 33)),
+    "ba": (graphs.gen_ba(90, 3, seed=42), "normalized_laplacian", (1, 89)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECULAR_CASES))
+@pytest.mark.parametrize("start", ["principal", "uniform", "explicit"])
+def test_run_search_secular_matches_dense_eigh(case, start):
+    g, kind, marked = SECULAR_CASES[case]
+    spec = search.search_spectrum(g, kind)
+    times = np.linspace(0.0, 60.0, 121)
+    x = {"principal": principal_state(spec),
+         "uniform": np.ones(g.n) / math.sqrt(g.n),
+         "explicit": explicit_state(g.n, g.n)}[start]
+    initial = x if start == "explicit" else start
+    for w in marked:
+        for gamma in ("S1", "caption", 0.0, -0.8, 2.5):
+            run = search.run_search(spec, w, gamma, initial, times)
+            want = dense_search_probs(spec, w, run.gamma, x, times)
+            assert np.abs(run.probs - want).max() < 1e-12, (w, gamma)
+
+
+def test_run_search_deflation_counts():
+    """Degenerate poles merge, and with gamma = 0 every pole is one."""
+    spec = search.search_spectrum(graphs.star(9), "adjacency")
+    row = np.abs(spec.vectors[4, :])
+    assert numkernel.rank_one_eig(0.5 * spec.values, row).values.size == 3
+    assert numkernel.rank_one_eig(0.0 * spec.values, row).values.size == 1
+    spec = search.search_spectrum(graphs.complete(8), "adjacency")
+    assert numkernel.rank_one_eig(0.3 * spec.values, np.abs(spec.vectors[0, :])).values.size == 2
+
+
+def test_run_search_secular_complex_hermitian():
+    """Complex eigenvectors: the phases of <w|v_j> move into the start state."""
+    rng = np.random.default_rng(12)
+    n = 30
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    spec = search.SearchSpectrum.of((a + a.conj().T) / 10.0)
+    assert np.iscomplexobj(spec.vectors)
+    times = np.linspace(0.0, 25.0, 51)
+    for w, gamma, x in ((0, 0.7, principal_state(spec)), (7, -1.3, explicit_state(n, 5)),
+                        (19, 0.0, np.ones(n) / math.sqrt(n))):
+        run = search.run_search(spec, w, gamma, x, times)
+        assert np.abs(run.probs - dense_search_probs(spec, w, gamma, x, times)).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 14), st.floats(0.15, 0.9), st.integers(0, 2**32 - 1),
+       st.sampled_from(search.GRAPH_MATRIX_KINDS), st.floats(-4.0, 4.0),
+       st.sampled_from(["principal", "uniform", "explicit"]), st.data())
+def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, start, data):
+    g = graphs.gen_er(n, p, seed)
+    assume(graphs.is_connected(g))
+    spec = search.search_spectrum(g, kind)
+    w = data.draw(st.integers(0, n - 1))
+    x = {"principal": principal_state(spec),
+         "uniform": np.ones(n) / math.sqrt(n),
+         "explicit": explicit_state(n, seed)}[start]
+    times = np.linspace(0.0, 30.0, 31)
+    run = search.run_search(spec, w, gamma, x if start == "explicit" else start, times)
+    assert run.probs[0] == pytest.approx(abs(x[w]) ** 2, abs=1e-12)
+    assert np.all((run.probs >= 0.0) & (run.probs <= 1.0))
+    r1 = numkernel.rank_one_eig(gamma * spec.values, np.abs(spec.vectors[w, :]))
+    k = r1.values.size
+    assert np.abs(r1.vectors.T @ r1.vectors - np.eye(k)).max() < 1e-12
+
+
 def test_run_search_rejects_bad_probabilities():
     spec = search.search_spectrum(graphs.complete(8), "adjacency")
     times = np.linspace(0.0, 5.0, 11)
@@ -171,6 +267,10 @@ def test_run_search_rejects_bad_probabilities():
         search.run_search(spec, 0, 1.0, np.full(8, np.nan), times)
     with pytest.raises(NumericalError):
         search.run_search(spec, 0, 1.0, 3.0 * np.ones(8) / math.sqrt(8), times)
+    # at gamma = 1e20 the marked-vertex term is below rounding and deflates away,
+    # so the t = 0 amplitude misses <w|init>
+    with pytest.raises(NumericalError, match="amplitude at t = 0"):
+        search.run_search(spec, 0, 1e20, "uniform", times)
     # a start on the marked vertex rounds to p(0) = 1 and is clamped there
     run = search.run_search(spec, 0, 1.0, np.eye(8)[0], times)
     assert run.probs.max() <= 1.0
@@ -220,6 +320,19 @@ def test_classical_mfpt_lower_bound_random_graphs():
         checked += 1
 
 
+def test_classical_mfpt_mc_rejects_censored_walks():
+    # on a path of 8 no walk from the far half reaches vertex 0 in 3 steps
+    g = graphs.path(8)
+    with pytest.raises(NumericalError, match="did not reach"):
+        search.classical_mfpt_mc(g, 0, walks=200, seed=3, max_steps=3)
+    indptr, indices = search._csr_arrays(g)
+    starts = np.array([0, 1, 7], dtype=np.int64)
+    raw = np.zeros((3, 3))   # every step goes to the lower neighbour
+    for kernel in (_kernels._hitting_steps_loop, _kernels.hitting_steps_numpy):
+        steps = kernel(indptr, indices, starts, np.int64(0), np.int64(3), raw)
+        assert steps.tolist() == [0, 1, -1]
+
+
 def test_kernel_backends_agree():
     g = graphs.gen_er(40, 0.2, seed=31)
     g = graphs.giant_component(g)
@@ -264,16 +377,6 @@ def test_lambert_bound():
         for branch in (0, -1):
             w = search._lambert_branch(x, branch)
             assert abs(w * math.exp(w) - x) <= 1e-12
-
-
-def test_spectral_report():
-    rep = search.spectral_report(graphs.complete(16))
-    assert rep.overlap == pytest.approx(1.0)
-    assert rep.maxdev < 1e-12
-    g = graphs.gen_er(400, 0.1, seed=77)
-    rep = search.spectral_report(g)
-    np_ = 400 * 0.1
-    assert abs(rep.lam1 / np_ - 1.0) <= math.sqrt(8 * math.log(math.sqrt(2) * 400) / np_)
 
 
 def test_complete_plus_leaf_eps_scaling():
