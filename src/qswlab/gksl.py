@@ -14,7 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import graphs, numkernel
-from .exceptions import DensityInvariantViolated, DimensionError, ParameterRangeError
+from .exceptions import (
+    DensityInvariantViolated,
+    DimensionError,
+    NumericalError,
+    ParameterRangeError,
+)
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -178,10 +183,23 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
     return rhos[0] if np.ndim(t) == 0 else rhos
 
 
+def check_probabilities(p: np.ndarray) -> np.ndarray:
+    """Return p unchanged if it is a probability vector to within DRIFT_TOL,
+    the tolerance `evolve` enforces: no entry below -DRIFT_TOL and a sum
+    within DRIFT_TOL of 1. Otherwise raise NumericalError; nothing is
+    clipped or renormalised."""
+    total = p.sum()
+    # written so that NaN fails too
+    if not (p.min() >= -DRIFT_TOL and abs(total - 1.0) <= DRIFT_TOL):
+        raise NumericalError(f"measurement probabilities are not a distribution: "
+                             f"smallest {p.min()!r}, sum {total!r}")
+    return p
+
+
 def measure(rho: np.ndarray) -> np.ndarray:
-    """Canonical-basis measurement probabilities."""
-    p = np.clip(np.diagonal(rho).real, 0.0, None)
-    return p / p.sum()
+    """Canonical-basis measurement probabilities, the real diagonal of rho;
+    see check_probabilities."""
+    return check_probabilities(np.diagonal(rho).real)
 
 
 def gqsw_spectrum_commuting(g: graphs.Graph, omega: float) -> np.ndarray:

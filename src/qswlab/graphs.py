@@ -7,11 +7,11 @@ source vertex, row the target).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .exceptions import (
     DisconnectedGraphError,
@@ -128,6 +128,19 @@ def random_orientation(g: Graph, seed: int) -> DiGraph:
     return DiGraph(g.n, frozenset(arcs))
 
 
+def arc_matrix(g) -> sp.csr_matrix:
+    """Sparse arc matrix with [u, v] = 1 iff u -> v (both directions for a
+    Graph). It is in canonical CSR form: row u lists u's out-neighbours in
+    ascending order, with no duplicates. The Monte Carlo hitting walk picks
+    neighbours by position in these rows, so its draws depend on that order."""
+    pairs = np.array(list(g.arcs if isinstance(g, DiGraph) else g.edges),
+                     dtype=np.int64).reshape(-1, 2)
+    u, v = pairs.T
+    if isinstance(g, Graph):
+        u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    return sp.csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
+
+
 @dataclass(frozen=True)
 class Condensation:
     """Strongly connected components, the DAG over them, and its sinks."""
@@ -137,28 +150,22 @@ class Condensation:
     sinks: tuple
 
 
-def _to_nx(g: DiGraph) -> nx.DiGraph:
-    h = nx.DiGraph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.arcs)
-    return h
-
-
 def condensation(g: DiGraph) -> Condensation:
-    comps = [tuple(sorted(c)) for c in nx.strongly_connected_components(_to_nx(g))]
-    comps.sort(key=lambda c: c[0])
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    dag_arcs = set()
-    for u, v in g.arcs:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            dag_arcs.add((cu, cv))
-    dag = DiGraph(len(comps), frozenset(dag_arcs))
-    sinks = tuple(i for i in range(dag.n) if dag.outdegree(i) == 0)
-    return Condensation(partition=tuple(comps), dag=dag, sinks=sinks)
+    """Components ordered by smallest vertex, each a sorted vertex tuple."""
+    a = arc_matrix(g)
+    ncomp, labels = csgraph.connected_components(a, connection="strong")
+    _, first = np.unique(labels, return_index=True)
+    comp = np.argsort(np.argsort(first))[labels]
+    comps = [[] for _ in range(ncomp)]
+    for v, c in enumerate(comp.tolist()):
+        comps[c].append(v)
+    a = a.tocoo()
+    cu, cv = comp[a.row], comp[a.col]
+    cross = cu != cv
+    dag = DiGraph(len(comps), frozenset(zip(cu[cross].tolist(), cv[cross].tolist())))
+    sinks = np.flatnonzero(np.bincount(cu[cross], minlength=dag.n) == 0)
+    return Condensation(partition=tuple(map(tuple, comps)), dag=dag,
+                        sinks=tuple(sinks.tolist()))
 
 
 def distances_to_sink_set(g: DiGraph, cond: Condensation | None = None) -> np.ndarray:
@@ -167,59 +174,32 @@ def distances_to_sink_set(g: DiGraph, cond: Condensation | None = None) -> np.nd
         cond = condensation(g)
     if len(cond.sinks) != 1:
         raise MultipleSinksError(f"expected a unique sink component, found {len(cond.sinks)}")
-    sink_vertices = set(cond.partition[cond.sinks[0]])
-    # BFS on reversed arcs from the whole sink set at once
-    rev = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        rev[v].append(u)
-    dist = np.full(g.n, -1, dtype=np.int64)
-    queue = deque()
-    for v in sink_vertices:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in rev[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    # every vertex reaches the unique sink of a finite DAG, so all are finite
+    dist = csgraph.dijkstra(arc_matrix(g).T, indices=cond.partition[cond.sinks[0]],
+                            unweighted=True, min_only=True)
+    return dist.astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return csgraph.connected_components(arc_matrix(g), return_labels=False) <= 1
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
-    return nx.is_strongly_connected(_to_nx(g)) if g.n > 0 else True
+    return csgraph.connected_components(arc_matrix(g), connection="strong",
+                                        return_labels=False) <= 1
 
 
 def giant_component(g: Graph) -> Graph:
-    """Largest connected component, relabeled to 0..k-1."""
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    comp = max(nx.connected_components(h), key=len)
-    order = sorted(comp)
-    relabel = {v: i for i, v in enumerate(order)}
-    edges = frozenset(
-        (relabel[u], relabel[v]) for u, v in g.edges if u in comp and v in comp
-    )
-    return Graph(len(order), edges)
+    """Largest connected component, relabeled to 0..k-1; of components of
+    equal size, the one with the smallest vertex."""
+    _, labels = csgraph.connected_components(arc_matrix(g))
+    sizes = np.bincount(labels)[labels]
+    # argmax finds the smallest vertex of a largest component
+    keep = labels == labels[np.argmax(sizes)]
+    relabel = (np.cumsum(keep) - 1).tolist()
+    keep = keep.tolist()
+    edges = frozenset((relabel[u], relabel[v]) for u, v in g.edges if keep[u])
+    return Graph(sum(keep), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -197,12 +197,13 @@ def symmetrized_path_lindblads(dg: DemoralizedGraph) -> tuple:
 
 
 def natural_measure(rho: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
-    """Probability per base vertex: sum of canonical probabilities over its block."""
+    """Probability per base vertex: sum of canonical probabilities over its
+    block; see gksl.check_probabilities."""
     if rho.shape != (dg.dim, dg.dim):
         raise DimensionError("state dimension does not match enlarged space")
-    diag = np.clip(np.diagonal(rho).real, 0.0, None)
-    p = np.array([sum(diag[i] for i in dg.index[v]) for v in range(dg.base.n)])
-    return p / p.sum()
+    diag = gksl.check_probabilities(np.diagonal(rho).real)
+    vertex = np.fromiter((v for v, _ in dg.labels), dtype=np.int64, count=dg.dim)
+    return np.bincount(vertex, weights=diag, minlength=dg.base.n)
 
 
 def uniform_block_state(dg: DemoralizedGraph) -> np.ndarray:

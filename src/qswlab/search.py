@@ -6,7 +6,7 @@ sums S_k drive the choice of gamma, the predicted measurement time, and
 the applicability condition. The classical comparison is the mean first
 passage time of the discrete uniform random walk.
 
-One `SearchSpectrum` per graph carries H_G and its eigensystem; the
+One `SearchSpectrum` per graph carries the eigensystem of H_G; the
 spectral sums, the gamma rules, the principal start state and the search
 for every marked vertex share it.
 """
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import graphs, numkernel
-from ._kernels import hitting_steps_kernel
 from .exceptions import (
     DegenerateTopError,
     DimensionError,
@@ -48,7 +47,7 @@ def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SearchSpectrum:
-    """A search matrix H_G with its eigensystem, decomposed once.
+    """The eigensystem of a search matrix H_G, decomposed once.
 
     `values` are sorted descending and `vectors` holds the matching
     orthonormal eigenvectors as columns. The spectral sums assume the top
@@ -57,7 +56,6 @@ class SearchSpectrum:
     eigenvalue are required.
     """
 
-    h: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
 
@@ -76,13 +74,13 @@ class SearchSpectrum:
     @classmethod
     def of(cls, h: np.ndarray) -> SearchSpectrum:
         """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
-        h = np.asarray(h)
-        es = numkernel.eig_hermitian(h)
-        return cls(h=h, values=es.values, vectors=es.vectors)
+        es = numkernel.eig_hermitian(np.asarray(h))
+        return cls(values=es.values, vectors=es.vectors)
 
 
 def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
-    """H_G with top eigenvalue 1 from one decomposition of the graph matrix.
+    """The spectrum of H_G, top eigenvalue 1, from one decomposition of the
+    graph matrix.
 
     adjacency: A / lambda_max(A); laplacian: I - L / lambda_max(L);
     normalized_laplacian: I - L_norm. The affine maps keep the eigenvectors,
@@ -96,9 +94,8 @@ def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
         # scale 1 and is then rejected for its degenerate top eigenvalue
         top = 1.0
     if kind == "adjacency":
-        return SearchSpectrum(h=m / top, values=es.values / top, vectors=es.vectors)
-    return SearchSpectrum(h=np.eye(g.n) - m / top, values=1.0 - es.values[::-1] / top,
-                          vectors=es.vectors[:, ::-1])
+        return SearchSpectrum(values=es.values / top, vectors=es.vectors)
+    return SearchSpectrum(values=1.0 - es.values[::-1] / top, vectors=es.vectors[:, ::-1])
 
 
 def shift_rescale(h: np.ndarray) -> np.ndarray:
@@ -244,18 +241,31 @@ def classical_mfpt_lower_bound(g: graphs.Graph, w: int) -> float:
     return len(g.edges) / g.degree(w) - 0.5
 
 
-def _csr_arrays(g: graphs.Graph):
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        adj[v].sort()
-        indptr[v + 1] = indptr[v] + len(adj[v])
-    indices = np.fromiter((w for nbrs in adj for w in nbrs), dtype=np.int64,
-                          count=indptr[-1])
-    return indptr, indices
+def _hitting_steps(indptr, indices, starts, target, max_steps, raw):
+    """Steps of a simple random walk from each start until it hits target.
+
+    Row v of the CSR arrays lists v's neighbours. raw supplies one
+    uniform(0,1) row per walk, and step k moves to neighbour
+    floor(raw[w, k] * deg). A walk still short of the target after
+    max_steps steps is censored and reported as -1; a walk that starts on
+    the target takes 0 steps. Every unfinished walk advances in lockstep.
+    """
+    n_walks = starts.shape[0]
+    pos = starts.copy()
+    steps = np.zeros(n_walks, dtype=np.int64)
+    active = pos != target
+    k = 0
+    while active.any() and k < max_steps:
+        idx = np.nonzero(active)[0]
+        v = pos[idx]
+        lo = indptr[v]
+        deg = indptr[v + 1] - lo
+        pos[idx] = indices[lo + (raw[idx, k] * deg).astype(np.int64)]
+        steps[idx] += 1
+        active[idx] = pos[idx] != target
+        k += 1
+    steps[active] = -1
+    return steps
 
 
 def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
@@ -265,7 +275,7 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
     when a walk has not reached w after max_steps steps, since counting
     the censored walks at any length would bias the mean."""
     graphs.require_connected(g)
-    indptr, indices = _csr_arrays(g)
+    arcs = graphs.arc_matrix(g)
     deg = g.degrees().astype(float)
     rng = np.random.default_rng(seed)
     starts = rng.choice(g.n, size=walks, p=deg / deg.sum()).astype(np.int64)
@@ -277,8 +287,7 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
     for lo in range(0, walks, chunk):
         batch = starts[lo:lo + chunk]
         raw = rng.random((batch.size, max_steps))
-        steps = hitting_steps_kernel(indptr, indices, batch, np.int64(w),
-                                     np.int64(max_steps), raw)
+        steps = _hitting_steps(arcs.indptr, arcs.indices, batch, w, max_steps, raw)
         censored += int(np.count_nonzero(steps < 0))
         total += steps.sum()
     if censored:

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -358,3 +360,14 @@ def test_converge_bad_parameters_exit_2(runner, tmp_path, model, flag, value, me
     assert "Traceback" not in r.output
     assert message in r.output
     assert not out.exists()
+
+
+def test_cli_imports_neither_networkx_nor_numba():
+    """The package runs on numpy, scipy and click alone."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import qswlab.cli, sys; print(sorted({'networkx', 'numba'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import (DensityInvariantViolated, DimensionError, ParameterRangeError,
-                               TimeGridError)
+from qswlab.exceptions import (DensityInvariantViolated, DimensionError, NumericalError,
+                               ParameterRangeError, TimeGridError)
 
 
 def random_density(n, seed):
@@ -213,6 +213,14 @@ def test_evolve_rejects_bad_grids():
 def test_measure_examples():
     assert np.array_equal(gksl.measure(gksl.pure_state(4, 2)), np.eye(4)[2])
     assert np.allclose(gksl.measure(gksl.maximally_mixed(5)), 0.2)
+
+
+@pytest.mark.parametrize("diag", [[0.5, 0.501, -1e-3], [0.3, 0.3, 0.3]])
+def test_measure_rejects_non_distribution(diag):
+    """A negative diagonal entry or a trace of 0.9 is an error, not clipped
+    or renormalised away."""
+    with pytest.raises(NumericalError):
+        gksl.measure(np.diag(diag).astype(complex))
 
 
 def test_check_density_rejects():

@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qswlab import graphs
 from qswlab.exceptions import (
     IsolatedVertexError,
@@ -81,6 +82,12 @@ def test_giant_component_relabels():
     g = graphs.Graph(6, frozenset({(3, 4), (4, 5), (0, 1)}))
     gc = graphs.giant_component(g)
     assert gc.n == 3 and len(gc.edges) == 2
+
+
+def test_giant_component_size_tie_keeps_smallest_vertex():
+    # {1, 3, 5} and {0, 2, 4} tie; the one holding vertex 0 wins
+    g = graphs.Graph(6, frozenset({(1, 3), (3, 5), (0, 4), (2, 4)}))
+    assert graphs.giant_component(g) == graphs.Graph(3, frozenset({(0, 2), (1, 2)}))
 
 
 def test_gen_er_deterministic_and_density():
@@ -180,3 +187,57 @@ def test_random_er_roundtrips(n, seed):
     assert graphs.underlying(dg) == g
     for v in range(n):
         assert dg.indegree(v) == g.degree(v)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return graphs.DiGraph(n, frozenset(draw(st.sets(pairs, max_size=3 * n))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_digraphs())
+@example(graphs.DiGraph(1))
+@example(graphs.DiGraph(5))
+@example(graphs.DiGraph(6, frozenset({(1, 3), (3, 1), (5, 3), (0, 4), (4, 2), (2, 0)})))
+def test_structure_matches_transitive_closure(g):
+    """Each structure query of a digraph, of its underlying graph and of
+    that graph's bidirected form against the brute-force closure."""
+    reach = oracles.reachability(g)
+    mutual = reach & reach.T
+    comps = sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
+    sinks = tuple(i for i, c in enumerate(comps) if np.array_equal(reach[c[0]], mutual[c[0]]))
+    cond = graphs.condensation(g)
+    assert cond.partition == tuple(comps) and cond.sinks == sinks
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    assert cond.dag.arcs == {(comp_of[u], comp_of[v]) for u, v in g.arcs
+                             if comp_of[u] != comp_of[v]}
+    assert graphs.is_strongly_connected(g) == bool(reach.all())
+    if len(sinks) == 1:
+        # step k adds the vertices with an arc into the set reached in k - 1 steps
+        a = graphs.adjacency(g).T > 0
+        near = np.isin(np.arange(g.n), comps[sinks[0]])
+        want = np.where(near, 0, -1)
+        for k in range(1, g.n):
+            near = near | (a.astype(int) @ near.astype(int) > 0)
+            want[near & (want < 0)] = k
+        assert np.array_equal(graphs.distances_to_sink_set(g, cond), want)
+    else:
+        with pytest.raises(MultipleSinksError):
+            graphs.distances_to_sink_set(g)
+
+    und = graphs.underlying(g)
+    for h in (g, und):
+        arcs = graphs.arc_matrix(h)
+        rows = np.split(arcs.indices, arcs.indptr[1:-1])
+        assert [r.tolist() for r in rows] == [np.flatnonzero(c).tolist()
+                                              for c in graphs.adjacency(h).T]
+    parts = sorted({tuple(np.flatnonzero(row).tolist()) for row in oracles.reachability(und)})
+    assert graphs.is_connected(und) == (len(parts) == 1)
+    assert graphs.is_strongly_connected(graphs.to_digraph(und)) == (len(parts) == 1)
+    assert graphs.condensation(graphs.to_digraph(und)).partition == tuple(parts)
+    big = max(parts, key=len)  # the first of equal sizes holds the smallest vertex
+    new = {v: i for i, v in enumerate(big)}
+    want = graphs.Graph(len(big), frozenset((new[u], new[v]) for u, v in und.edges if u in new))
+    assert graphs.giant_component(und) == want

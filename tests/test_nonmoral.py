@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qswlab import gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import NonOrthogonalColumnsError, WrongTopologyError
+from qswlab.exceptions import NonOrthogonalColumnsError, NumericalError, WrongTopologyError
 
 
 def test_demoralize_moral_triangle():
@@ -236,6 +236,15 @@ def test_natural_measure_block_indicator():
     rho = np.zeros((4, 4), dtype=complex)
     rho[3, 3] = 1.0
     assert np.allclose(nonmoral.natural_measure(rho, dg), [0, 0, 1])
+
+
+@pytest.mark.parametrize("diag", [[0.0, 0.0, 1.001, -1e-3], [0.3, 0.3, 0.15, 0.15]])
+def test_natural_measure_rejects_non_distribution(diag):
+    """A negative copy, even inside a block with a positive total, and a
+    trace of 0.9 are errors, not clipped or renormalised away."""
+    dg = nonmoral.demoralize(graphs.moral_triangle())
+    with pytest.raises(NumericalError):
+        nonmoral.natural_measure(np.diag(diag).astype(complex), dg)
 
 
 def test_uniform_block_state():

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qswlab import _kernels, graphs, numkernel, search
+import oracles
+from qswlab import graphs, numkernel, search
 from qswlab.exceptions import (
     DegenerateTopError,
     DimensionError,
@@ -22,7 +23,7 @@ def test_search_spectrum_top_eigenvalue_one():
     g = graphs.giant_component(g)
     for kind in search.GRAPH_MATRIX_KINDS:
         spec = search.search_spectrum(g, kind)
-        h = spec.h
+        h = oracles.search_matrix(g, kind)
         assert abs(np.linalg.eigvalsh(h)[-1] - 1.0) < 1e-10
         # the transformed eigensystem of the graph matrix is that of H_G
         assert np.all(np.diff(spec.values) <= 0)
@@ -53,7 +54,7 @@ def test_search_spectrum_rejects_small_and_edgeless():
 
 def test_laplacian_kind_top_eigenvector_uniform():
     g = graphs.gen_ba(40, 2, seed=8)
-    h = search.search_spectrum(g, "laplacian").h
+    h = oracles.search_matrix(g, "laplacian")
     w, v = np.linalg.eigh(h)
     vec = np.abs(v[:, -1])
     assert np.abs(vec - 1 / math.sqrt(40)).max() < 1e-10
@@ -61,7 +62,7 @@ def test_laplacian_kind_top_eigenvector_uniform():
 
 def test_normalized_laplacian_top_eigenvector_sqrt_degrees():
     g = graphs.gen_ba(40, 2, seed=8)
-    h = search.search_spectrum(g, "normalized_laplacian").h
+    h = oracles.search_matrix(g, "normalized_laplacian")
     w, v = np.linalg.eigh(h)
     want = np.sqrt(g.degrees() / (2 * len(g.edges)))
     assert np.abs(np.abs(v[:, -1]) - want).max() < 1e-10
@@ -129,7 +130,7 @@ def test_run_search_complete_graph():
 def test_run_search_sign_flip_invariance():
     g = graphs.gen_er(12, 0.5, seed=3)
     g = graphs.giant_component(g)
-    hg = search.search_spectrum(g, "laplacian").h
+    hg = oracles.search_matrix(g, "laplacian")
     times = np.linspace(0, 10, 21)
     # flipping the sign of the whole search Hamiltonian conjugates the
     # amplitudes, so probabilities are unchanged for real H and real start
@@ -156,7 +157,7 @@ def test_run_search_matches_dense_expm():
     times = np.array([0.0, 0.7, 3.1, 11.5, 40.0])
     for g, kind in ((er, "laplacian"), (ba, "normalized_laplacian")):
         spec = search.search_spectrum(g, kind)
-        h_g = spec.h
+        h_g = oracles.search_matrix(g, kind)
         for w, rule in ((0, "S1"), (g.n // 2, "caption"), (g.n - 1, "S1")):
             run = search.run_search(spec, w, rule, "principal", times)
             h = run.gamma * h_g
@@ -166,9 +167,9 @@ def test_run_search_matches_dense_expm():
             assert np.abs(run.probs - want).max() < 1e-12
 
 
-def dense_search_probs(spec, w, gamma, x, times):
+def dense_search_probs(h_g, w, gamma, x, times):
     """Oracle: p(t) from a dense eigendecomposition of gamma H_G + |w><w|."""
-    h = gamma * spec.h
+    h = gamma * h_g
     h[w, w] += 1.0
     values, vectors = np.linalg.eigh(h)
     weights = vectors[w, :] * (vectors.conj().T @ x)
@@ -211,7 +212,7 @@ def test_run_search_secular_matches_dense_eigh(case, start):
     for w in marked:
         for gamma in ("S1", "caption", 0.0, -0.8, 2.5):
             run = search.run_search(spec, w, gamma, initial, times)
-            want = dense_search_probs(spec, w, run.gamma, x, times)
+            want = dense_search_probs(oracles.search_matrix(g, kind), w, run.gamma, x, times)
             assert np.abs(run.probs - want).max() < 1e-12, (w, gamma)
 
 
@@ -230,13 +231,14 @@ def test_run_search_secular_complex_hermitian():
     rng = np.random.default_rng(12)
     n = 30
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    spec = search.SearchSpectrum.of((a + a.conj().T) / 10.0)
+    h_g = (a + a.conj().T) / 10.0
+    spec = search.SearchSpectrum.of(h_g)
     assert np.iscomplexobj(spec.vectors)
     times = np.linspace(0.0, 25.0, 51)
     for w, gamma, x in ((0, 0.7, principal_state(spec)), (7, -1.3, explicit_state(n, 5)),
                         (19, 0.0, np.ones(n) / math.sqrt(n))):
         run = search.run_search(spec, w, gamma, x, times)
-        assert np.abs(run.probs - dense_search_probs(spec, w, gamma, x, times)).max() < 1e-12
+        assert np.abs(run.probs - dense_search_probs(h_g, w, gamma, x, times)).max() < 1e-12
 
 
 @settings(deadline=None, max_examples=40)
@@ -308,6 +310,12 @@ def test_classical_mfpt_vs_monte_carlo():
         assert abs(est - exact) / exact < 0.05
 
 
+def test_classical_mfpt_mc_pinned_value():
+    """The walks for a fixed seed are fixed: neighbour order and the draws."""
+    g = graphs.giant_component(graphs.gen_er(80, 0.08, seed=41))
+    assert search.classical_mfpt_mc(g, 7, walks=3000, seed=11) == 261.85633333333334
+
+
 def test_classical_mfpt_lower_bound_random_graphs():
     rng = np.random.default_rng(23)
     checked = 0
@@ -325,24 +333,25 @@ def test_classical_mfpt_mc_rejects_censored_walks():
     g = graphs.path(8)
     with pytest.raises(NumericalError, match="did not reach"):
         search.classical_mfpt_mc(g, 0, walks=200, seed=3, max_steps=3)
-    indptr, indices = search._csr_arrays(g)
+    arcs = graphs.arc_matrix(g)
     starts = np.array([0, 1, 7], dtype=np.int64)
     raw = np.zeros((3, 3))   # every step goes to the lower neighbour
-    for kernel in (_kernels._hitting_steps_loop, _kernels.hitting_steps_numpy):
-        steps = kernel(indptr, indices, starts, np.int64(0), np.int64(3), raw)
+    for kernel in (oracles.hitting_steps_loop, search._hitting_steps):
+        steps = kernel(arcs.indptr, arcs.indices, starts, 0, 3, raw)
         assert steps.tolist() == [0, 1, -1]
 
 
 def test_kernel_backends_agree():
+    """The lockstep kernel walks the same paths as the one-walk-at-a-time loop."""
     g = graphs.gen_er(40, 0.2, seed=31)
     g = graphs.giant_component(g)
-    indptr, indices = search._csr_arrays(g)
+    arcs = graphs.arc_matrix(g)
     rng = np.random.default_rng(0)
     starts = rng.integers(0, g.n, size=500).astype(np.int64)
     raw = rng.random((500, 2000))
-    args = (indptr, indices, starts, np.int64(0), np.int64(2000), raw)
-    a = _kernels.hitting_steps_numpy(*args)
-    b = _kernels.hitting_steps_kernel(*args)
+    args = (arcs.indptr, arcs.indices, starts, 0, 2000, raw)
+    a = search._hitting_steps(*args)
+    b = oracles.hitting_steps_loop(*args)
     assert np.array_equal(a, b)
 
 
