@@ -11,10 +11,9 @@ import numpy as np
 from scipy import optimize, special
 
 from . import gksl, graphs, numkernel
-from .exceptions import DimensionError, NumericalError, TimeGridError
+from .exceptions import DimensionError, NonPositiveDataError, NumericalError, TimeGridError
 
 GENERATOR_DIM_CAP = 2500  # largest n^2 we will diagonalize densely
-HERMITIAN_BASIS_TOL = 1e-12
 
 
 def second_moment(p: np.ndarray, positions: np.ndarray) -> float:
@@ -41,7 +40,9 @@ def scaling_exponents(times, values, batch: int) -> PropagationTrace:
     if t.size != f.size or t.size < batch or batch < 2:
         raise ValueError("need at least `batch` matching points, batch >= 2")
     if np.any(t <= 0) or np.any(f <= 0):
-        raise ValueError("log-log slopes need positive data")
+        k = int(np.argmax((t <= 0) | (f <= 0)))
+        raise NonPositiveDataError(f"log-log slopes need positive data, got "
+                                   f"{f[k]!r} at t = {t[k]!r}")
     lt, lf = np.log(t), np.log(f)
     m = t.size - batch + 1
     alphas = np.empty(m)
@@ -231,8 +232,9 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
     imaginary part witness possible periodicity.
 
     The spectrum is that of the real matrix R = T^H S T in the Hermitian
-    basis T of numkernel.hermitian_basis, which is similar to S. R must be
-    real to HERMITIAN_BASIS_TOL relative, or NumericalError is raised.
+    basis T, which is similar to S; it comes from gen.real
+    (numkernel.real_form), which raises NumericalError unless S preserves
+    Hermiticity.
 
     Accuracy of `second_smallest_abs`: S is not normal, so an eigenvalue
     in a Jordan block of size k is only accurate to about
@@ -244,15 +246,7 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
         raise DimensionError(
             f"generator size {m.shape[0]} exceeds dense cap {GENERATOR_DIM_CAP}"
         )
-    basis = numkernel.hermitian_basis(gen.dim)
-    r = (basis.conj().T @ m @ basis).tocsr()
-    scale = max(1.0, float(np.abs(r.data).max(initial=0.0)))
-    leak = float(np.abs(r.data.imag).max(initial=0.0))
-    if leak > HERMITIAN_BASIS_TOL * scale:
-        raise NumericalError(
-            f"generator does not preserve Hermiticity: its real-basis form has "
-            f"imaginary entries up to {leak:.3e}")
-    lam = numkernel.eig_general(r.real)
+    lam = numkernel.eig_general(gen.real.matrix)
     mods = np.abs(lam)
     zero = int(np.sum(mods < tol))
     imag = int(np.sum((np.abs(lam.real) < tol) & (np.abs(lam.imag) > tol)))

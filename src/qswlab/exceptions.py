@@ -52,6 +52,11 @@ class TimeGridError(QswlabError, ValueError):
     constant step."""
 
 
+class NonPositiveDataError(QswlabError, ValueError):
+    """Log-log slopes were asked of times or values that are not all
+    positive, such as a second moment that is still exactly 0."""
+
+
 class ParameterRangeError(QswlabError, ValueError):
     """A model parameter, such as the interpolation weight omega, lies
     outside its domain or is not finite."""

@@ -8,7 +8,8 @@ tractable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +61,12 @@ class EvolutionGenerator:
     s: sp.csr_matrix
     dim: int  # state dimension n; S is n^2 x n^2
 
+    @functools.cached_property
+    def real(self) -> numkernel.RealForm:
+        """S in the Hermitian basis (numkernel.real_form), formed on first
+        use and kept: evolve and analysis.classify_convergence work on it."""
+        return numkernel.real_form(self.s, self.dim)
+
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -86,13 +93,12 @@ def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> Evol
     Each L x conj(L) is built from the products of L's nonzeros, and
     K = B'B for the Lindblads stacked into one tall matrix B, so the
     anticommutator costs two Kronecker products whatever the number of
-    Lindblads."""
+    Lindblads. H must be Hermitian (numkernel.check_hermitian), or
+    NumericalError is raised: S would not preserve the trace."""
     if ham_weight < 0 or diss_weight < 0:
         raise ValueError("weights must be nonnegative")
-    h = sp.csr_matrix(np.asarray(h, dtype=complex))
+    h = sp.csr_matrix(numkernel.check_hermitian(np.asarray(h, dtype=complex)))
     n = h.shape[0]
-    if h.shape != (n, n):
-        raise DimensionError("Hamiltonian must be square")
     eye = sp.identity(n, dtype=complex, format="csr")
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
     if ham_weight > 0:
@@ -170,12 +176,24 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
            validate: bool = True) -> np.ndarray:
     """exp(S t) applied to rho0: one state for a scalar t, or a stack with
     one state per time for an ascending grid with a constant step (see
-    numkernel.expm_apply). With validate, every returned state must pass
-    check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
+    numkernel.expm_apply).
+
+    The evolution runs in real arithmetic: the coordinates x = T^H vec(rho0)
+    in the Hermitian basis T go through exp(R t) with the real R = T^H S T
+    of gen.real, and each state is rebuilt as vec(rho) = T x, so it is
+    Hermitian by construction. rho0 must be Hermitian to HERM_TOL, or
+    DensityInvariantViolated is raised. With validate, every returned state
+    must pass check_density at DRIFT_TOL; no state is symmetrised or
+    renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
-    rhos = numkernel.expm_apply(gen.s, v, t).reshape(-1, gen.dim, gen.dim)
+    form = gen.real
+    x = form.basis.conj().T @ v
+    if np.abs(x.imag).max() > HERM_TOL:
+        raise DensityInvariantViolated("initial state is not Hermitian")
+    xs = numkernel.expm_apply(form.matrix, x.real, t)
+    rhos = (form.basis @ np.atleast_2d(xs).T).T.reshape(-1, gen.dim, gen.dim)
     if validate:
         for rho in rhos:
             check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL,

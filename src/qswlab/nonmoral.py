@@ -33,8 +33,17 @@ class DemoralizedGraph:
         return self.index[v]
 
 
+def _parents(g: graphs.DiGraph):
+    """indptr and indices of the transposed arc matrix: the in-neighbours
+    of v, ascending, are indices[indptr[v]:indptr[v + 1]]."""
+    inc = graphs.arc_matrix(g).tocsc()
+    inc.sort_indices()
+    return inc.indptr, inc.indices
+
+
 def demoralize(g: graphs.DiGraph) -> DemoralizedGraph:
-    sizes = tuple(max(g.indegree(v), 1) for v in range(g.n))
+    indptr, _ = _parents(g)
+    sizes = tuple(int(d) for d in np.maximum(np.diff(indptr), 1))
     labels = []
     for k in range(max(sizes)):
         for v in range(g.n):
@@ -69,10 +78,11 @@ def build_nonmoral_lindblad(dg: DemoralizedGraph, family) -> np.ndarray:
     copy of the source vertex the amplitude leaves from.
     """
     g = dg.base
+    indptr, indices = _parents(g)
     lb = np.zeros((dg.dim, dg.dim), dtype=complex)
     for v in range(g.n):
-        parents = g.in_neighbors(v)
-        if not parents:
+        parents = indices[indptr[v]:indptr[v + 1]]
+        if not parents.size:
             continue
         lv = np.asarray(family(v), dtype=complex)
         if lv.shape != (dg.block_sizes[v], len(parents)):
@@ -83,9 +93,7 @@ def build_nonmoral_lindblad(dg: DemoralizedGraph, family) -> np.ndarray:
         if np.abs(gram - np.diag(np.diagonal(gram))).max() > ORTHO_TOL:
             raise NonOrthogonalColumnsError(f"family({v}) columns are not orthogonal")
         for j, w in enumerate(parents):
-            for k in range(dg.block_sizes[v]):
-                for l in range(dg.block_sizes[w]):
-                    lb[dg.index[v][k], dg.index[w][l]] = lv[k, j]
+            lb[np.ix_(dg.index[v], dg.index[w])] = lv[:, j, None]
     return lb
 
 

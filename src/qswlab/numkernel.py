@@ -190,6 +190,40 @@ def hermitian_basis(n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
 
 
+HERMITIAN_BASIS_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class RealForm:
+    """A superoperator S on n x n matrices in the Hermitian basis T:
+    `matrix` is the real CSR matrix R = T^H S T, `basis` is T and `leak`
+    is the largest |Im| entry of T^H S T that was dropped."""
+
+    matrix: scipy.sparse.csr_matrix
+    basis: scipy.sparse.csr_matrix
+    leak: float
+
+
+def real_form(s, n: int) -> RealForm:
+    """R = T^H S T for the sparse n^2 x n^2 superoperator S, with T from
+    hermitian_basis(n). S preserves Hermiticity exactly when R is real;
+    NumericalError is raised when an imaginary entry of T^H S T exceeds
+    HERMITIAN_BASIS_TOL times max(1, largest |entry|)."""
+    if s.shape != (n * n, n * n):
+        raise DimensionError(f"superoperator shape {s.shape} does not act on {n} x {n} matrices")
+    basis = hermitian_basis(n)
+    r = (basis.conj().T @ scipy.sparse.csr_matrix(s) @ basis).tocsr()
+    scale = max(1.0, float(np.abs(r.data).max(initial=0.0)))
+    leak = float(np.abs(r.data.imag).max(initial=0.0))
+    if leak > HERMITIAN_BASIS_TOL * scale:
+        raise NumericalError(
+            f"superoperator does not preserve Hermiticity: its real-basis form has "
+            f"imaginary entries up to {leak:.3e}")
+    matrix = r.real.tocsr()
+    matrix.eliminate_zeros()
+    return RealForm(matrix=matrix, basis=basis, leak=leak)
+
+
 GRID_RTOL = 1e-9
 
 

@@ -1,7 +1,9 @@
-"""Reference helpers that only the tests use as oracles."""
+"""Reference helpers that only the tests use as oracles, and the
+hypothesis strategy for random walk generators that several tests share."""
 import numpy as np
+from hypothesis import strategies as st
 
-from qswlab import graphs
+from qswlab import gksl, graphs, nonmoral, numkernel
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,3 +55,54 @@ def reachability(g) -> np.ndarray:
         if np.array_equal(nxt, r):
             return r
         r = nxt
+
+
+def evolve_complex(gen, rho0, t) -> np.ndarray:
+    """exp(S t) vec(rho0) with the complex generator S itself, reshaped to
+    one state (scalar t) or one state per time: the reference for
+    gksl.evolve, which works in the real Hermitian basis."""
+    out = numkernel.expm_apply(gen.s, numkernel.vec(np.asarray(rho0, dtype=complex)), t)
+    return out.reshape(np.shape(t) + (gen.dim, gen.dim))
+
+
+def demoralize_scan(g) -> nonmoral.DemoralizedGraph:
+    """nonmoral.demoralize with each in-degree counted by a scan of every arc."""
+    sizes = tuple(max(sum(1 for _, w in g.arcs if w == v), 1) for v in range(g.n))
+    labels = [(v, k) for k in range(max(sizes)) for v in range(g.n) if k < sizes[v]]
+    pos = {lab: i for i, lab in enumerate(labels)}
+    index = tuple(tuple(pos[(v, k)] for k in range(sizes[v])) for v in range(g.n))
+    return nonmoral.DemoralizedGraph(base=g, block_sizes=sizes, index=index,
+                                     labels=tuple(labels), dim=len(labels))
+
+
+def nonmoral_lindblad_scan(dg, family) -> np.ndarray:
+    """nonmoral.build_nonmoral_lindblad entry by entry, with each sorted
+    parent list taken from a scan of every arc."""
+    lb = np.zeros((dg.dim, dg.dim), dtype=complex)
+    for v in range(dg.base.n):
+        parents = sorted(u for u, w in dg.base.arcs if w == v)
+        if not parents:
+            continue
+        lv = np.asarray(family(v), dtype=complex)
+        for j, w in enumerate(parents):
+            for k in range(dg.block_sizes[v]):
+                for l in range(dg.block_sizes[w]):
+                    lb[dg.index[v][k], dg.index[w][l]] = lv[k, j]
+    return lb
+
+
+@st.composite
+def walk_generators(draw):
+    """An lqsw, gqsw or ngqsw generator on a random digraph of 1 to 6 vertices."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graphs.DiGraph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+    omega = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    model = draw(st.sampled_from(["lqsw", "gqsw", "ngqsw"]))
+    if model == "lqsw":
+        return gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
+    if model == "gqsw":
+        return gksl.generator_from_spec(gksl.gqsw_spec(g, omega))
+    dg = nonmoral.demoralize(g)
+    return nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)

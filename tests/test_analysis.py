@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 import oracles
-from qswlab import analysis, gksl, graphs, nonmoral, numkernel
+from qswlab import analysis, gksl, graphs, numkernel
 from qswlab.exceptions import (DimensionError, NumericalError, ParameterRangeError,
                                TimeGridError)
 
@@ -249,24 +249,8 @@ def _assert_same_spectrum(a, b, tol):
         assert abs(a[sel].mean() - b[sel].mean()) <= tol, (a[sel], b[sel])
 
 
-@st.composite
-def _walk_generators(draw):
-    n = draw(st.integers(1, 6))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = graphs.DiGraph(n, frozenset(p for p, k in zip(pairs, keep) if k))
-    omega = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    model = draw(st.sampled_from(["lqsw", "gqsw", "ngqsw"]))
-    if model == "lqsw":
-        return gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
-    if model == "gqsw":
-        return gksl.generator_from_spec(gksl.gqsw_spec(g, omega))
-    dg = nonmoral.demoralize(g)
-    return nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)
-
-
 @settings(deadline=None, max_examples=40)
-@given(_walk_generators())
+@given(oracles.walk_generators())
 def test_hermitian_basis_spectrum_matches_complex_generator(gen):
     t = numkernel.hermitian_basis(gen.dim)
     assert abs(t.conj().T @ t - sp.identity(gen.dim ** 2)).max() < 1e-15

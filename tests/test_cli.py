@@ -271,6 +271,24 @@ def test_propagate_bad_grid_exits_2(runner, tmp_path, model, grid, batch, messag
     assert message in r.output
 
 
+def test_propagate_zero_second_moment_exits_2(runner, tmp_path):
+    """At t = 5e-324 the ngqsw walker has not left the centre: mu2 is
+    exactly 0 and has no log-log slope."""
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 2, ("5e-324", "0.5", "0.25"), 2))
+    _assert_usage_error(r, tmp_path)
+    assert "log-log slopes need positive data" in r.output
+
+
+@pytest.mark.parametrize("grid", [("0", "1", "5e-324"), ("-1e308", "1e308", "1"),
+                                  ("0", "100000", "1")])
+def test_search_oversized_grid_exits_2(runner, tmp_path, grid):
+    args = _search_args(tmp_path, "complete:8", 1) + [
+        "--t-start", grid[0], "--t-stop", grid[1], "--t-step", grid[2]]
+    r = runner.invoke(cli.main, args)
+    _assert_usage_error(r, tmp_path)
+    assert "more than 100000 points" in r.output
+
+
 @pytest.mark.parametrize("model", ["gqsw", "ngqsw"])
 @pytest.mark.parametrize("length", [-3, 0, 1])
 def test_propagate_short_path_exits_2(runner, tmp_path, model, length):
@@ -309,7 +327,7 @@ def test_propagate_ngqsw_matches_dense_expm(runner, tmp_path):
         assert abs(got - want) <= 1e-8 * want
 
     diagnostics = json.loads((tmp_path / "p.json").read_text())["diagnostics"]
-    assert set(diagnostics) == {"max_trace_drift", "max_hermiticity_drift"}
+    assert set(diagnostics) == {"max_trace_drift", "hermiticity_leak"}
     for value in diagnostics.values():
         assert math.isfinite(value) and 0.0 <= value < gksl.DRIFT_TOL
 
@@ -318,11 +336,13 @@ def test_propagate_ngqsw_one_expm_call(runner, tmp_path, monkeypatch):
     calls = []
     real = numkernel.expm_apply
     monkeypatch.setattr(numkernel, "expm_apply",
-                        lambda m, v, t: calls.append(np.asarray(t)) or real(m, v, t))
+                        lambda m, v, t: calls.append((m, np.asarray(t))) or real(m, v, t))
     r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 9, ("2", "12", "2")))
     assert r.exit_code == 0, r.output
     assert len(calls) == 1
-    assert np.array_equal(calls[0], [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    m, times = calls[0]
+    assert np.array_equal(times, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    assert m.dtype == np.float64
 
 
 def test_propagate_gqsw_one_profile_call(runner, tmp_path, monkeypatch):

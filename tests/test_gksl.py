@@ -179,12 +179,15 @@ def _grid_fixture(model):
     return nonmoral.ngqsw_generator(dg, ops, 0.5), nonmoral.block_mixed_state(dg, 3)
 
 
-@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
-@pytest.mark.parametrize("times", [
+GRID_SHAPES = [
     [0.5, 1.0, 1.5, 2.0],      # aligned: multiples of the step
     [0.7, 1.2, 1.7],           # unaligned first time
     [200.0, 200.5, 201.0],     # late short grid, where scipy's start > 0 fails
-])
+]
+
+
+@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
+@pytest.mark.parametrize("times", GRID_SHAPES)
 def test_evolve_grid_matches_single_calls(model, times):
     gen, rho0 = _grid_fixture(model)
     rhos = gksl.evolve(gen, rho0, np.array(times))
@@ -195,12 +198,61 @@ def test_evolve_grid_matches_single_calls(model, times):
 
 
 def test_evolve_returns_unrenormalised_states():
+    """evolve is exactly T exp(R t) x0 in the Hermitian basis, with nothing
+    symmetrised or renormalised, and it agrees with the complex S."""
     gen, rho0 = _grid_fixture("lqsw")
+    form = gen.real
+    x0 = (form.basis.conj().T @ numkernel.vec(rho0)).real
     times = np.array([1.0, 2.0, 3.0])
-    raw = numkernel.expm_apply(gen.s, numkernel.vec(rho0), times)
-    assert np.array_equal(gksl.evolve(gen, rho0, times), raw.reshape(3, 5, 5))
-    one = numkernel.expm_apply(gen.s, numkernel.vec(rho0), 2.0)
-    assert np.array_equal(gksl.evolve(gen, rho0, 2.0), one.reshape(5, 5))
+    raw = numkernel.expm_apply(form.matrix, x0, times)
+    rhos = gksl.evolve(gen, rho0, times)
+    assert np.array_equal(rhos, (form.basis @ raw.T).T.reshape(3, 5, 5))
+    assert np.abs(rhos - oracles.evolve_complex(gen, rho0, times)).max() < 1e-13
+    one = numkernel.expm_apply(form.matrix, x0, 2.0)
+    rho = gksl.evolve(gen, rho0, 2.0)
+    assert np.array_equal(rho, (form.basis @ one).reshape(5, 5))
+    assert np.abs(rho - oracles.evolve_complex(gen, rho0, 2.0)).max() < 1e-13
+
+
+@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
+@pytest.mark.parametrize("times", GRID_SHAPES)
+def test_evolve_matches_complex_oracle(model, times):
+    gen, rho0 = _grid_fixture(model)
+    want = oracles.evolve_complex(gen, rho0, np.array(times))
+    got = gksl.evolve(gen, rho0, np.array(times))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(deadline=None, max_examples=30)
+@given(oracles.walk_generators(), st.integers(0, 10**6),
+       st.sampled_from([0.0, 0.3, 1.0, 7.0]))
+def test_evolve_matches_complex_oracle_on_random_walks(gen, seed, t):
+    rho0 = random_density(gen.dim, seed)
+    want = oracles.evolve_complex(gen, rho0, t)
+    got = gksl.evolve(gen, rho0, t, validate=False)
+    assert np.array_equal(got, got.conj().T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_evolve_rejects_non_hermitian_initial_state():
+    gen, rho0 = _grid_fixture("lqsw")
+    rho0 = rho0.copy()
+    rho0[0, 1] += 1e-6
+    with pytest.raises(DensityInvariantViolated, match="not Hermitian"):
+        gksl.evolve(gen, rho0, 1.0, validate=False)
+
+
+def test_non_hermitian_hamiltonian_is_rejected():
+    """build_generator refuses H != H^H, and evolve refuses the generator of
+    -i[H, rho] for such an H, which does not preserve Hermiticity."""
+    h = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        gksl.build_generator(h, [], 1.0, 0.0)
+    eye = np.eye(3)
+    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3)
+    with pytest.raises(NumericalError, match="Hermiticity"):
+        gksl.evolve(gen, gksl.pure_state(3, 0), 1.0)
 
 
 def test_evolve_rejects_bad_grids():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import NonOrthogonalColumnsError, NumericalError, WrongTopologyError
 
@@ -29,6 +32,29 @@ def test_demoralize_dimension_formula():
         dg = nonmoral.demoralize(g)
         want = len(g.arcs) + sum(1 for v in range(7) if g.indegree(v) == 0)
         assert dg.dim == want
+
+
+def _assert_matches_arc_scan(g):
+    dg = nonmoral.demoralize(g)
+    assert dg == oracles.demoralize_scan(g)
+    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
+    assert np.array_equal(lb, oracles.nonmoral_lindblad_scan(dg, nonmoral.fourier_family(dg)))
+
+
+@pytest.mark.parametrize("g", [
+    graphs.moral_triangle(), graphs.premature_graph(), graphs.ngqsw_period_graph(),
+    graphs.circulant_jump2(8), graphs.to_digraph(graphs.path(6)),
+    graphs.to_digraph(graphs.star(5)), graphs.DiGraph(3),
+], ids=["moral_triangle", "premature", "ngqsw_period", "circulant8", "path6", "star5",
+        "no_arcs"])
+def test_demoralize_and_lindblad_match_arc_scan_on_fixtures(g):
+    _assert_matches_arc_scan(g)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_demoralize_and_lindblad_match_arc_scan_on_random_digraphs(n, p, seed):
+    _assert_matches_arc_scan(graphs.gen_er(n, p, seed, directed=True))
 
 
 def test_fourier_matrix():
