@@ -226,6 +226,14 @@ class ConvergenceReport:
     tol: float
 
 
+def check_generator_dim(n: int) -> None:
+    """Raise DimensionError if the generator on n x n states, of size n^2,
+    is too large to diagonalize densely (GENERATOR_DIM_CAP). It needs only
+    n, so a caller can check before it builds any operator."""
+    if n * n > GENERATOR_DIM_CAP:
+        raise DimensionError(f"generator size {n * n} exceeds dense cap {GENERATOR_DIM_CAP}")
+
+
 def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
     """Classify from the generator spectrum: eigenvalues below tol in
     modulus count as zero; eigenvalues with tiny real part but nonzero
@@ -241,11 +249,7 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
     eps^(1/k) * ||S|| (eps^(1/3) is about 6e-6), while a simple one is good
     to about eps * ||S|| times its condition number. A defective gap can
     move in its fifth digit with the LAPACK path or the BLAS thread count."""
-    m = gen.s
-    if m.shape[0] > GENERATOR_DIM_CAP:
-        raise DimensionError(
-            f"generator size {m.shape[0]} exceeds dense cap {GENERATOR_DIM_CAP}"
-        )
+    check_generator_dim(gen.dim)
     lam = numkernel.eig_general(gen.real.matrix)
     mods = np.abs(lam)
     zero = int(np.sum(mods < tol))

@@ -232,13 +232,15 @@ def cmd_converge(model, graph_spec, omega, tol, out):
         raise click.UsageError("--tol must be finite and positive")
     g = parse_graph_spec(graph_spec)
     dig = g if isinstance(g, graphs.DiGraph) else graphs.to_digraph(g)
-    if model == "lqsw":
-        gen = gksl.generator_from_spec(gksl.lqsw_spec(dig, omega))
-    elif model == "gqsw":
-        gen = gksl.generator_from_spec(gksl.gqsw_spec(dig, omega))
-    else:
+    # the size check runs before any operator is built
+    if model == "ngqsw":
         dg = nonmoral.demoralize(dig)
+        analysis.check_generator_dim(dg.dim)
         gen = nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)
+    else:
+        analysis.check_generator_dim(dig.n)
+        spec = gksl.lqsw_spec if model == "lqsw" else gksl.gqsw_spec
+        gen = gksl.generator_from_spec(spec(dig, omega))
     report = analysis.classify_convergence(gen, tol=tol)
     payload = {
         "classification": report.classification,
@@ -308,11 +310,7 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
     _write_json(out_json, payload, config, seed=None)
 
 
-def _sweep_er_p0(cfg, outdir, seed):
-    p0_list = cfg.get("p0", [2.0, 4.0, 8.0])
-    n = int(cfg.get("n", 200))
-    samples = int(cfg["samples"])
-    marked_per_graph = int(cfg.get("marked_per_graph", 5))
+def _sweep_er_p0(outdir, seed, samples, p0_list, n, marked_per_graph):
     rows = []
     root = np.random.SeedSequence(seed)
     for p0 in p0_list:
@@ -339,10 +337,7 @@ def _sweep_er_p0(cfg, outdir, seed):
                ["p0", "n", "minP", "meanP", "bound"], rows)
 
 
-def _sweep_ba_search(cfg, outdir, seed):
-    n_list = cfg.get("n", [100, 200, 400])
-    m0 = int(cfg.get("m0", 3))
-    samples = int(cfg["samples"])
+def _sweep_ba_search(outdir, seed, samples, n_list, m0):
     rows = []
     root = np.random.SeedSequence(seed)
     for n in n_list:
@@ -359,26 +354,62 @@ def _sweep_ba_search(cfg, outdir, seed):
     _write_csv(os.path.join(outdir, "aggregate.csv"), ["n", "T", "pT"], rows)
 
 
+def _config_number(key, value, low, kind=int):
+    """The config field `key` converted by kind; UsageError unless it is
+    finite and at least low."""
+    try:
+        number = kind(value)
+        ok = math.isfinite(number) and number >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise click.UsageError(f"config field {key!r} must be a number >= {low}, got {value!r}")
+    return number
+
+
+def _config_list(key, values, low, kind=int):
+    """The config field `key` as given: a nonempty list of JSON numbers,
+    each of which _config_number accepts."""
+    if not (isinstance(values, list) and values
+            and all(isinstance(v, (int, float)) for v in values)):
+        raise click.UsageError(f"config field {key!r} must be a nonempty list of numbers")
+    for v in values:
+        _config_number(key, v, low, kind)
+    return values
+
+
 @main.command("sweep")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @numerical_guard
 def cmd_sweep(config_path):
     """Run a multi-sample experiment described by a JSON config file."""
     t0 = time.time()
-    with open(config_path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:
+        raise click.UsageError(f"cannot read config {config_path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise click.UsageError("config must be a JSON object")
+    samples = _config_number("samples", cfg.get("samples", 0), 1)
+    seed = _config_number("seed", cfg.get("seed", 0), 0)
     kind = cfg.get("kind")
-    if int(cfg.get("samples", 0)) < 1:
-        raise click.UsageError("config must request at least one sample")
-    outdir = cfg.get("outdir", ".")
-    os.makedirs(outdir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
     if kind == "er_p0":
-        _sweep_er_p0(cfg, outdir, seed)
+        run = functools.partial(
+            _sweep_er_p0, p0_list=_config_list("p0", cfg.get("p0", [2.0, 4.0, 8.0]), 0.0, float),
+            n=_config_number("n", cfg.get("n", 200), 1),
+            marked_per_graph=_config_number("marked_per_graph", cfg.get("marked_per_graph", 5), 1))
     elif kind == "ba_search":
-        _sweep_ba_search(cfg, outdir, seed)
+        m0 = _config_number("m0", cfg.get("m0", 3), 1)
+        run = functools.partial(_sweep_ba_search, m0=m0,
+                                n_list=_config_list("n", cfg.get("n", [100, 200, 400]), m0))
     else:
         raise click.UsageError(f"unknown sweep kind {kind!r}")
+    outdir = cfg.get("outdir", ".")
+    if not isinstance(outdir, str):
+        raise click.UsageError("config field 'outdir' must be a string")
+    os.makedirs(outdir, exist_ok=True)
+    run(outdir, seed, samples)
     _write_json(os.path.join(outdir, "sweep.json"),
                 {"_wallclock": time.time() - t0}, cfg, seed)
 

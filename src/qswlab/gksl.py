@@ -70,10 +70,11 @@ class EvolutionGenerator:
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Hamiltonian, Lindblad family and weights that define one walk."""
+    """Hamiltonian, Lindblad family and weights that define one walk; the
+    operators are scipy sparse matrices."""
 
     model: str
-    hamiltonian: np.ndarray
+    hamiltonian: sp.csr_matrix
     lindblads: tuple
     ham_weight: float
     diss_weight: float
@@ -93,11 +94,12 @@ def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> Evol
     Each L x conj(L) is built from the products of L's nonzeros, and
     K = B'B for the Lindblads stacked into one tall matrix B, so the
     anticommutator costs two Kronecker products whatever the number of
-    Lindblads. H must be Hermitian (numkernel.check_hermitian), or
-    NumericalError is raised: S would not preserve the trace."""
+    Lindblads. H and each L may be dense arrays or scipy sparse matrices.
+    H must be Hermitian (numkernel.check_hermitian), or NumericalError is
+    raised: S would not preserve the trace."""
     if ham_weight < 0 or diss_weight < 0:
         raise ValueError("weights must be nonnegative")
-    h = sp.csr_matrix(numkernel.check_hermitian(np.asarray(h, dtype=complex)))
+    h = numkernel.check_hermitian(sp.csr_matrix(h, dtype=complex))
     n = h.shape[0]
     eye = sp.identity(n, dtype=complex, format="csr")
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
@@ -106,11 +108,10 @@ def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> Evol
     if diss_weight > 0 and len(lindblads):
         stack, jumps, pending = [], [], 0
         for j, l in enumerate(lindblads):
-            l = np.asarray(l, dtype=complex)
+            l = sp.coo_matrix(l, dtype=complex)
             if l.shape != (n, n):
                 raise DimensionError("Lindblad dimension mismatch")
-            r, c = np.nonzero(l)
-            v = l[r, c]
+            r, c, v = l.row.astype(np.int64), l.col.astype(np.int64), l.data
             stack.append((r + j * n, c, v))
             jumps.append(((r[:, None] * n + r).ravel(), (c[:, None] * n + c).ravel(),
                           diss_weight * np.outer(v, v.conj()).ravel()))
@@ -134,16 +135,13 @@ def generator_from_spec(spec: WalkSpec) -> EvolutionGenerator:
 
 
 def _arc_lindblads(g: graphs.DiGraph) -> tuple:
-    out = []
-    for v, w in sorted(g.arcs):
-        l = np.zeros((g.n, g.n), dtype=complex)
-        l[w, v] = 1.0
-        out.append(l)
-    return tuple(out)
+    """One single-entry |w><v| per arc v -> w, in sorted arc order."""
+    return tuple(sp.coo_matrix(([1.0 + 0j], ([w], [v])), shape=(g.n, g.n))
+                 for v, w in sorted(g.arcs))
 
 
 def ctqw_spec(g: graphs.Graph) -> WalkSpec:
-    return WalkSpec("CTQW", graphs.adjacency(g).astype(complex), (), 1.0, 0.0)
+    return WalkSpec("CTQW", graphs.arc_matrix(g).astype(complex), (), 1.0, 0.0)
 
 
 def ctrw_rate_matrix(g: graphs.Graph) -> np.ndarray:
@@ -160,15 +158,15 @@ def check_omega(omega: float) -> None:
 def lqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     """One Lindblad |w><v| per arc; Hamiltonian from the underlying graph."""
     check_omega(omega)
-    h = graphs.adjacency(graphs.underlying(g)).astype(complex)
+    h = graphs.arc_matrix(graphs.underlying(g)).astype(complex)
     return WalkSpec("LQSW", h, _arc_lindblads(g), 1.0 - omega, omega)
 
 
 def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     """Single whole-matrix Lindblad equal to the digraph adjacency."""
     check_omega(omega)
-    h = graphs.adjacency(graphs.underlying(g)).astype(complex)
-    l = graphs.adjacency(g).astype(complex)
+    h = graphs.arc_matrix(graphs.underlying(g)).astype(complex)
+    l = graphs.arc_matrix(g).T.tocsr().astype(complex)
     return WalkSpec("GQSW", h, (l,), 1.0 - omega, omega)
 
 

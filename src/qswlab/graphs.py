@@ -81,16 +81,9 @@ class Graph:
 
 
 def adjacency(g) -> np.ndarray:
-    """A[w, v] = 1 iff (v, w) is an arc; symmetric for undirected input."""
-    a = np.zeros((g.n, g.n))
-    if isinstance(g, DiGraph):
-        for v, w in g.arcs:
-            a[w, v] = 1.0
-    else:
-        for u, v in g.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-    return a
+    """A[w, v] = 1 iff (v, w) is an arc; symmetric for undirected input.
+    The dense transpose of arc_matrix."""
+    return arc_matrix(g).T.toarray()
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -11,9 +11,11 @@ order, then all 1st copies, and so on.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gksl, graphs
 from .exceptions import DimensionError, NonOrthogonalColumnsError, WrongTopologyError
@@ -31,6 +33,15 @@ class DemoralizedGraph:
 
     def block(self, v: int) -> tuple:
         return self.index[v]
+
+    @functools.cached_property
+    def copies(self) -> sp.csr_matrix:
+        """The dim x n copy-membership matrix E: E[i, v] = 1 iff basis
+        position i is a copy of v."""
+        rows = np.concatenate(self.index)
+        cols = np.repeat(np.arange(self.base.n), self.block_sizes)
+        return sp.csr_matrix((np.ones(self.dim), (rows, cols)),
+                             shape=(self.dim, self.base.n))
 
 
 def _parents(g: graphs.DiGraph):
@@ -69,17 +80,18 @@ def fourier_family(dg: DemoralizedGraph):
     return family
 
 
-def build_nonmoral_lindblad(dg: DemoralizedGraph, family) -> np.ndarray:
+def build_nonmoral_lindblad(dg: DemoralizedGraph, family) -> sp.csr_matrix:
     """Assemble one enlarged Lindblad operator from a per-vertex family.
 
     family(v) must be a |block(v)| x indeg(v) matrix with pairwise
     orthogonal columns; column j feeds the arc from the j-th smallest
     in-neighbor of v. The entry into copy k of v does not depend on which
-    copy of the source vertex the amplitude leaves from.
+    copy of the source vertex the amplitude leaves from, so the operator is
+    F E^T, with F[copy k of v, w] = family(v)[k, j] for w the j-th parent.
     """
     g = dg.base
     indptr, indices = _parents(g)
-    lb = np.zeros((dg.dim, dg.dim), dtype=complex)
+    rows, cols, vals = [], [], []
     for v in range(g.n):
         parents = indices[indptr[v]:indptr[v + 1]]
         if not parents.size:
@@ -92,49 +104,45 @@ def build_nonmoral_lindblad(dg: DemoralizedGraph, family) -> np.ndarray:
         gram = lv.conj().T @ lv
         if np.abs(gram - np.diag(np.diagonal(gram))).max() > ORTHO_TOL:
             raise NonOrthogonalColumnsError(f"family({v}) columns are not orthogonal")
-        for j, w in enumerate(parents):
-            lb[np.ix_(dg.index[v], dg.index[w])] = lv[:, j, None]
-    return lb
+        rows.append(np.repeat(dg.index[v], parents.size))
+        cols.append(np.tile(parents, lv.shape[0]))
+        vals.append(lv.ravel())
+    if not vals:
+        return sp.csr_matrix((dg.dim, dg.dim), dtype=complex)
+    f = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dg.dim, g.n))
+    return (f @ dg.copies.T).sorted_indices()
 
 
-def standard_hamiltonian(dg: DemoralizedGraph) -> np.ndarray:
-    """All-ones coupling between blocks of adjacent base vertices."""
-    und = graphs.underlying(dg.base)
-    h = np.zeros((dg.dim, dg.dim), dtype=complex)
-    for u, v in und.edges:
-        for i in dg.index[u]:
-            for j in dg.index[v]:
-                h[i, j] = 1.0
-                h[j, i] = 1.0
-    return h
+def standard_hamiltonian(dg: DemoralizedGraph) -> sp.csr_matrix:
+    """All-ones coupling between blocks of adjacent base vertices:
+    E A E^T with A the underlying graph's adjacency."""
+    a = graphs.arc_matrix(graphs.underlying(dg.base))
+    return (dg.copies @ a @ dg.copies.T).sorted_indices().astype(complex)
 
 
-def _place_block(h: np.ndarray, idx: tuple, block: np.ndarray):
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            h[i, j] = block[a, b]
+def _block_diagonal(dg: DemoralizedGraph, b) -> sp.csr_matrix:
+    """The operator that acts as block v of b on the copies of each vertex
+    v, for b block diagonal in the vertex-major copy order (the order of
+    np.concatenate(dg.index))."""
+    b = sp.coo_matrix(b, dtype=complex)
+    pos = np.concatenate(dg.index)
+    return sp.csr_matrix((b.data, (pos[b.row], pos[b.col])), shape=(dg.dim, dg.dim))
 
 
-def standard_rotating_hamiltonian(dg: DemoralizedGraph) -> np.ndarray:
+def standard_rotating_hamiltonian(dg: DemoralizedGraph) -> sp.csr_matrix:
     """Blocks are the open-chain generators i(N - N^T) with N the shift by
     one copy: +i on the superdiagonal, -i on the subdiagonal, no wraparound.
     Size-1 blocks are zero."""
-    h = np.zeros((dg.dim, dg.dim), dtype=complex)
-    for v in range(dg.base.n):
-        d = dg.block_sizes[v]
-        block = np.zeros((d, d), dtype=complex)
-        for k in range(d - 1):
-            block[k, k + 1] = 1j
-            block[k + 1, k] = -1j
-        _place_block(h, dg.index[v], block)
-    return h
+    up = np.full(dg.dim - 1, 1j)
+    up[np.cumsum(dg.block_sizes)[:-1] - 1] = 0  # no coupling between blocks
+    return _block_diagonal(dg, sp.diags([up, -up], [1, -1], shape=(dg.dim, dg.dim)))
 
 
-def random_rotating_hamiltonian(dg: DemoralizedGraph, ensemble: str, seed: int) -> np.ndarray:
+def random_rotating_hamiltonian(dg: DemoralizedGraph, ensemble: str, seed: int) -> sp.csr_matrix:
     rng = np.random.default_rng(seed)
-    h = np.zeros((dg.dim, dg.dim), dtype=complex)
-    for v in range(dg.base.n):
-        d = dg.block_sizes[v]
+    blocks = []
+    for d in dg.block_sizes:
         if ensemble == "GOE":
             x = rng.standard_normal((d, d))
             block = (x + x.T).astype(complex)
@@ -147,14 +155,17 @@ def random_rotating_hamiltonian(dg: DemoralizedGraph, ensemble: str, seed: int) 
             block = x + x.T + 1j * (y - y.T)
         else:
             raise ValueError(f"unknown ensemble {ensemble!r}")
-        _place_block(h, dg.index[v], block)
-    return h
+        blocks.append(block)
+    return _block_diagonal(dg, sp.block_diag(blocks))
 
 
 @dataclass(frozen=True)
 class NonmoralOperators:
-    hamiltonian: np.ndarray
-    rotating: np.ndarray
+    """Standard and rotating Hamiltonians and the Lindblads of one walk on
+    the enlarged space, as scipy sparse matrices."""
+
+    hamiltonian: sp.csr_matrix
+    rotating: sp.csr_matrix
     lindblads: tuple
 
 
@@ -210,21 +221,16 @@ def natural_measure(rho: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
     if rho.shape != (dg.dim, dg.dim):
         raise DimensionError("state dimension does not match enlarged space")
     diag = gksl.check_probabilities(np.diagonal(rho).real)
-    vertex = np.fromiter((v for v, _ in dg.labels), dtype=np.int64, count=dg.dim)
-    return np.bincount(vertex, weights=diag, minlength=dg.base.n)
+    return dg.copies.T @ diag
 
 
 def uniform_block_state(dg: DemoralizedGraph) -> np.ndarray:
-    w = np.zeros(dg.dim)
-    for v in range(dg.base.n):
-        for i in dg.index[v]:
-            w[i] = 1.0 / (dg.base.n * dg.block_sizes[v])
-    return np.diag(w).astype(complex)
+    """Each base vertex weighted 1/n, spread evenly over its copies."""
+    return np.diag(dg.copies @ (1.0 / (dg.base.n * np.array(dg.block_sizes)))).astype(complex)
 
 
 def block_mixed_state(dg: DemoralizedGraph, v: int) -> np.ndarray:
     """Even mixture of the copies of a single base vertex."""
     rho = np.zeros((dg.dim, dg.dim), dtype=complex)
-    for i in dg.index[v]:
-        rho[i, i] = 1.0 / dg.block_sizes[v]
+    rho[dg.index[v], dg.index[v]] = 1.0 / dg.block_sizes[v]
     return rho

@@ -34,14 +34,22 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(n, n)
 
 
-def check_hermitian(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    h = np.asarray(h)
+def check_hermitian(h, tol: float = TOL_HERM):
+    """Return h, a dense array or a scipy sparse matrix, unchanged if it is
+    square, finite and Hermitian to tol relative to its largest entry (at
+    least 1); raise DimensionError or NumericalError otherwise."""
+    sparse = scipy.sparse.issparse(h)
+    h = h if sparse else np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+
+    def stored(m):
+        return m.data if sparse else m
+
+    if not np.all(np.isfinite(stored(h))):
         raise NumericalError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    dev = float(np.abs(h - h.conj().T).max(initial=0.0))
+    scale = max(1.0, float(np.abs(stored(h)).max(initial=0.0)))
+    dev = float(np.abs(stored(h - h.conj().T)).max(initial=0.0))
     if dev > tol * scale:
         raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return h

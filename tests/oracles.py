@@ -91,6 +91,46 @@ def nonmoral_lindblad_scan(dg, family) -> np.ndarray:
     return lb
 
 
+def standard_hamiltonian(dg) -> np.ndarray:
+    """nonmoral.standard_hamiltonian entry by entry: a one between every
+    copy of u and every copy of v for each edge uv of the underlying graph."""
+    h = np.zeros((dg.dim, dg.dim), dtype=complex)
+    for u, v in graphs.underlying(dg.base).edges:
+        for i in dg.index[u]:
+            for j in dg.index[v]:
+                h[i, j] = 1.0
+                h[j, i] = 1.0
+    return h
+
+
+def standard_rotating_hamiltonian(dg) -> np.ndarray:
+    """nonmoral.standard_rotating_hamiltonian entry by entry: +i from copy
+    k + 1 to copy k of each vertex and -i back."""
+    h = np.zeros((dg.dim, dg.dim), dtype=complex)
+    for idx in dg.index:
+        for k in range(len(idx) - 1):
+            h[idx[k], idx[k + 1]] = 1j
+            h[idx[k + 1], idx[k]] = -1j
+    return h
+
+
+def uniform_block_state(dg) -> np.ndarray:
+    """nonmoral.uniform_block_state copy by copy."""
+    w = np.zeros(dg.dim)
+    for v in range(dg.base.n):
+        for i in dg.index[v]:
+            w[i] = 1.0 / (dg.base.n * dg.block_sizes[v])
+    return np.diag(w).astype(complex)
+
+
+def block_mixed_state(dg, v) -> np.ndarray:
+    """nonmoral.block_mixed_state copy by copy."""
+    rho = np.zeros((dg.dim, dg.dim), dtype=complex)
+    for i in dg.index[v]:
+        rho[i, i] = 1.0 / dg.block_sizes[v]
+    return rho
+
+
 @st.composite
 def walk_generators(draw):
     """An lqsw, gqsw or ngqsw generator on a random digraph of 1 to 6 vertices."""

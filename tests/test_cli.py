@@ -140,6 +140,31 @@ def test_sweep_requires_samples(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"kind": "er_p0", "samples": "x"}),
+    json.dumps([{"kind": "er_p0", "samples": 1}]),
+    '{"kind": "er_p0", "samples": 1',
+    json.dumps({"kind": "er_p0", "samples": 1, "n": 0}),
+    json.dumps({"kind": "ba_search", "samples": 1, "n": [2]}),
+    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "marked_per_graph": 0}),
+    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": [-1.0]}),
+    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": 2.0}),
+    json.dumps({"kind": "ba_search", "samples": 1, "n": 30}),
+    json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "seed": -1}),
+    json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "outdir": 3}),
+], ids=["samples_not_a_number", "list", "malformed", "er_n0", "ba_n_below_m0",
+        "zero_marked", "negative_p0", "p0_not_a_list", "ba_n_not_a_list", "negative_seed",
+        "outdir_not_a_string"])
+def test_sweep_bad_config_exits_2(runner, tmp_path, text):
+    """A malformed config is refused with exit 2 before the sweep runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    r = runner.invoke(cli.main, ["sweep", "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+
+
 def test_sweep_ba_search_small(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     outdir = tmp_path / "out"
@@ -379,6 +404,22 @@ def test_converge_bad_parameters_exit_2(runner, tmp_path, model, flag, value, me
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert message in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, graph", [("lqsw", "complete:51"), ("ngqsw", "complete:12")])
+def test_converge_checks_size_before_building(runner, tmp_path, monkeypatch, model, graph):
+    """An oversized generator is refused before any operator is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("operators built before the size check")
+
+    monkeypatch.setattr(gksl, "build_generator", refuse)
+    monkeypatch.setattr(nonmoral, "standard_operators", refuse)
+    out = tmp_path / "c.json"
+    r = runner.invoke(cli.main, ["converge", "--model", model, "--graph", graph,
+                                 "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"exceeds dense cap {analysis.GENERATOR_DIM_CAP}" in r.output
     assert not out.exists()
 
 

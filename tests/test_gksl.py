@@ -47,7 +47,7 @@ def test_trace_functional_annihilated():
 def _per_lindblad_generator(h, lindblads, ham_weight, diss_weight):
     """Reference assembly: three Kronecker products per Lindblad, added one
     term at a time."""
-    h = sp.csr_matrix(np.asarray(h, dtype=complex))
+    h = sp.csr_matrix(h, dtype=complex)
     n = h.shape[0]
     eye = sp.identity(n, dtype=complex, format="csr")
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
@@ -55,7 +55,7 @@ def _per_lindblad_generator(h, lindblads, ham_weight, diss_weight):
         s = s + ham_weight * (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.conj()))
     if diss_weight > 0:
         for l in lindblads:
-            l = sp.csr_matrix(np.asarray(l, dtype=complex))
+            l = sp.csr_matrix(l, dtype=complex)
             ldl = (l.conj().T @ l).tocsr()
             s = s + diss_weight * (sp.kron(l, l.conj()) - 0.5 * sp.kron(ldl, eye)
                                    - 0.5 * sp.kron(eye, ldl.T))
@@ -153,7 +153,7 @@ def test_ctqw_pure_state_consistency():
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
     t = 2.7
-    psi = oracles.unitary_apply(spec.hamiltonian, psi0, t)
+    psi = oracles.unitary_apply(spec.hamiltonian.toarray(), psi0, t)
     rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), t)
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-9
 

@@ -37,8 +37,18 @@ def test_demoralize_dimension_formula():
 def _assert_matches_arc_scan(g):
     dg = nonmoral.demoralize(g)
     assert dg == oracles.demoralize_scan(g)
-    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
-    assert np.array_equal(lb, oracles.nonmoral_lindblad_scan(dg, nonmoral.fourier_family(dg)))
+    family = nonmoral.fourier_family(dg)
+    pairs = [
+        (nonmoral.build_nonmoral_lindblad(dg, family), oracles.nonmoral_lindblad_scan(dg, family)),
+        (nonmoral.standard_hamiltonian(dg), oracles.standard_hamiltonian(dg)),
+        (nonmoral.standard_rotating_hamiltonian(dg), oracles.standard_rotating_hamiltonian(dg)),
+    ]
+    for got, want in pairs:
+        assert got.format == "csr" and got.dtype == complex
+        assert np.array_equal(got.toarray(), want)
+    assert np.array_equal(nonmoral.uniform_block_state(dg), oracles.uniform_block_state(dg))
+    for v in range(g.n):
+        assert np.array_equal(nonmoral.block_mixed_state(dg, v), oracles.block_mixed_state(dg, v))
 
 
 @pytest.mark.parametrize("g", [
@@ -66,7 +76,7 @@ def test_fourier_matrix():
 
 def test_lindblad_moral_triangle_display():
     dg = nonmoral.demoralize(graphs.moral_triangle())
-    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
+    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg)).toarray()
     want = np.zeros((4, 4))
     want[2, 0] = want[3, 0] = want[2, 1] = 1
     want[3, 1] = -1
@@ -75,7 +85,7 @@ def test_lindblad_moral_triangle_display():
 
 def test_lindblad_premature_display():
     dg = nonmoral.demoralize(graphs.premature_graph())
-    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
+    lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg)).toarray()
     want = np.array([
         [0, 1, 1, 0, 0, 1, 1],
         [1, 0, 1, 0, 1, 0, 1],
@@ -91,7 +101,7 @@ def test_lindblad_premature_display():
 def test_lindblad_no_arcs_zero():
     dg = nonmoral.demoralize(graphs.DiGraph(3, frozenset()))
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
-    assert np.abs(lb).max() == 0
+    assert np.abs(lb.toarray()).max() == 0
 
 
 def test_lindblad_rejects_non_orthogonal_columns():
@@ -120,7 +130,7 @@ def test_lindblad_cross_vertex_blocks_vanish():
             scales = 0.5 + rng.random(d)
             return (q * scales)[:, :max(g.indegree(v), 1)]
 
-        lb = nonmoral.build_nonmoral_lindblad(dg, family)
+        lb = nonmoral.build_nonmoral_lindblad(dg, family).toarray()
         ldl = lb.conj().T @ lb
         for v in range(g.n):
             for w in range(g.n):
@@ -133,7 +143,7 @@ def test_lindblad_cross_vertex_blocks_vanish():
 def test_standard_hamiltonian_support():
     g = graphs.moral_triangle()
     dg = nonmoral.demoralize(g)
-    h = nonmoral.standard_hamiltonian(dg)
+    h = nonmoral.standard_hamiltonian(dg).toarray()
     # v1 and v2 are not adjacent in the underlying graph
     assert h[0, 1] == 0
     assert h[dg.index[0][0], dg.index[2][0]] == 1
@@ -144,7 +154,7 @@ def test_standard_hamiltonian_support():
 def test_rotating_hamiltonian_blocks():
     g = graphs.DiGraph(4, frozenset({(1, 0), (2, 0), (3, 0)}))
     dg = nonmoral.demoralize(g)  # one block of size 3, three of size 1
-    h = nonmoral.standard_rotating_hamiltonian(dg)
+    h = nonmoral.standard_rotating_hamiltonian(dg).toarray()
     blk = h[np.ix_(dg.index[0], dg.index[0])]
     want = np.array([[0, 1j, 0], [-1j, 0, 1j], [0, -1j, 0]])
     assert np.abs(blk - want).max() == 0
@@ -158,11 +168,12 @@ def test_random_rotating_hamiltonian_ensembles():
     for ens in ("GOE", "GUE", "XY"):
         h = nonmoral.random_rotating_hamiltonian(dg, ens, seed=3)
         numkernel.check_hermitian(h)
-        h2 = nonmoral.random_rotating_hamiltonian(dg, ens, seed=3)
+        h = h.toarray()
+        h2 = nonmoral.random_rotating_hamiltonian(dg, ens, seed=3).toarray()
         assert np.array_equal(h, h2)
         # block diagonal over copies
         assert h[dg.index[0][0], dg.index[1][0]] == 0
-    assert np.abs(nonmoral.random_rotating_hamiltonian(dg, "GOE", 0).imag).max() == 0
+    assert np.abs(nonmoral.random_rotating_hamiltonian(dg, "GOE", 0).toarray().imag).max() == 0
     with pytest.raises(ValueError):
         nonmoral.random_rotating_hamiltonian(dg, "bogus", 0)
 

@@ -43,13 +43,15 @@ def test_vec_of_product_identity():
 
 
 def test_check_hermitian_accepts_and_rejects():
-    numkernel.check_hermitian(random_hermitian(5, 0))
     bad = random_hermitian(5, 0)
     bad[0, 1] += 1e-6
-    with pytest.raises(NumericalError):
-        numkernel.check_hermitian(bad)
-    with pytest.raises(DimensionError):
-        numkernel.check_hermitian(np.zeros((2, 3)))
+    for form in (np.asarray, sp.csr_matrix):
+        good = form(random_hermitian(5, 0))
+        assert numkernel.check_hermitian(good) is good
+        with pytest.raises(NumericalError):
+            numkernel.check_hermitian(form(bad))
+        with pytest.raises(DimensionError):
+            numkernel.check_hermitian(form(np.zeros((2, 3))))
 
 
 def test_eig_hermitian_descending_and_reconstructs():
@@ -92,8 +94,9 @@ def test_expm_apply_t_zero_copies():
 def test_check_hermitian_rejects_non_finite(value):
     bad = random_hermitian(4, 1)
     bad[2, 2] = value
-    with pytest.raises(NumericalError, match="non-finite"):
-        numkernel.check_hermitian(bad)
+    for form in (np.asarray, sp.csr_matrix):
+        with pytest.raises(NumericalError, match="non-finite"):
+            numkernel.check_hermitian(form(bad))
     with pytest.raises(NumericalError):
         numkernel.eig_hermitian(bad)
 
