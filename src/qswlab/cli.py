@@ -50,6 +50,15 @@ def parse_graph_spec(spec: str):
     raise click.UsageError(f"unknown graph family {kind!r}")
 
 
+def _open_output(path, newline=None):
+    """path opened for writing; an OSError becomes a UsageError that names
+    the path, so an unwritable report exits 2."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_json(path, payload, config, seed):
     doc = {
         "config": config,
@@ -62,12 +71,12 @@ def _write_json(path, payload, config, seed):
         text = json.dumps(doc, indent=1, default=float, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"report {path} would hold a non-finite value: {exc}") from exc
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -124,7 +133,7 @@ def cmd_graphgen(model, n, p, m0, a, b, directed, seed, out):
             g = graphs.gen_cl(n, graphs.cl_powerlaw_omega(n, a, b), seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with open(out, "w") as fh:
+    with _open_output(out) as fh:
         graphs.to_json(g, fh)
 
 
@@ -151,8 +160,8 @@ def _ngqsw_path_profiles(n, omega, times):
     of the generator: the largest imaginary entry dropped from its real
     form (the states are Hermitian by construction)."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
-    ops = nonmoral.standard_operators(dg, nonmoral.symmetrized_path_lindblads(dg))
-    gen = nonmoral.ngqsw_generator(dg, ops, omega)
+    spec = nonmoral.ngqsw_spec(dg, omega, nonmoral.symmetrized_path_lindblads(dg))
+    gen = gksl.build_generator(spec)
     rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), times)
     profiles = np.array([nonmoral.natural_measure(rho, dg) for rho in rhos])
     drift = {
@@ -236,11 +245,11 @@ def cmd_converge(model, graph_spec, omega, tol, out):
     if model == "ngqsw":
         dg = nonmoral.demoralize(dig)
         analysis.check_generator_dim(dg.dim)
-        gen = nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)
+        spec = nonmoral.ngqsw_spec(dg, omega)
     else:
         analysis.check_generator_dim(dig.n)
-        spec = gksl.lqsw_spec if model == "lqsw" else gksl.gqsw_spec
-        gen = gksl.generator_from_spec(spec(dig, omega))
+        spec = (gksl.lqsw_spec if model == "lqsw" else gksl.gqsw_spec)(dig, omega)
+    gen = gksl.build_generator(spec)
     report = analysis.classify_convergence(gen, tol=tol)
     payload = {
         "classification": report.classification,
@@ -286,8 +295,7 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
     spec = search.search_spectrum(g, kind)
     stats = search.search_stats(spec, w)
     if t_start is None and t_stop is None and t_step is None:
-        t_stop = 3.0 * stats.predicted_t
-        times = np.linspace(0.0, t_stop, 301)
+        times = np.linspace(0.0, 3.0 * stats.predicted_t, 301)
     else:
         if None in (t_start, t_stop, t_step):
             raise click.UsageError("give all of --t-start/--t-stop/--t-step or none")
@@ -306,7 +314,8 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         "_wallclock": time.time() - t0,
     }
     config = {"command": "search", "graph": graph_spec, "kind": kind,
-              "marked": marked, "gamma_rule": gamma_rule, "gamma": gamma}
+              "marked": marked, "gamma_rule": gamma_rule, "gamma": gamma,
+              "t_start": t_start, "t_stop": t_stop, "t_step": t_step}
     _write_json(out_json, payload, config, seed=None)
 
 
@@ -387,7 +396,7 @@ def cmd_sweep(config_path):
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read config {config_path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config must be a JSON object")
@@ -408,7 +417,10 @@ def cmd_sweep(config_path):
     outdir = cfg.get("outdir", ".")
     if not isinstance(outdir, str):
         raise click.UsageError("config field 'outdir' must be a string")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create output directory {outdir}: {exc.strerror or exc}")
     run(outdir, seed, samples)
     _write_json(os.path.join(outdir, "sweep.json"),
                 {"_wallclock": time.time() - t0}, cfg, seed)

@@ -70,10 +70,10 @@ class EvolutionGenerator:
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Hamiltonian, Lindblad family and weights that define one walk; the
-    operators are scipy sparse matrices."""
+    """Hamiltonian, Lindblad family and weights that define one walk, for
+    every model from CTQW to the nonmoralizing walk; the operators are
+    scipy sparse matrices."""
 
-    model: str
     hamiltonian: sp.csr_matrix
     lindblads: tuple
     ham_weight: float
@@ -87,19 +87,20 @@ def _from_entries(entries, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> EvolutionGenerator:
+def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     """S = w_h * (-i)(H x I - I x conj(H)) + w_d * (sum_L L x conj(L)
     - 1/2 K x I - 1/2 I x K^T) with K = sum_L L'L, row-major vec convention.
 
     Each L x conj(L) is built from the products of L's nonzeros, and
     K = B'B for the Lindblads stacked into one tall matrix B, so the
     anticommutator costs two Kronecker products whatever the number of
-    Lindblads. H and each L may be dense arrays or scipy sparse matrices.
-    H must be Hermitian (numkernel.check_hermitian), or NumericalError is
-    raised: S would not preserve the trace."""
+    Lindblads. H and each L of the spec may be dense arrays or scipy sparse
+    matrices. H must be Hermitian (numkernel.check_hermitian), or
+    NumericalError is raised: S would not preserve the trace."""
+    lindblads, ham_weight, diss_weight = spec.lindblads, spec.ham_weight, spec.diss_weight
     if ham_weight < 0 or diss_weight < 0:
         raise ValueError("weights must be nonnegative")
-    h = numkernel.check_hermitian(sp.csr_matrix(h, dtype=complex))
+    h = numkernel.check_hermitian(sp.csr_matrix(spec.hamiltonian, dtype=complex))
     n = h.shape[0]
     eye = sp.identity(n, dtype=complex, format="csr")
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
@@ -130,10 +131,6 @@ def build_generator(h, lindblads, ham_weight: float, diss_weight: float) -> Evol
     return EvolutionGenerator(s=s, dim=n)
 
 
-def generator_from_spec(spec: WalkSpec) -> EvolutionGenerator:
-    return build_generator(spec.hamiltonian, spec.lindblads, spec.ham_weight, spec.diss_weight)
-
-
 def _arc_lindblads(g: graphs.DiGraph) -> tuple:
     """One single-entry |w><v| per arc v -> w, in sorted arc order."""
     return tuple(sp.coo_matrix(([1.0 + 0j], ([w], [v])), shape=(g.n, g.n))
@@ -141,7 +138,7 @@ def _arc_lindblads(g: graphs.DiGraph) -> tuple:
 
 
 def ctqw_spec(g: graphs.Graph) -> WalkSpec:
-    return WalkSpec("CTQW", graphs.arc_matrix(g).astype(complex), (), 1.0, 0.0)
+    return WalkSpec(graphs.arc_matrix(g).astype(complex), (), 1.0, 0.0)
 
 
 def ctrw_rate_matrix(g: graphs.Graph) -> np.ndarray:
@@ -159,7 +156,7 @@ def lqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     """One Lindblad |w><v| per arc; Hamiltonian from the underlying graph."""
     check_omega(omega)
     h = graphs.arc_matrix(graphs.underlying(g)).astype(complex)
-    return WalkSpec("LQSW", h, _arc_lindblads(g), 1.0 - omega, omega)
+    return WalkSpec(h, _arc_lindblads(g), 1.0 - omega, omega)
 
 
 def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
@@ -167,11 +164,10 @@ def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     check_omega(omega)
     h = graphs.arc_matrix(graphs.underlying(g)).astype(complex)
     l = graphs.arc_matrix(g).T.tocsr().astype(complex)
-    return WalkSpec("GQSW", h, (l,), 1.0 - omega, omega)
+    return WalkSpec(h, (l,), 1.0 - omega, omega)
 
 
-def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
-           validate: bool = True) -> np.ndarray:
+def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
     """exp(S t) applied to rho0: one state for a scalar t, or a stack with
     one state per time for an ascending grid with a constant step (see
     numkernel.expm_apply).
@@ -180,9 +176,8 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
     in the Hermitian basis T go through exp(R t) with the real R = T^H S T
     of gen.real, and each state is rebuilt as vec(rho) = T x, so it is
     Hermitian by construction. rho0 must be Hermitian to HERM_TOL, or
-    DensityInvariantViolated is raised. With validate, every returned state
-    must pass check_density at DRIFT_TOL; no state is symmetrised or
-    renormalised."""
+    DensityInvariantViolated is raised. Every returned state must pass
+    check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
@@ -192,10 +187,8 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t,
         raise DensityInvariantViolated("initial state is not Hermitian")
     xs = numkernel.expm_apply(form.matrix, x.real, t)
     rhos = (form.basis @ np.atleast_2d(xs).T).T.reshape(-1, gen.dim, gen.dim)
-    if validate:
-        for rho in rhos:
-            check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL,
-                          eig_floor=-DRIFT_TOL)
+    for rho in rhos:
+        check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL, eig_floor=-DRIFT_TOL)
     return rhos[0] if np.ndim(t) == 0 else rhos
 
 

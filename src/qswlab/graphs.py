@@ -47,15 +47,6 @@ class DiGraph:
         _check_pairs(self.n, arcs, ordered=True)
         object.__setattr__(self, "arcs", arcs)
 
-    def indegree(self, v: int) -> int:
-        return sum(1 for (_, w) in self.arcs if w == v)
-
-    def outdegree(self, v: int) -> int:
-        return sum(1 for (u, _) in self.arcs if u == v)
-
-    def in_neighbors(self, v: int) -> list:
-        return sorted(u for (u, w) in self.arcs if w == v)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -69,15 +60,8 @@ class Graph:
         _check_pairs(self.n, edges, ordered=False)
         object.__setattr__(self, "edges", edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.diff(arc_matrix(self).indptr)
 
 
 def adjacency(g) -> np.ndarray:

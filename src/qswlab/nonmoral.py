@@ -31,9 +31,6 @@ class DemoralizedGraph:
     labels: tuple               # labels[i] = (v, k)
     dim: int
 
-    def block(self, v: int) -> tuple:
-        return self.index[v]
-
     @functools.cached_property
     def copies(self) -> sp.csr_matrix:
         """The dim x n copy-membership matrix E: E[i, v] = 1 iff basis
@@ -159,34 +156,15 @@ def random_rotating_hamiltonian(dg: DemoralizedGraph, ensemble: str, seed: int) 
     return _block_diagonal(dg, sp.block_diag(blocks))
 
 
-@dataclass(frozen=True)
-class NonmoralOperators:
-    """Standard and rotating Hamiltonians and the Lindblads of one walk on
-    the enlarged space, as scipy sparse matrices."""
-
-    hamiltonian: sp.csr_matrix
-    rotating: sp.csr_matrix
-    lindblads: tuple
-
-
-def standard_operators(dg: DemoralizedGraph, lindblads=None) -> NonmoralOperators:
-    """The standard and rotating Hamiltonians with the given Lindblads; by
+def ngqsw_spec(dg: DemoralizedGraph, omega: float, lindblads=None) -> gksl.WalkSpec:
+    """Coherent part (1-omega) H + omega H_rot with the standard and rotating
+    Hamiltonians; dissipator weight omega over the given Lindblads, by
     default the single Fourier-family Lindblad."""
+    gksl.check_omega(omega)
     if lindblads is None:
         lindblads = (build_nonmoral_lindblad(dg, fourier_family(dg)),)
-    return NonmoralOperators(
-        hamiltonian=standard_hamiltonian(dg),
-        rotating=standard_rotating_hamiltonian(dg),
-        lindblads=tuple(lindblads),
-    )
-
-
-def ngqsw_generator(dg: DemoralizedGraph, ops: NonmoralOperators,
-                    omega: float) -> gksl.EvolutionGenerator:
-    """Coherent part (1-omega) H + omega H_rot; dissipator weight omega."""
-    gksl.check_omega(omega)
-    h = (1.0 - omega) * ops.hamiltonian + omega * ops.rotating
-    return gksl.build_generator(h, ops.lindblads, 1.0, omega)
+    h = (1.0 - omega) * standard_hamiltonian(dg) + omega * standard_rotating_hamiltonian(dg)
+    return gksl.WalkSpec(h, tuple(lindblads), 1.0, omega)
 
 
 def symmetrized_path_lindblads(dg: DemoralizedGraph) -> tuple:

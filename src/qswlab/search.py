@@ -234,11 +234,11 @@ def classical_mfpt(g: graphs.Graph, w: int) -> float:
     from the stationary distribution: (2|E|/deg(w)) * S1 over I minus the
     normalized Laplacian."""
     _, s1, _, _ = _overlap_sums(search_spectrum(g, "normalized_laplacian"), w)
-    return 2.0 * len(g.edges) / g.degree(w) * s1
+    return 2.0 * len(g.edges) / g.degrees()[w] * s1
 
 
 def classical_mfpt_lower_bound(g: graphs.Graph, w: int) -> float:
-    return len(g.edges) / g.degree(w) - 0.5
+    return len(g.edges) / g.degrees()[w] - 0.5
 
 
 def _hitting_steps(indptr, indices, starts, target, max_steps, raw):
@@ -280,7 +280,7 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
     rng = np.random.default_rng(seed)
     starts = rng.choice(g.n, size=walks, p=deg / deg.sum()).astype(np.int64)
     if max_steps is None:
-        max_steps = max(100, int(100 * len(g.edges) / g.degree(w)))
+        max_steps = max(100, int(100 * len(g.edges) / deg[w]))
     chunk = max(1, int(2e7) // max_steps)
     total = 0.0
     censored = 0

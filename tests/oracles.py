@@ -141,8 +141,8 @@ def walk_generators(draw):
     omega = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     model = draw(st.sampled_from(["lqsw", "gqsw", "ngqsw"]))
     if model == "lqsw":
-        return gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
+        return gksl.build_generator(gksl.lqsw_spec(g, omega))
     if model == "gqsw":
-        return gksl.generator_from_spec(gksl.gqsw_spec(g, omega))
+        return gksl.build_generator(gksl.gqsw_spec(g, omega))
     dg = nonmoral.demoralize(g)
-    return nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)
+    return gksl.build_generator(nonmoral.ngqsw_spec(dg, omega))

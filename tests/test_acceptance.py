@@ -21,7 +21,7 @@ def test_acceptance_01_closed_form_evolution():
     dig = graphs.to_digraph(graphs.path(n))
     worst = 0.0
     for omega in (0.0, 0.3, 0.7, 1.0):
-        gen = gksl.generator_from_spec(gksl.gqsw_spec(dig, omega))
+        gen = gksl.build_generator(gksl.gqsw_spec(dig, omega))
         for t in (0.5, 2.0, 5.0):
             diag = np.diagonal(gksl.evolve(gen, gksl.pure_state(n, 10), t)).real
             ref = analysis.path_probability_profile(n, 11, t, omega)
@@ -73,11 +73,11 @@ def test_acceptance_03_scaling_exponents():
 
 def test_acceptance_04_moralization_removed():
     g = graphs.moral_triangle()
-    gen = gksl.generator_from_spec(gksl.gqsw_spec(g, 1.0))
+    gen = gksl.build_generator(gksl.gqsw_spec(g, 1.0))
     p2 = gksl.measure(gksl.evolve(gen, gksl.pure_state(3, 0), 20.0))[1]
 
     dg = nonmoral.demoralize(g)
-    gen_n = nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), 1.0)
+    gen_n = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
     worst = 0.0
     for t in np.arange(0.5, 20.5, 0.5):
         rho = gksl.evolve(gen_n, gksl.pure_state(4, 0), t)
@@ -92,7 +92,7 @@ def test_acceptance_05_premature_localization():
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     zero = np.zeros((7, 7))
 
-    gen0 = nonmoral.ngqsw_generator(dg, nonmoral.NonmoralOperators(zero, zero, (lb,)), 1.0)
+    gen0 = gksl.build_generator(gksl.WalkSpec(zero, (lb,), 1.0, 1.0))
     rho0 = gksl.evolve(gen0, gksl.pure_state(7, 0), 200.0)
     printed = np.array([
         [5, 1, 1, 0, -5, -1, -1], [1, 1, 1, 0, -1, -1, -1],
@@ -101,8 +101,8 @@ def test_acceptance_05_premature_localization():
         [-1, -1, -1, 0, 1, 1, 1]]) / 16
     dev0 = np.abs(rho0 - printed).max()
 
-    ops = nonmoral.NonmoralOperators(zero, nonmoral.standard_rotating_hamiltonian(dg), (lb,))
-    gen1 = nonmoral.ngqsw_generator(dg, ops, 1.0)
+    spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
+    gen1 = gksl.build_generator(spec)
     rho1 = gksl.evolve(gen1, gksl.pure_state(7, 0), 500.0)
     target = np.zeros((7, 7))
     target[3, 3] = 1.0
@@ -117,7 +117,7 @@ def test_acceptance_06_symmetrization():
     n = 61
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     lbs = nonmoral.symmetrized_path_lindblads(dg)
-    gen = gksl.build_generator(nonmoral.standard_rotating_hamiltonian(dg), lbs, 1.0, 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), lbs, 1.0, 1.0))
     rho = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), 100.0)
     p = nonmoral.natural_measure(rho, dg)
     asym = max(abs(p[k] - p[n - 1 - k]) for k in range(n))
@@ -134,16 +134,16 @@ def test_acceptance_07_convergence_classifier():
         if not graphs.is_strongly_connected(g):
             continue
         trials += 1
-        gen = gksl.generator_from_spec(gksl.lqsw_spec(g, 0.5))
+        gen = gksl.build_generator(gksl.lqsw_spec(g, 0.5))
         if analysis.classify_convergence(gen).classification == "Relaxing":
             relaxing += 1
 
-    gen_c = gksl.generator_from_spec(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
+    gen_c = gksl.build_generator(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
     rep_c = analysis.classify_convergence(gen_c)
     dev_c = np.abs(numkernel.eig_general(gen_c.s) - 2 * (1 - 0.5) * 1j).min()
 
     dg = nonmoral.demoralize(graphs.ngqsw_period_graph())
-    gen_p = nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), 0.5)
+    gen_p = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5))
     rep_p = analysis.classify_convergence(gen_p)
     lam_p = numkernel.eig_general(gen_p.s)
     tgt = 2j * math.sqrt(3) * 0.5

@@ -68,7 +68,7 @@ def test_path_closed_form_omega0_is_ctqw():
 
 def test_path_closed_form_matches_evolve():
     n, t, omega = 21, 3.0, 0.6
-    gen = gksl.generator_from_spec(gksl.gqsw_spec(graphs.to_digraph(graphs.path(n)), omega))
+    gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(graphs.path(n)), omega))
     p = gksl.measure(gksl.evolve(gen, gksl.pure_state(n, 10), t))
     prof = analysis.path_probability_profile(n, 11, t, omega)
     assert np.abs(p - prof).max() < 1e-8
@@ -203,7 +203,7 @@ def test_moment_mu2_formula_on_path():
 def test_classifier_lqsw_strongly_connected_relaxing():
     g = graphs.DiGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)}))
     assert graphs.is_strongly_connected(g)
-    gen = gksl.generator_from_spec(gksl.lqsw_spec(g, 0.5))
+    gen = gksl.build_generator(gksl.lqsw_spec(g, 0.5))
     rep = analysis.classify_convergence(gen)
     assert rep.classification == "Relaxing"
     assert rep.zero_multiplicity == 1
@@ -211,14 +211,14 @@ def test_classifier_lqsw_strongly_connected_relaxing():
 
 def test_classifier_gqsw_undirected_not_relaxing():
     for g in (graphs.path(3), graphs.complete(4)):
-        gen = gksl.generator_from_spec(gksl.gqsw_spec(graphs.to_digraph(g), 0.5))
+        gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(g), 0.5))
         rep = analysis.classify_convergence(gen)
         assert rep.classification != "Relaxing"
         assert rep.zero_multiplicity >= 2
 
 
 def test_classifier_circulant_periodic():
-    gen = gksl.generator_from_spec(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
+    gen = gksl.build_generator(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
     rep = analysis.classify_convergence(gen)
     assert rep.classification == "PossiblyPeriodic"
     lam = numkernel.eig_general(gen.s)
@@ -272,7 +272,7 @@ def test_classifier_rejects_non_hermiticity_preserving_generator():
 
 
 def test_classifier_dimension_cap():
-    gen = gksl.generator_from_spec(
+    gen = gksl.build_generator(
         gksl.gqsw_spec(graphs.to_digraph(graphs.path(51)), 0.5))
     with pytest.raises(DimensionError):
         analysis.classify_convergence(gen)
@@ -291,7 +291,7 @@ def test_structure_measures_lqsw_gap_below_one():
     probability outside the sink component even at long times."""
     g = graphs.DiGraph(6, frozenset((i, i + 1) for i in range(5)))
     for omega, expect_full in ((1.0, True), (0.5, False)):
-        gen = gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
+        gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
         rho = gksl.evolve(gen, gksl.pure_state(6, 0), 2000.0)
         p_s, _ = analysis.structure_measures(g, gksl.measure(rho))
         if expect_full:

@@ -182,6 +182,59 @@ def test_sweep_ba_search_small(runner, tmp_path):
     assert doc["version"]
 
 
+def _unwritable_report(tmp_path, case):
+    """A command line whose report path cannot be written, and that path."""
+    missing = tmp_path / "missing"
+    if case == "converge":
+        bad = missing / "c.json"
+        return ["converge", "--model", "lqsw", "--graph", "path:3", "--out", str(bad)], bad
+    if case == "graphgen":
+        bad = missing / "g.json"
+        return ["graphgen", "--model", "er", "--n", "5", "--p", "0.5",
+                "--out", str(bad)], bad
+    if case == "search":
+        return ["search", "--graph", "complete:4", "--marked", "1", "--out-csv",
+                str(tmp_path), "--out-json", str(tmp_path / "s.json")], tmp_path
+    if case == "propagate":
+        bad = missing / "p.csv"
+        return ["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "5",
+                "--t-start", "1", "--t-stop", "3", "--t-step", "1", "--batch", "2",
+                "--out-csv", str(bad), "--out-json", str(missing / "p.json")], bad
+    bad = tmp_path / "taken"
+    bad.write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "ba_search", "samples": 1, "n": [10], "m0": 2,
+                               "outdir": str(bad)}))
+    return ["sweep", "--config", str(cfg)], bad
+
+
+@pytest.mark.parametrize("case", ["converge", "graphgen", "search", "propagate", "sweep"])
+def test_unwritable_report_path_exits_2(runner, tmp_path, case):
+    """A report path in a missing directory, a report path that is a
+    directory, and a sweep outdir that is a file all exit 2 and name the
+    path."""
+    args, bad = _unwritable_report(tmp_path, case)
+    r = runner.invoke(cli.main, args)
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert str(bad) in r.output
+
+
+def test_search_report_echoes_its_grid(runner, tmp_path):
+    """The config of a search report holds the time grid it ran on, null
+    for the auto grid, so the run can be repeated from the report."""
+    args = _search_args(tmp_path, "complete:8", 1)
+    r = runner.invoke(cli.main, args + ["--t-start", "0", "--t-stop", "2", "--t-step", "0.5"])
+    assert r.exit_code == 0, r.output
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert (config["t_start"], config["t_stop"], config["t_step"]) == (0.0, 2.0, 0.5)
+    r = runner.invoke(cli.main, args)
+    assert r.exit_code == 0, r.output
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert (config["t_start"], config["t_stop"], config["t_step"]) == (None, None, None)
+
+
 def _search_args(tmp_path, graph, marked):
     return ["search", "--graph", graph, "--marked", str(marked),
             "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")]
@@ -342,7 +395,8 @@ def test_propagate_ngqsw_matches_dense_expm(runner, tmp_path):
     # independent oracle: a dense exp(S t) for each time, nothing chained
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     h = 0.5 * nonmoral.standard_hamiltonian(dg) + 0.5 * nonmoral.standard_rotating_hamiltonian(dg)
-    s = gksl.build_generator(h, nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5).s.toarray()
+    s = gksl.build_generator(
+        gksl.WalkSpec(h, nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5)).s.toarray()
     rho0 = nonmoral.block_mixed_state(dg, (n - 1) // 2).reshape(-1)
     positions = np.arange(1, n + 1) - (n + 1) // 2
     for t, got in zip(times, mu2):
@@ -413,8 +467,9 @@ def test_converge_checks_size_before_building(runner, tmp_path, monkeypatch, mod
     def refuse(*args, **kwargs):
         raise AssertionError("operators built before the size check")
 
-    monkeypatch.setattr(gksl, "build_generator", refuse)
-    monkeypatch.setattr(nonmoral, "standard_operators", refuse)
+    for module, name in [(gksl, "lqsw_spec"), (nonmoral, "ngqsw_spec"),
+                         (gksl, "build_generator")]:
+        monkeypatch.setattr(module, name, refuse)
     out = tmp_path / "c.json"
     r = runner.invoke(cli.main, ["converge", "--model", model, "--graph", graph,
                                  "--out", str(out)])

@@ -4,7 +4,10 @@ leaves a report that parses as strict JSON.
 
 Each command line has valid values everywhere except in at most one drawn
 option, which gets a malformed or out-of-range value, so both the error
-paths and the numerical paths run."""
+paths and the numerical paths run. The drawn option can be an output path:
+one in a missing directory, or an existing directory. Output paths are
+drawn relative to a placeholder that the test replaces with a fresh
+temporary directory."""
 import json
 import math
 import os
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from qswlab import cli
 
+TMP = "<tmp>"
 GOOD = {
     "graph": st.sampled_from(["path:3", "path:4", "complete:3", "complete:4",
                               "star:4", "star:5"]),
@@ -25,7 +29,10 @@ GOOD = {
     "batch": st.integers(2, 3).map(str),
     "marked": st.integers(1, 3).map(str),
     "gamma": st.floats(0.01, 5.0).map(repr),
+    "report": st.just(f"{TMP}/report.json"),
+    "table": st.just(f"{TMP}/table.csv"),
 }
+UNWRITABLE = st.sampled_from([f"{TMP}/missing/out", TMP])
 BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "2", "1e308", "-1e308",
                               "5e-324", "abc", ""]) | st.floats(-10.0, 10.0).map(repr)
 BAD = {
@@ -41,6 +48,8 @@ BAD = {
     "t-start": BAD_FLOATS,
     "t-stop": BAD_FLOATS,
     "t-step": BAD_FLOATS,
+    "report": UNWRITABLE,
+    "table": UNWRITABLE,
 }
 
 
@@ -65,16 +74,19 @@ def _command_lines(draw):
 
     if command == "converge":
         return ["converge", "--model", draw(st.sampled_from(["lqsw", "gqsw", "ngqsw"])),
-                "--graph", value("graph"), "--omega", value("omega"), "--tol", value("tol")]
+                "--graph", value("graph"), "--omega", value("omega"), "--tol", value("tol"),
+                "--out", value("report")]
+    outputs = ["--out-json", value("report"), "--out-csv", value("table")]
     if command == "propagate":
         points = draw(st.integers(1, 6))
         return ["propagate", "--model", draw(st.sampled_from(["gqsw", "ngqsw"])),
                 "--omega", value("omega"), "--length", value("length"),
-                "--batch", value("batch")] + grid(draw(st.sampled_from([0.5, 1.0, 2.0])),
-                                                   draw(st.sampled_from([0.25, 0.5, 1.0])),
-                                                   points)
+                "--batch", value("batch")] + outputs + grid(
+                    draw(st.sampled_from([0.5, 1.0, 2.0])),
+                    draw(st.sampled_from([0.25, 0.5, 1.0])), points)
     args = ["search", "--graph", value("graph"), "--marked", value("marked"),
             "--kind", draw(st.sampled_from(["adjacency", "laplacian", "normalized_laplacian"]))]
+    args += outputs
     if bad == "gamma" or draw(st.booleans()):
         args += ["--gamma", value("gamma")]
     if bad in ("t-start", "t-stop", "t-step") or draw(st.booleans()):
@@ -87,16 +99,12 @@ def _command_lines(draw):
 @given(_command_lines())
 def test_cli_exits_cleanly_on_random_command_lines(args):
     with tempfile.TemporaryDirectory() as tmp:
-        report = os.path.join(tmp, "report.json")
-        if args[0] == "converge":
-            outputs = ["--out", report]
-        else:
-            outputs = ["--out-json", report, "--out-csv", os.path.join(tmp, "table.csv")]
-        r = CliRunner().invoke(cli.main, args + outputs)
+        args = [a.replace(TMP, tmp) for a in args]
+        r = CliRunner().invoke(cli.main, args)
         event(f"exit {r.exit_code}")
         assert r.exit_code in (0, 2, 3), (args, r.output, r.exception)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exception)
         if r.exit_code == 0:
-            with open(report) as fh:
+            with open(os.path.join(tmp, "report.json")) as fh:
                 doc = json.load(fh, parse_constant=_reject_constant)
             assert math.isfinite(doc["wallclock_sec"])

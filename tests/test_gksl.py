@@ -18,7 +18,7 @@ def random_density(n, seed):
 
 
 def test_zero_inputs_give_zero_generator():
-    gen = gksl.build_generator(np.zeros((3, 3)), [], 1.0, 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(np.zeros((3, 3)), (), 1.0, 1.0))
     assert gen.s.nnz == 0
 
 
@@ -29,7 +29,7 @@ def test_generator_matches_direct_rhs():
     h = h + h.conj().T
     l = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = random_density(3, 5)
-    gen = gksl.build_generator(h, [l], 1.0, 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(h, (l,), 1.0, 1.0))
     lhs = numkernel.unvec(gen.s @ numkernel.vec(rho))
     ldl = l.conj().T @ l
     rhs = -1j * (h @ rho - rho @ h) + l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
@@ -39,7 +39,7 @@ def test_generator_matches_direct_rhs():
 def test_trace_functional_annihilated():
     rng = np.random.default_rng(2)
     l = rng.standard_normal((4, 4))
-    gen = gksl.build_generator(np.diag([1.0, 2, 3, 4]), [l], 0.7, 0.3)
+    gen = gksl.build_generator(gksl.WalkSpec(np.diag([1.0, 2, 3, 4]), (l,), 0.7, 0.3))
     tr = numkernel.vec(np.eye(4))
     assert np.abs(tr @ gen.s.toarray()).max() < 1e-9
 
@@ -64,21 +64,19 @@ def _per_lindblad_generator(h, lindblads, ham_weight, diss_weight):
 
 def _generator_fixtures():
     tri = graphs.DiGraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)}))
-    yield gksl.lqsw_spec(tri, 0.4)
-    yield gksl.gqsw_spec(graphs.to_digraph(graphs.star(5)), 0.7)
+    yield pytest.param(gksl.lqsw_spec(tri, 0.4), id="LQSW")
+    yield pytest.param(gksl.gqsw_spec(graphs.to_digraph(graphs.star(5)), 0.7), id="GQSW")
     for g in (graphs.premature_graph(), graphs.to_digraph(graphs.path(5))):
-        dg = nonmoral.demoralize(g)
-        ops = nonmoral.standard_operators(dg)
-        h = 0.6 * ops.hamiltonian + 0.4 * ops.rotating
-        yield gksl.WalkSpec("NGQSW", h, ops.lindblads, 1.0, 0.4)
+        yield pytest.param(nonmoral.ngqsw_spec(nonmoral.demoralize(g), 0.4), id="NGQSW")
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(5)))
-    yield gksl.WalkSpec("NGQSW", nonmoral.standard_hamiltonian(dg),
-                        nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5)
+    yield pytest.param(gksl.WalkSpec(nonmoral.standard_hamiltonian(dg),
+                                     nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5),
+                       id="NGQSW")
 
 
-@pytest.mark.parametrize("spec", list(_generator_fixtures()), ids=lambda s: s.model)
+@pytest.mark.parametrize("spec", list(_generator_fixtures()))
 def test_build_generator_matches_per_lindblad_assembly(spec):
-    got = gksl.generator_from_spec(spec).s
+    got = gksl.build_generator(spec).s
     want = _per_lindblad_generator(spec.hamiltonian, spec.lindblads,
                                    spec.ham_weight, spec.diss_weight)
     assert abs(got - want).max() <= 1e-14
@@ -90,7 +88,7 @@ def test_walk_specs_reject_omega_outside_unit_interval(omega):
     g = graphs.to_digraph(graphs.path(3))
     dg = nonmoral.demoralize(g)
     for make in (lambda: gksl.lqsw_spec(g, omega), lambda: gksl.gqsw_spec(g, omega),
-                 lambda: nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), omega)):
+                 lambda: nonmoral.ngqsw_spec(dg, omega)):
         with pytest.raises(ParameterRangeError):
             make()
 
@@ -98,14 +96,14 @@ def test_walk_specs_reject_omega_outside_unit_interval(omega):
 def test_generator_spectrum_left_half_plane():
     g = graphs.to_digraph(graphs.path(4))
     for omega in (0.0, 0.4, 1.0):
-        gen = gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
+        gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
         lam = numkernel.eig_general(gen.s)
         assert lam.real.max() <= 1e-9
 
 
 def test_lqsw_directed_p2_stationary():
     g = graphs.DiGraph(2, frozenset({(0, 1)}))
-    gen = gksl.generator_from_spec(gksl.lqsw_spec(g, 1.0))
+    gen = gksl.build_generator(gksl.lqsw_spec(g, 1.0))
     rho = gksl.evolve(gen, gksl.pure_state(2, 0), 60.0)
     assert np.abs(rho - np.diag([0.0, 1.0])).max() < 1e-9
 
@@ -113,7 +111,7 @@ def test_lqsw_directed_p2_stationary():
 def test_lqsw_omega1_matches_classical_rates():
     """Fully dissipative local walk moves probability like the rate matrix."""
     g = graphs.path(5)
-    gen = gksl.generator_from_spec(gksl.lqsw_spec(graphs.to_digraph(g), 1.0))
+    gen = gksl.build_generator(gksl.lqsw_spec(graphs.to_digraph(g), 1.0))
     p0 = np.zeros(5)
     p0[2] = 1.0
     t = 1.3
@@ -124,18 +122,18 @@ def test_lqsw_omega1_matches_classical_rates():
 
 def test_evolve_t0_identity():
     rho = random_density(4, 8)
-    gen = gksl.build_generator(np.eye(4), [], 1.0, 0.0)
+    gen = gksl.build_generator(gksl.WalkSpec(np.eye(4), (), 1.0, 0.0))
     assert np.abs(gksl.evolve(gen, rho, 0.0) - rho).max() < 1e-12
 
 
 def test_evolve_rejects_bad_dimension():
-    gen = gksl.build_generator(np.eye(3), [], 1.0, 0.0)
+    gen = gksl.build_generator(gksl.WalkSpec(np.eye(3), (), 1.0, 0.0))
     with pytest.raises(DimensionError):
         gksl.evolve(gen, random_density(4, 0), 1.0)
 
 
 def test_moral_triangle_closed_form():
-    gen = gksl.generator_from_spec(gksl.gqsw_spec(graphs.moral_triangle(), 1.0))
+    gen = gksl.build_generator(gksl.gqsw_spec(graphs.moral_triangle(), 1.0))
     for t in (0.5, 1.0, 3.0):
         rho = gksl.evolve(gen, gksl.pure_state(3, 0), t)
         want = np.array([
@@ -149,7 +147,7 @@ def test_moral_triangle_closed_form():
 def test_ctqw_pure_state_consistency():
     g = graphs.path(6)
     spec = gksl.ctqw_spec(g)
-    gen = gksl.generator_from_spec(spec)
+    gen = gksl.build_generator(spec)
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
     t = 2.7
@@ -160,7 +158,7 @@ def test_ctqw_pure_state_consistency():
 
 def test_semigroup_property():
     g = graphs.to_digraph(graphs.star(4))
-    gen = gksl.generator_from_spec(gksl.gqsw_spec(g, 0.3))
+    gen = gksl.build_generator(gksl.gqsw_spec(g, 0.3))
     rho = random_density(4, 3)
     one = gksl.evolve(gen, rho, 2.5)
     two = gksl.evolve(gen, gksl.evolve(gen, rho, 1.0), 1.5)
@@ -170,13 +168,13 @@ def test_semigroup_property():
 def _grid_fixture(model):
     if model == "lqsw":
         g = graphs.DiGraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)}))
-        return gksl.generator_from_spec(gksl.lqsw_spec(g, 0.4)), random_density(5, 3)
+        return gksl.build_generator(gksl.lqsw_spec(g, 0.4)), random_density(5, 3)
     if model == "gqsw":
         g = graphs.to_digraph(graphs.path(8))
-        return gksl.generator_from_spec(gksl.gqsw_spec(g, 0.5)), gksl.pure_state(8, 3)
+        return gksl.build_generator(gksl.gqsw_spec(g, 0.5)), gksl.pure_state(8, 3)
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
-    ops = nonmoral.standard_operators(dg, nonmoral.symmetrized_path_lindblads(dg))
-    return nonmoral.ngqsw_generator(dg, ops, 0.5), nonmoral.block_mixed_state(dg, 3)
+    spec = nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg))
+    return gksl.build_generator(spec), nonmoral.block_mixed_state(dg, 3)
 
 
 GRID_SHAPES = [
@@ -229,7 +227,7 @@ def test_evolve_matches_complex_oracle(model, times):
 def test_evolve_matches_complex_oracle_on_random_walks(gen, seed, t):
     rho0 = random_density(gen.dim, seed)
     want = oracles.evolve_complex(gen, rho0, t)
-    got = gksl.evolve(gen, rho0, t, validate=False)
+    got = gksl.evolve(gen, rho0, t)
     assert np.array_equal(got, got.conj().T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -239,7 +237,7 @@ def test_evolve_rejects_non_hermitian_initial_state():
     rho0 = rho0.copy()
     rho0[0, 1] += 1e-6
     with pytest.raises(DensityInvariantViolated, match="not Hermitian"):
-        gksl.evolve(gen, rho0, 1.0, validate=False)
+        gksl.evolve(gen, rho0, 1.0)
 
 
 def test_non_hermitian_hamiltonian_is_rejected():
@@ -247,7 +245,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
     -i[H, rho] for such an H, which does not preserve Hermiticity."""
     h = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(NumericalError, match="not Hermitian"):
-        gksl.build_generator(h, [], 1.0, 0.0)
+        gksl.build_generator(gksl.WalkSpec(h, (), 1.0, 0.0))
     eye = np.eye(3)
     s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     gen = gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3)
@@ -286,7 +284,7 @@ def test_gqsw_spectrum_formula_cross_check():
     g = graphs.path(5)
     for omega in (0.3, 1.0):
         lam_f = gksl.gqsw_spectrum_commuting(g, omega)
-        gen = gksl.generator_from_spec(gksl.gqsw_spec(graphs.to_digraph(g), omega))
+        gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(g), omega))
         lam_d = numkernel.eig_general(gen.s)
         dev = max(np.abs(lam_d - x).min() for x in lam_f)
         assert dev < 1e-7
@@ -303,7 +301,7 @@ def test_gqsw_spectrum_has_stationary_directions():
        st.sampled_from([0.1, 1.0, 10.0]), st.floats(0.0, 1.0))
 def test_trace_and_positivity_preserved(n, seed, t, omega):
     g = graphs.gen_er(n, 0.6, seed, directed=True)
-    gen = gksl.generator_from_spec(gksl.lqsw_spec(g, omega))
-    rho = gksl.evolve(gen, random_density(n, seed), t, validate=False)
+    gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
+    rho = gksl.evolve(gen, random_density(n, seed), t)
     assert abs(np.trace(rho) - 1.0) < 1e-9
     assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-7

@@ -8,6 +8,11 @@ from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import NonOrthogonalColumnsError, NumericalError, WrongTopologyError
 
 
+def _indegrees(g):
+    """Column sums of the arc matrix: the arcs into each vertex."""
+    return np.asarray(graphs.arc_matrix(g).sum(axis=0)).ravel().astype(int)
+
+
 def test_demoralize_moral_triangle():
     dg = nonmoral.demoralize(graphs.moral_triangle())
     assert dg.block_sizes == (1, 1, 2)
@@ -30,7 +35,7 @@ def test_demoralize_dimension_formula():
     for seed in range(8):
         g = graphs.gen_er(7, 0.4, seed, directed=True)
         dg = nonmoral.demoralize(g)
-        want = len(g.arcs) + sum(1 for v in range(7) if g.indegree(v) == 0)
+        want = len(g.arcs) + np.count_nonzero(_indegrees(g) == 0)
         assert dg.dim == want
 
 
@@ -108,7 +113,7 @@ def test_lindblad_rejects_non_orthogonal_columns():
     dg = nonmoral.demoralize(graphs.moral_triangle())
 
     def bad(v):
-        return np.ones((dg.block_sizes[v], dg.base.indegree(v) or 1))
+        return np.ones((dg.block_sizes[v], _indegrees(dg.base)[v] or 1))
 
     with pytest.raises(NonOrthogonalColumnsError):
         nonmoral.build_nonmoral_lindblad(dg, bad)
@@ -128,7 +133,7 @@ def test_lindblad_cross_vertex_blocks_vanish():
             x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             q, _ = np.linalg.qr(x)
             scales = 0.5 + rng.random(d)
-            return (q * scales)[:, :max(g.indegree(v), 1)]
+            return (q * scales)[:, :max(_indegrees(g)[v], 1)]
 
         lb = nonmoral.build_nonmoral_lindblad(dg, family).toarray()
         ldl = lb.conj().T @ lb
@@ -186,10 +191,9 @@ def test_ngqsw_moral_triangle_closed_form():
     dg = nonmoral.demoralize(g)
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     zero = np.zeros((4, 4))
-    gen = nonmoral.ngqsw_generator(dg, nonmoral.NonmoralOperators(zero, zero, (lb,)), 1.0)
-    gen_rot = nonmoral.ngqsw_generator(
-        dg, nonmoral.NonmoralOperators(
-            zero, nonmoral.standard_rotating_hamiltonian(dg), (lb,)), 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(zero, (lb,), 1.0, 1.0))
+    gen_rot = gksl.build_generator(
+        gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0))
     for t in (0.5, 2.0, 20.0):
         rho = gksl.evolve(gen, gksl.pure_state(4, 0), t)
         v3 = np.zeros(4)
@@ -206,8 +210,7 @@ def test_ngqsw_moral_triangle_closed_form():
 def test_premature_zero_rotation_stationary():
     dg = nonmoral.demoralize(graphs.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
-    zero = np.zeros((7, 7))
-    gen = nonmoral.ngqsw_generator(dg, nonmoral.NonmoralOperators(zero, zero, (lb,)), 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(np.zeros((7, 7)), (lb,), 1.0, 1.0))
     rho = gksl.evolve(gen, gksl.pure_state(7, 0), 200.0)
     want = np.array([
         [5, 1, 1, 0, -5, -1, -1],
@@ -224,10 +227,8 @@ def test_premature_zero_rotation_stationary():
 def test_premature_standard_rotation_localizes():
     dg = nonmoral.demoralize(graphs.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
-    ops = nonmoral.NonmoralOperators(np.zeros((7, 7)),
-                                     nonmoral.standard_rotating_hamiltonian(dg),
-                                     (lb,))
-    gen = nonmoral.ngqsw_generator(dg, ops, 1.0)
+    spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
+    gen = gksl.build_generator(spec)
     rho = gksl.evolve(gen, gksl.pure_state(7, 0), 500.0)
     want = np.zeros((7, 7))
     want[3, 3] = 1.0
@@ -236,9 +237,8 @@ def test_premature_standard_rotation_localizes():
 
 def test_periodicity_witness_spectrum():
     dg = nonmoral.demoralize(graphs.ngqsw_period_graph())
-    ops = nonmoral.standard_operators(dg)
     for omega in (0.25, 1.0):
-        gen = nonmoral.ngqsw_generator(dg, ops, omega)
+        gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, omega))
         lam = numkernel.eig_general(gen.s)
         tgt = 2j * np.sqrt(3) * omega
         assert np.abs(lam - tgt).min() < 1e-8
@@ -252,12 +252,12 @@ def test_symmetrized_segment_profiles():
     hrot = nonmoral.standard_rotating_hamiltonian(dg)
     rho0 = nonmoral.block_mixed_state(dg, (n - 1) // 2)
 
-    gen = gksl.build_generator(hrot, lbs, 1.0, 1.0)
+    gen = gksl.build_generator(gksl.WalkSpec(hrot, lbs, 1.0, 1.0))
     p = nonmoral.natural_measure(gksl.evolve(gen, rho0, 10.0), dg)
     assert max(abs(p[k] - p[n - 1 - k]) for k in range(n)) < 1e-8
 
     single = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
-    gen1 = gksl.build_generator(hrot, (single,), 1.0, 1.0)
+    gen1 = gksl.build_generator(gksl.WalkSpec(hrot, (single,), 1.0, 1.0))
     p1 = nonmoral.natural_measure(gksl.evolve(gen1, rho0, 10.0), dg)
     assert max(abs(p1[k] - p1[n - 1 - k]) for k in range(n)) > 1e-3
 
@@ -296,7 +296,7 @@ def test_sink_block_state_is_stationary():
     """Mass parked on a sink vertex block keeps its natural distribution."""
     g = graphs.premature_graph()
     dg = nonmoral.demoralize(g)
-    gen = nonmoral.ngqsw_generator(dg, nonmoral.standard_operators(dg), 1.0)
+    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
     rho = nonmoral.block_mixed_state(dg, 3)
     p0 = nonmoral.natural_measure(rho, dg)
     for t in (1.0, 10.0):

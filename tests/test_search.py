@@ -105,7 +105,7 @@ def test_search_stats_examples():
     hnl = search.search_spectrum(g, "normalized_laplacian")
     for w in (0, 15):
         st = search.search_stats(hnl, w)
-        assert abs(st.eps - g.degree(w) / (2 * len(g.edges))) < 1e-10
+        assert abs(st.eps - g.degrees()[w] / (2 * len(g.edges))) < 1e-10
 
 
 def test_search_stats_vertex_transitive_independent_of_w():
