@@ -26,6 +26,9 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 DRIFT_TOL = 1e-7
+# About 0.9 GB peak RSS while S and its real form are assembled: the
+# length-301 ngqsw path has a bound of 1.65e7 and peaked at 749 MB.
+GENERATOR_NNZ_CAP = 20_000_000
 
 
 def check_density(rho: np.ndarray, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
@@ -96,24 +99,36 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     anticommutator costs two Kronecker products whatever the number of
     Lindblads. H and each L of the spec may be dense arrays or scipy sparse
     matrices. H must be Hermitian (numkernel.check_hermitian), or
-    NumericalError is raised: S would not preserve the trace."""
-    lindblads, ham_weight, diss_weight = spec.lindblads, spec.ham_weight, spec.diss_weight
+    NumericalError is raised: S would not preserve the trace.
+
+    Before anything n^2 x n^2 is assembled, nnz(S) is bounded by
+    2n nnz(H) + sum_L nnz(L)^2 + 2n nnz(K), and DimensionError is raised
+    when that bound exceeds GENERATOR_NNZ_CAP."""
+    ham_weight, diss_weight = spec.ham_weight, spec.diss_weight
     if ham_weight < 0 or diss_weight < 0:
         raise ValueError("weights must be nonnegative")
     h = numkernel.check_hermitian(sp.csr_matrix(spec.hamiltonian, dtype=complex))
     n = h.shape[0]
+    lindblads = [sp.coo_matrix(l, dtype=complex) for l in spec.lindblads] if diss_weight > 0 else []
+    if any(l.shape != (n, n) for l in lindblads):
+        raise DimensionError("Lindblad dimension mismatch")
+    bound = 2 * n * h.nnz + sum(l.nnz ** 2 for l in lindblads)
+    if lindblads:
+        b = _from_entries([(l.row.astype(np.int64) + j * n, l.col.astype(np.int64), l.data)
+                           for j, l in enumerate(lindblads)], (len(lindblads) * n, n))
+        k = (b.conj().T @ b).tocsr()
+        bound += 2 * n * k.nnz
+    if bound > GENERATOR_NNZ_CAP:
+        raise DimensionError(f"the generator could hold {bound:.3g} nonzeros, above the "
+                             f"cap {GENERATOR_NNZ_CAP:.3g}")
     eye = sp.identity(n, dtype=complex, format="csr")
     s = sp.csr_matrix((n * n, n * n), dtype=complex)
     if ham_weight > 0:
         s = s + ham_weight * (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.conj()))
-    if diss_weight > 0 and len(lindblads):
-        stack, jumps, pending = [], [], 0
+    if lindblads:
+        jumps, pending = [], 0
         for j, l in enumerate(lindblads):
-            l = sp.coo_matrix(l, dtype=complex)
-            if l.shape != (n, n):
-                raise DimensionError("Lindblad dimension mismatch")
             r, c, v = l.row.astype(np.int64), l.col.astype(np.int64), l.data
-            stack.append((r + j * n, c, v))
             jumps.append(((r[:, None] * n + r).ravel(), (c[:, None] * n + c).ravel(),
                           diss_weight * np.outer(v, v.conj()).ravel()))
             pending += v.size ** 2
@@ -124,8 +139,6 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
             if pending >= s.nnz or j == len(lindblads) - 1:
                 flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
                 s = s + flushed
-        b = _from_entries(stack, (len(stack) * n, n))
-        k = (b.conj().T @ b).tocsr()
         s = s - 0.5 * diss_weight * (sp.kron(k, eye) + sp.kron(eye, k.T))
     s.eliminate_zeros()
     return EvolutionGenerator(s=s, dim=n)

@@ -2,16 +2,22 @@
 diagonal plus rank-one matrix, matrix-exponential action, vectorization and
 the real Hermitian basis for superoperators.
 
+The matrix-exponential action expm_apply is a restarted Arnoldi integrator:
+one Krylov space of dimension KRYLOV_DIM per step, each step as long as
+Expokit's a-posteriori error estimate allows at EXPM_RTOL.
+
 Vectorization is row-major: vec(B) = sum_xy b_xy |xy>, so
 vec(A B C) = (A kron C^T) vec(B).
 """
 from __future__ import annotations
 
 import ctypes
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import cython_lapack
@@ -255,42 +261,153 @@ def _time_grid_step(times: np.ndarray) -> float:
     return float(step)
 
 
+KRYLOV_DIM = 30
+EXPM_RTOL = 1e-13
+_BREAKDOWN_RTOL = 1e-12  # h_{j+1,j} <= this times ||m||_1: the space is invariant
+_REFINE_TRIALS = 4       # geometric bisections after the first passing halving
+
+_log = logging.getLogger(__name__)
+
+
+def _expokit_error(f: np.ndarray, k: int, beta: float, avnorm: float) -> float:
+    """Sidje's a-posteriori estimate of the local error of the corrected
+    Krylov step, read from f = expm(tau * Hbar) on the augmented Hessenberg."""
+    phi1 = beta * abs(f[k, 0])
+    phi2 = beta * abs(f[k + 1, 0]) * avnorm
+    if phi1 > 10 * phi2:
+        return phi2
+    if phi1 > phi2:
+        return phi1 * phi2 / (phi1 - phi2)
+    return phi1
+
+
+@dataclass
+class _Arnoldi:
+    """Restarted Arnoldi steps of exp(tau m) for one expm_apply call, and
+    the counts its DEBUG record reports."""
+
+    m: object
+    budget: float     # error allowed per unit time
+    breakdown: float  # h_{j+1,j} at or below this: the space is invariant
+    matvecs: int = 0
+    steps: int = 0
+    rejected: int = 0
+    largest_error: float = 0.0
+
+    def step(self, x: np.ndarray, rem: float, floor: float) -> tuple[np.ndarray, float]:
+        """Advance x by one Krylov space: returns exp(tau m) x and tau <= rem.
+
+        tau is rem when the space is invariant or the estimate of the whole
+        interval is at most budget * rem; otherwise the largest tau found by
+        halving and then geometric bisection whose estimate is at most
+        budget * tau. NumericalError when the halving passes below floor."""
+        m = self.m
+        w = m @ x
+        self.matvecs += 1
+        if not w.any():
+            return x, rem
+        self.steps += 1
+        beta = float(np.linalg.norm(x))
+        n = x.size
+        k = min(KRYLOV_DIM, n)
+        basis = np.empty((k + 1, n), dtype=x.dtype)
+        hess = np.zeros((k + 2, k + 2), dtype=x.dtype)
+        basis[0] = x / beta
+        w /= beta
+        for j in range(k):
+            if j:
+                w = m @ basis[j]
+                self.matvecs += 1
+            for _ in range(2):  # classical Gram-Schmidt with a second pass
+                c = basis[:j + 1].conj() @ w
+                w -= c @ basis[:j + 1]
+                hess[:j + 1, j] += c
+            s = float(np.linalg.norm(w))
+            if s <= self.breakdown or j + 1 == n:
+                f = scipy.linalg.expm(rem * hess[:j + 1, :j + 1])
+                return (beta * f[:, 0]) @ basis[:j + 1], rem
+            hess[j + 1, j] = s
+            basis[j + 1] = w / s
+        hess[k + 1, k] = 1.0
+        avnorm = float(np.linalg.norm(m @ basis[k]))
+        self.matvecs += 1
+
+        def trial(tau):
+            f = scipy.linalg.expm(tau * hess)
+            err = _expokit_error(f, k, beta, avnorm)
+            if not err <= self.budget * tau:  # a NaN estimate fails too
+                self.rejected += 1
+                return None
+            return f, err
+
+        tau, hi = rem, None
+        found = trial(tau)
+        while found is None:
+            tau, hi = tau / 2, tau
+            if tau < floor:
+                raise NumericalError(
+                    f"no Krylov step of at least {floor:.3e} meets the error estimate")
+            found = trial(tau)
+        if hi is not None:
+            for _ in range(_REFINE_TRIALS):
+                mid = math.sqrt(tau * hi)
+                better = trial(mid)
+                if better is None:
+                    hi = mid
+                else:
+                    tau, found = mid, better
+        f, err = found
+        self.largest_error = max(self.largest_error, err)
+        return (beta * f[:k + 1, 0]) @ basis, tau
+
+
 def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
-    """exp(t*m) @ v for dense or sparse m; exact passthrough at t = 0.
+    """exp(t*m) @ v for dense or sparse m and a vector v; exact passthrough
+    at t = 0.
 
     t is a scalar, giving one vector, or an ascending grid with a constant
-    step, giving one row per time. A grid is evaluated by one call of
-    scipy's interval mode, which picks the Al-Mohy--Higham Taylor degree
-    and substep count once for the whole span and reuses them every step.
-    That mode fixes the substeps for the span t_last - t_first and then
-    also applies them from 0 to t_first, which is wrong when t_first is
-    large against the span, so every interval here starts at 0. When the
-    first time is k steps with k at most the number of grid points, the k
-    earlier multiples are prepended and dropped again; any other grid is
-    first stepped to its first time alone, and the interval runs on from
-    that state.
+    step, giving one row per time. The state is carried from grid time to
+    grid time by a restarted Arnoldi integrator (Saad 1992; Sidje's
+    Expokit 1998): each step builds one Krylov space of dimension
+    min(KRYLOV_DIM, n) by classical Gram-Schmidt with a second pass, and
+    uses it for the largest step tau whose Expokit estimate (phi1/phi2 on
+    the (KRYLOV_DIM + 2)-augmented Hessenberg) is at most
+    EXPM_RTOL * ||v|| * tau / t_last. That is the whole remaining interval
+    to the next grid time when it passes; otherwise it is found by halving
+    and geometric bisection over small dense expm evaluations. A space that
+    is invariant (h_{j+1,j} <= 1e-12 ||m||_1, or all of C^n) is exact and
+    takes the rest of the interval, and a state with m @ x exactly 0 is
+    returned unchanged. Real input stays real.
+
+    Raises NumericalError when m or v is not finite or when no step meets
+    the estimate. One DEBUG record per call gives the matvec count, the
+    Krylov steps, the rejected step trials and the largest accepted error
+    estimate.
     """
     v = np.asarray(v)
     n = m.shape[0]
-    if m.shape[0] != m.shape[1] or v.shape[0] != n:
+    if m.shape[0] != m.shape[1] or v.shape != (n,):
         raise DimensionError(f"shape mismatch: m {m.shape} vs v {v.shape}")
     scalar = np.ndim(t) == 0
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    step = _time_grid_step(times)
-    if scipy.sparse.issparse(m):
-        m = m.tocsr()
-    t0 = times[0]
-    k = round(t0 / step) if step else 0
-    if step and k <= times.size and abs(k * step - t0) <= GRID_RTOL * step:
-        start, origin, skip = v, 0.0, k
-    else:
-        start = scipy.sparse.linalg.expm_multiply(m * t0, v) if t0 else v
-        origin, skip = t0, 0
-    if times.size == 1:
-        out = start[None].copy()
-    else:
-        q = skip + times.size - 1
-        out = scipy.sparse.linalg.expm_multiply(
-            m, start, start=0.0, stop=times[-1] - origin, num=q + 1,
-            endpoint=True)[skip:]
+    _time_grid_step(times)
+    sparse = scipy.sparse.issparse(m)
+    m = m.tocsr() if sparse else np.asarray(m)
+    if not (np.all(np.isfinite(m.data if sparse else m)) and np.all(np.isfinite(v))):
+        raise NumericalError("expm_apply needs a finite matrix and vector")
+    norm1 = (scipy.sparse.linalg.norm if sparse else np.linalg.norm)(m, 1)
+    x = v.astype(np.result_type(m.dtype, v.dtype, float))
+    budget = EXPM_RTOL * float(np.linalg.norm(x)) / times[-1] if times[-1] else 0.0
+    arnoldi = _Arnoldi(m, budget, _BREAKDOWN_RTOL * norm1)
+    out = np.empty((times.size, n), dtype=x.dtype)
+    now = 0.0
+    for i, target in enumerate(times):
+        while now < target:
+            # a step of at least eps * target always advances now
+            x, tau = arnoldi.step(x, target - now, np.finfo(float).eps * target)
+            now = target if tau == target - now else now + tau
+        out[i] = x
+    _log.debug("expm_apply: %d matvecs, %d Krylov steps, %d rejected step trials, "
+               "largest accepted error estimate %.3e", arnoldi.matvecs, arnoldi.steps,
+               arnoldi.rejected, arnoldi.largest_error)
     return out[0] if scalar else out

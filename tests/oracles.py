@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use as oracles, and the
 hypothesis strategy for random walk generators that several tests share."""
 import numpy as np
+import scipy.sparse.linalg
 from hypothesis import strategies as st
 
 from qswlab import gksl, graphs, nonmoral, numkernel
@@ -60,8 +61,11 @@ def reachability(g) -> np.ndarray:
 def evolve_complex(gen, rho0, t) -> np.ndarray:
     """exp(S t) vec(rho0) with the complex generator S itself, reshaped to
     one state (scalar t) or one state per time: the reference for
-    gksl.evolve, which works in the real Hermitian basis."""
-    out = numkernel.expm_apply(gen.s, numkernel.vec(np.asarray(rho0, dtype=complex)), t)
+    gksl.evolve, which works in the real Hermitian basis with the Krylov
+    integrator of numkernel.expm_apply. Each time is one call of scipy's
+    Taylor expm_multiply, nothing chained."""
+    v = numkernel.vec(np.asarray(rho0, dtype=complex))
+    out = np.array([scipy.sparse.linalg.expm_multiply(gen.s * tk, v) for tk in np.ravel(t)])
     return out.reshape(np.shape(t) + (gen.dim, gen.dim))
 
 

@@ -478,6 +478,18 @@ def test_converge_checks_size_before_building(runner, tmp_path, monkeypatch, mod
     assert not out.exists()
 
 
+def test_propagate_refuses_a_generator_too_large_to_assemble(runner, tmp_path, monkeypatch):
+    """Length 2001 (state dimension 4000) would assemble about 7e8 nonzeros;
+    the bound is checked before any Kronecker product is formed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator assembled before the size check")
+
+    monkeypatch.setattr(gksl.sp, "kron", refuse)
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 2001, ("30", "60", "30"), 2))
+    _assert_usage_error(r, tmp_path)
+    assert f"above the cap {gksl.GENERATOR_NNZ_CAP:.3g}" in r.output
+
+
 def test_cli_imports_neither_networkx_nor_numba():
     """The package runs on numpy, scipy and click alone."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -1,14 +1,16 @@
 import ctypes
+import logging
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qswlab import numkernel
+from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import DimensionError, NumericalError, TimeGridError
 
 
@@ -73,15 +75,78 @@ def test_eig_general_accepts_sparse():
     assert np.allclose(sorted(numkernel.eig_general(m).real), [1, 2, 3])
 
 
-def test_expm_apply_matches_dense_expm():
+def _expm_cases():
+    """name -> (m, v, t) for the dense-expm comparisons."""
     rng = np.random.default_rng(7)
-    m = rng.standard_normal((8, 8))
-    v = rng.standard_normal(8)
-    want = scipy.linalg.expm(1.7 * m) @ v
-    got = numkernel.expm_apply(m, v, 1.7)
-    assert np.abs(got - want).max() < 1e-9
-    got_sp = numkernel.expm_apply(sp.csr_matrix(m), v, 1.7)
-    assert np.abs(got_sp - want).max() < 1e-9
+    random = (rng.standard_normal((8, 8)), rng.standard_normal(8), 1.7)
+    upper = np.triu(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    sparse = sp.random(80, 80, density=0.05, random_state=11, format="csr")
+    return {
+        "random": random,
+        "complex non-normal": (upper / 3 - 2 * np.eye(12), rng.standard_normal(12) + 1j, 1.5),
+        "jordan": (-np.eye(4) + np.eye(4, k=1), np.ones(4), 2.0),
+        "stiff diagonal": (np.diag(-np.geomspace(1e-3, 1e3, 40)), rng.standard_normal(40), 50.0),
+        # n = 80 > KRYLOV_DIM, so the space restarts
+        "sparse n=80": ((sparse - sparse.T + 0.3 * sparse).toarray() - 0.5 * np.eye(80),
+                        rng.standard_normal(80), 3.0),
+    }
+
+
+def test_expm_apply_matches_dense_expm():
+    for name, (m, v, t) in _expm_cases().items():
+        want = scipy.linalg.expm(t * m) @ v
+        got = numkernel.expm_apply(m, v, t)
+        assert np.abs(got - want).max() < 1e-9, name
+        got_sp = numkernel.expm_apply(sp.csr_matrix(m), v, t)
+        assert np.abs(got_sp - want).max() < 1e-9, name
+        assert got.dtype == got_sp.dtype == np.result_type(m, v), name
+
+
+def test_expm_apply_ngqsw_long_grid_matches_taylor():
+    """The length-31 ngqsw generator over 20 grid times, against scipy's
+    Taylor expm_multiply over the same grid anchored at 0."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(31)))
+    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
+    form = gen.real
+    x0 = (form.basis.conj().T @ nonmoral.block_mixed_state(dg, 15).reshape(-1)).real
+    times = np.arange(30.0, 601.0, 30.0)
+    got = numkernel.expm_apply(form.matrix, x0, times)
+    assert got.shape == (20, x0.size) and got.dtype == np.float64
+    taylor = scipy.sparse.linalg.expm_multiply(form.matrix, x0, start=0.0, stop=600.0,
+                                               num=21, endpoint=True)[1:]
+    for row, want in zip(got, taylor):
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("where", ["matrix", "sparse matrix", "vector"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_expm_apply_rejects_non_finite_input(where, value):
+    m, v = -np.eye(3) + np.eye(3, k=1), np.ones(3)
+    if where == "vector":
+        v[1] = value
+    else:
+        m[0, 2] = value
+    if where == "sparse matrix":
+        m = sp.csr_matrix(m)
+    with pytest.raises(NumericalError, match="finite"):
+        numkernel.expm_apply(m, v, 1.0)
+
+
+def test_expm_apply_raises_when_no_step_meets_the_estimate():
+    m = sp.random(40, 40, density=0.2, random_state=4, format="csr") * 1e150
+    with pytest.raises(NumericalError, match="no Krylov step"):
+        numkernel.expm_apply(m, np.ones(40), 1.0)
+
+
+def test_expm_apply_logs_one_debug_record(caplog):
+    m, v, _ = _expm_cases()["sparse n=80"]
+    with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
+        numkernel.expm_apply(sp.csr_matrix(m), v, [1.0, 2.0, 3.0])
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    matvecs, steps, rejected, largest = record.args
+    assert steps >= 3 and matvecs == steps * (numkernel.KRYLOV_DIM + 1)
+    assert rejected >= 0 and 0.0 <= largest <= numkernel.EXPM_RTOL * np.linalg.norm(v)
 
 
 def test_expm_apply_t_zero_copies():
