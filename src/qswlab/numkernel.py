@@ -4,7 +4,8 @@ the real Hermitian basis for superoperators.
 
 The matrix-exponential action expm_apply is a restarted Arnoldi integrator:
 one Krylov space of dimension KRYLOV_DIM per step, each step as long as
-Expokit's a-posteriori error estimate allows at EXPM_RTOL.
+Expokit's a-posteriori error estimate allows at EXPM_RTOL. It runs only on
+the weak components of the matrix's pattern that the start vector touches.
 
 Vectorization is row-major: vec(B) = sum_xy b_xy |xy>, so
 vec(A B C) = (A kron C^T) vec(B).
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.linalg import cython_lapack
 
@@ -361,6 +363,22 @@ class _Arnoldi:
         return (beta * f[:k + 1, 0]) @ basis, tau
 
 
+def _touched_coordinates(m, v: np.ndarray):
+    """The coordinates of the weak components of m's nonzero pattern that
+    v's support touches, ascending, or None when that is every coordinate.
+
+    m is block diagonal over those components, so exp(t m) v is exactly 0
+    outside them. The pattern is m != 0: csgraph would cast a complex m's
+    values to real and lose purely imaginary couplings."""
+    count, label = scipy.sparse.csgraph.connected_components(m != 0, directed=False)
+    if count == 1:
+        return None
+    touched = np.zeros(count, dtype=bool)
+    touched[label[np.flatnonzero(v)]] = True
+    keep = touched[label]
+    return None if keep.all() else np.flatnonzero(keep)
+
+
 def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
     """exp(t*m) @ v for dense or sparse m and a vector v; exact passthrough
     at t = 0.
@@ -379,10 +397,17 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
     takes the rest of the interval, and a state with m @ x exactly 0 is
     returned unchanged. Real input stays real.
 
+    The integrator runs on m and v restricted to the weak components of the
+    pattern of m (its nonzeros, taken as an undirected graph) that the
+    support of v touches; every other entry of the result is exactly 0, as
+    it is in exact arithmetic, since m is block diagonal over those
+    components. A v that is exactly 0 evolves nothing and gives zeros. When
+    v touches every component, m is used as it is, without a copy.
+
     Raises NumericalError when m or v is not finite or when no step meets
     the estimate. One DEBUG record per call gives the matvec count, the
-    Krylov steps, the rejected step trials and the largest accepted error
-    estimate.
+    Krylov steps, the rejected step trials, the largest accepted error
+    estimate and how many of the n coordinates were evolved.
     """
     v = np.asarray(v)
     n = m.shape[0]
@@ -395,19 +420,27 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
     m = m.tocsr() if sparse else np.asarray(m)
     if not (np.all(np.isfinite(m.data if sparse else m)) and np.all(np.isfinite(v))):
         raise NumericalError("expm_apply needs a finite matrix and vector")
-    norm1 = (scipy.sparse.linalg.norm if sparse else np.linalg.norm)(m, 1)
     x = v.astype(np.result_type(m.dtype, v.dtype, float))
+    keep = _touched_coordinates(m, x)
+    if keep is None:
+        keep = slice(None)
+    else:
+        m = m[keep][:, keep] if sparse else m[np.ix_(keep, keep)]
+        x = x[keep]
+    # a v that is exactly 0 keeps no coordinate when m has several components
+    norm1 = (scipy.sparse.linalg.norm if sparse else np.linalg.norm)(m, 1) if x.size else 0.0
     budget = EXPM_RTOL * float(np.linalg.norm(x)) / times[-1] if times[-1] else 0.0
     arnoldi = _Arnoldi(m, budget, _BREAKDOWN_RTOL * norm1)
-    out = np.empty((times.size, n), dtype=x.dtype)
+    out = np.zeros((times.size, n), dtype=x.dtype)
     now = 0.0
     for i, target in enumerate(times):
         while now < target:
             # a step of at least eps * target always advances now
             x, tau = arnoldi.step(x, target - now, np.finfo(float).eps * target)
             now = target if tau == target - now else now + tau
-        out[i] = x
+        out[i, keep] = x
     _log.debug("expm_apply: %d matvecs, %d Krylov steps, %d rejected step trials, "
-               "largest accepted error estimate %.3e", arnoldi.matvecs, arnoldi.steps,
-               arnoldi.rejected, arnoldi.largest_error)
+               "largest accepted error estimate %.3e, %d of %d coordinates evolved",
+               arnoldi.matvecs, arnoldi.steps, arnoldi.rejected, arnoldi.largest_error,
+               x.size, n)
     return out[0] if scalar else out

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 import oracles
-from qswlab import analysis, gksl, graphs, numkernel
+from qswlab import analysis, gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DimensionError, NumericalError, ParameterRangeError,
                                TimeGridError)
 
@@ -234,23 +234,38 @@ def _reference_classification(lam, tol=1e-10):
     return cls, zero, imag
 
 
-def _assert_same_spectrum(a, b, tol):
-    """Pair a with b by minimal total distance, then compare cluster by
-    cluster. A cluster of b (eigenvalues closer than 1e-4 chained together)
-    may be a perturbed Jordan block, whose eigenvalues move by eps^(1/k) while
-    their mean stays well conditioned; an isolated eigenvalue is its own
-    cluster and must match to tol."""
-    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
-    a, b = a[rows], b[cols]
-    ncl, label = connected_components(sp.csr_matrix(np.abs(b[:, None] - b[None, :]) < 1e-4))
+def _assert_same_spectrum(a, b, tol, spread):
+    """Compare two spectra of one matrix cluster by cluster. Eigenvalues of
+    a and b together chain into one cluster when they lie within spread of
+    each other. A cluster may be a perturbed Jordan block, whose eigenvalues
+    each solver scatters its own way by up to eps^(1/k) ||S|| while their
+    mean stays well conditioned; an isolated eigenvalue of a and its match
+    in b form a cluster of two. Each cluster must hold as many eigenvalues
+    of a as of b, and their means must agree to tol."""
+    both = np.concatenate([a, b])
+    ncl, label = connected_components(
+        sp.csr_matrix(np.abs(both[:, None] - both[None, :]) <= spread))
     for c in range(ncl):
-        sel = label == c
-        assert np.abs(a[sel] - b[sel]).max() < 1e-4
-        assert abs(a[sel].mean() - b[sel].mean()) <= tol, (a[sel], b[sel])
+        in_a, in_b = a[label[:a.size] == c], b[label[a.size:] == c]
+        assert in_a.size == in_b.size, (in_a, in_b)
+        assert abs(in_a.mean() - in_b.mean()) <= tol, (in_a, in_b)
+
+
+# At omega = 1 each generator has a Jordan block of size 4 (at -2 and at -4).
+# The two solvers scatter its eigenvalues by up to 2.2e-4, so a chaining
+# radius of 1e-4 within one spectrum leaves some of them alone, to be
+# matched one by one, though only their mean is accurate.
+_JORDAN_NGQSW = gksl.build_generator(nonmoral.ngqsw_spec(nonmoral.demoralize(
+    graphs.DiGraph(5, frozenset({(0, 4), (1, 0), (3, 0), (3, 4), (4, 2)}))), 1.0))
+_JORDAN_LQSW = gksl.build_generator(gksl.lqsw_spec(graphs.DiGraph(6, frozenset({
+    (0, 1), (0, 2), (0, 4), (0, 5), (1, 0), (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, 4),
+    (3, 1), (3, 2), (3, 5), (4, 0), (4, 1), (4, 3), (4, 5), (5, 1), (5, 2), (5, 3)})), 1.0))
 
 
 @settings(deadline=None, max_examples=40)
 @given(oracles.walk_generators())
+@example(_JORDAN_NGQSW)
+@example(_JORDAN_LQSW)
 def test_hermitian_basis_spectrum_matches_complex_generator(gen):
     t = numkernel.hermitian_basis(gen.dim)
     assert abs(t.conj().T @ t - sp.identity(gen.dim ** 2)).max() < 1e-15
@@ -258,7 +273,10 @@ def test_hermitian_basis_spectrum_matches_complex_generator(gen):
     scale = max(1.0, np.abs(r).max())
     assert np.abs(r.imag).max() <= 1e-13 * scale
     lam = numkernel.eig_general(gen.s)
-    _assert_same_spectrum(numkernel.eig_general(r.real), lam, 1e-10 * scale)
+    # twice the scatter of a size-4 Jordan block, eps^(1/4) ||S||_1, for one
+    # scattered copy in each spectrum
+    spread = 2 * np.finfo(float).eps ** 0.25 * scipy.sparse.linalg.norm(gen.s, 1)
+    _assert_same_spectrum(numkernel.eig_general(r.real), lam, 1e-10 * scale, spread)
     rep = analysis.classify_convergence(gen)
     assert (rep.classification, rep.zero_multiplicity, rep.imaginary_count) == \
         _reference_classification(lam)

@@ -1,5 +1,6 @@
 import ctypes
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -144,9 +145,75 @@ def test_expm_apply_logs_one_debug_record(caplog):
         numkernel.expm_apply(sp.csr_matrix(m), v, [1.0, 2.0, 3.0])
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
-    matvecs, steps, rejected, largest = record.args
+    matvecs, steps, rejected, largest, evolved, n = record.args
     assert steps >= 3 and matvecs == steps * (numkernel.KRYLOV_DIM + 1)
     assert rejected >= 0 and 0.0 <= largest <= numkernel.EXPM_RTOL * np.linalg.norm(v)
+    assert evolved == n == 80
+
+
+def test_expm_apply_evolves_one_block_of_the_ngqsw_benchmark_walk(caplog):
+    """The real form of the length-61 ngqsw generator splits into two blocks
+    that share no nonzero, and the block-mixed start state lies in the
+    first: only its 7,260 of the 14,400 coordinates are evolved over the
+    grid t = 5, 10, ..., 30, in 310 matvecs."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(61)))
+    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
+    with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
+        gksl.evolve(gen, nonmoral.block_mixed_state(dg, 30), np.arange(5.0, 31.0, 5.0))
+    (record,) = caplog.records
+    matvecs, steps, _, _, evolved, n = record.args
+    assert (evolved, n) == (7260, 14400)
+    assert (matvecs, steps) == (310, 10)
+
+
+def _interleaved_blocks():
+    """A 15 x 15 complex m that is block diagonal over three blocks of 5, 6
+    and 4 coordinates, interleaved by a permutation, and the blocks'
+    coordinates. The first block couples only through purely imaginary
+    entries, so a pattern read from the real part of m would split it."""
+    rng = np.random.default_rng(12)
+    imaginary = 1j * rng.standard_normal((5, 5)) - np.eye(5)
+    real = rng.standard_normal((6, 6))
+    general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = scipy.linalg.block_diag(imaginary, real, general)
+    perm = rng.permutation(15)
+    inv = np.argsort(perm)
+    return m[np.ix_(perm, perm)], [inv[:5], inv[5:11], inv[11:]]
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+@pytest.mark.parametrize("touched", [[0], [0, 2]])
+def test_expm_apply_evolves_each_touched_block_alone(form, touched):
+    """v holds one nonzero in each touched block. Each touched block
+    evolves as its own dense expm; every entry of an untouched block is
+    exactly 0."""
+    m, blocks = _interleaved_blocks()
+    v = np.zeros(15, dtype=complex)
+    for b in touched:
+        v[blocks[b][0]] = 1.0 - 0.5j
+    times = [0.5, 1.0, 1.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a cast of m
+        grid = numkernel.expm_apply(form(m), v, times)
+        one = numkernel.expm_apply(form(m), v, times[-1])
+    assert grid.shape == (3, 15) and one.shape == (15,)
+    for row, t in zip([*grid, one], [*times, times[-1]]):
+        for b, idx in enumerate(blocks):
+            if b in touched:
+                want = scipy.linalg.expm(t * m[np.ix_(idx, idx)]) @ v[idx]
+                assert np.abs(row[idx] - want).max() < 1e-9
+            else:
+                assert np.all(row[idx] == 0.0)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+def test_expm_apply_zero_vector_gives_zeros(form):
+    connected = _expm_cases()["random"][0]
+    for m in (_interleaved_blocks()[0], connected):
+        n = m.shape[0]
+        v = np.zeros(n)
+        assert np.array_equal(numkernel.expm_apply(form(m), v, 2.0), np.zeros(n))
+        assert np.array_equal(numkernel.expm_apply(form(m), v, [1.0, 2.0]), np.zeros((2, n)))
 
 
 def test_expm_apply_t_zero_copies():
