@@ -48,8 +48,8 @@ class ZeroOverlapError(QswlabError, ValueError):
 
 
 class TimeGridError(QswlabError, ValueError):
-    """Times are negative or non-finite, or a grid does not ascend with a
-    constant step."""
+    """Times are negative or non-finite, or a grid is empty, not 1-D or not
+    strictly ascending."""
 
 
 class NonPositiveDataError(QswlabError, ValueError):

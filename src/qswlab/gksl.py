@@ -91,55 +91,58 @@ def _from_entries(entries, shape) -> sp.csr_matrix:
 
 
 def build_generator(spec: WalkSpec) -> EvolutionGenerator:
-    """S = w_h * (-i)(H x I - I x conj(H)) + w_d * (sum_L L x conj(L)
-    - 1/2 K x I - 1/2 I x K^T) with K = sum_L L'L, row-major vec convention.
+    """S = G x I + I x conj(G) + w_d * sum_L L x conj(L) with the effective
+    generator G = -i w_h H - 1/2 w_d K and K = sum_L L'L, row-major vec
+    convention. Since H and K are Hermitian, G rho + rho G' is
+    -i w_h [H, rho] - 1/2 w_d {K, rho}, and its vec is (G x I + I x conj(G))
+    vec(rho), so the coherent part and the anticommutator cost two
+    Kronecker products whatever the number of Lindblads.
 
     Each L x conj(L) is built from the products of L's nonzeros, and
-    K = B'B for the Lindblads stacked into one tall matrix B, so the
-    anticommutator costs two Kronecker products whatever the number of
-    Lindblads. H and each L of the spec may be dense arrays or scipy sparse
-    matrices. H must be Hermitian (numkernel.check_hermitian), or
-    NumericalError is raised: S would not preserve the trace.
+    K = B'B for the Lindblads stacked into one tall matrix B. H and each L
+    of the spec may be dense arrays or scipy sparse matrices. Each weight
+    must be finite and nonnegative, or ParameterRangeError is raised. H must
+    be Hermitian (numkernel.check_hermitian), or NumericalError is raised:
+    S would not preserve the trace.
 
     Before anything n^2 x n^2 is assembled, nnz(S) is bounded by
     2n nnz(H) + sum_L nnz(L)^2 + 2n nnz(K), and DimensionError is raised
     when that bound exceeds GENERATOR_NNZ_CAP."""
     ham_weight, diss_weight = spec.ham_weight, spec.diss_weight
-    if ham_weight < 0 or diss_weight < 0:
-        raise ValueError("weights must be nonnegative")
+    for name, weight in (("ham_weight", ham_weight), ("diss_weight", diss_weight)):
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ParameterRangeError(f"{name} must be finite and nonnegative, got {weight}")
     h = numkernel.check_hermitian(sp.csr_matrix(spec.hamiltonian, dtype=complex))
     n = h.shape[0]
     lindblads = [sp.coo_matrix(l, dtype=complex) for l in spec.lindblads] if diss_weight > 0 else []
     if any(l.shape != (n, n) for l in lindblads):
         raise DimensionError("Lindblad dimension mismatch")
     bound = 2 * n * h.nnz + sum(l.nnz ** 2 for l in lindblads)
+    g = ham_weight * (-1j) * h
     if lindblads:
         b = _from_entries([(l.row.astype(np.int64) + j * n, l.col.astype(np.int64), l.data)
                            for j, l in enumerate(lindblads)], (len(lindblads) * n, n))
         k = (b.conj().T @ b).tocsr()
         bound += 2 * n * k.nnz
+        g = g - 0.5 * diss_weight * k
     if bound > GENERATOR_NNZ_CAP:
         raise DimensionError(f"the generator could hold {bound:.3g} nonzeros, above the "
                              f"cap {GENERATOR_NNZ_CAP:.3g}")
     eye = sp.identity(n, dtype=complex, format="csr")
-    s = sp.csr_matrix((n * n, n * n), dtype=complex)
-    if ham_weight > 0:
-        s = s + ham_weight * (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.conj()))
-    if lindblads:
-        jumps, pending = [], 0
-        for j, l in enumerate(lindblads):
-            r, c, v = l.row.astype(np.int64), l.col.astype(np.int64), l.data
-            jumps.append(((r[:, None] * n + r).ravel(), (c[:, None] * n + c).ravel(),
-                          diss_weight * np.outer(v, v.conj()).ravel()))
-            pending += v.size ** 2
-            # Fold the buffered jump terms into s once they outnumber its
-            # entries, and after the last Lindblad: few sparse additions, and
-            # a buffer no larger than s. The buffer is dropped before the
-            # addition allocates.
-            if pending >= s.nnz or j == len(lindblads) - 1:
-                flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
-                s = s + flushed
-        s = s - 0.5 * diss_weight * (sp.kron(k, eye) + sp.kron(eye, k.T))
+    s = sp.kron(g, eye, format="csr") + sp.kron(eye, g.conj(), format="csr")
+    jumps, pending = [], 0
+    for j, l in enumerate(lindblads):
+        r, c, v = l.row.astype(np.int64), l.col.astype(np.int64), l.data
+        jumps.append(((r[:, None] * n + r).ravel(), (c[:, None] * n + c).ravel(),
+                      diss_weight * np.outer(v, v.conj()).ravel()))
+        pending += v.size ** 2
+        # Fold the buffered jump terms into s once they outnumber its
+        # entries, and after the last Lindblad: few sparse additions, and
+        # a buffer no larger than s. The buffer is dropped before the
+        # addition allocates.
+        if pending >= s.nnz or j == len(lindblads) - 1:
+            flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
+            s = s + flushed
     s.eliminate_zeros()
     return EvolutionGenerator(s=s, dim=n)
 
@@ -182,15 +185,16 @@ def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
 
 def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
     """exp(S t) applied to rho0: one state for a scalar t, or a stack with
-    one state per time for an ascending grid with a constant step (see
+    one state per time for a grid of strictly ascending times (see
     numkernel.expm_apply).
 
     The evolution runs in real arithmetic: the coordinates x = T^H vec(rho0)
     in the Hermitian basis T go through exp(R t) with the real R = T^H S T
-    of gen.real, and each state is rebuilt as vec(rho) = T x, so it is
-    Hermitian by construction. rho0 must be Hermitian to HERM_TOL, or
-    DensityInvariantViolated is raised. Every returned state must pass
-    check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
+    of gen.real, and each state is rebuilt as vec(rho) = T x straight into
+    the returned array, so it is Hermitian by construction. rho0 must be
+    Hermitian to HERM_TOL, or DensityInvariantViolated is raised. Every
+    returned state must pass check_density at DRIFT_TOL; no state is
+    symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
@@ -198,9 +202,10 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
     x = form.basis.conj().T @ v
     if np.abs(x.imag).max() > HERM_TOL:
         raise DensityInvariantViolated("initial state is not Hermitian")
-    xs = numkernel.expm_apply(form.matrix, x.real, t)
-    rhos = (form.basis @ np.atleast_2d(xs).T).T.reshape(-1, gen.dim, gen.dim)
-    for rho in rhos:
+    xs = np.atleast_2d(numkernel.expm_apply(form.matrix, x.real, t))
+    rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
+    for rho, xk in zip(rhos, xs):
+        rho[...] = (form.basis @ xk).reshape(gen.dim, gen.dim)
         check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL, eig_floor=-DRIFT_TOL)
     return rhos[0] if np.ndim(t) == 0 else rhos
 

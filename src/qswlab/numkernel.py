@@ -240,29 +240,6 @@ def real_form(s, n: int) -> RealForm:
     return RealForm(matrix=matrix, basis=basis, leak=leak)
 
 
-GRID_RTOL = 1e-9
-
-
-def _time_grid_step(times: np.ndarray) -> float:
-    """The constant step of an ascending time grid (0 for a single point).
-
-    Raises TimeGridError unless every time is finite and nonnegative and
-    the steps agree to GRID_RTOL relative, beyond the rounding of the
-    times themselves."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise TimeGridError(f"expected a nonempty 1-D time grid, got shape {times.shape}")
-    if not np.all(np.isfinite(times)) or times[0] < 0:
-        raise TimeGridError("times must be finite and nonnegative")
-    if times.size == 1:
-        return 0.0
-    step = (times[-1] - times[0]) / (times.size - 1)
-    tol = GRID_RTOL * step + 4 * np.finfo(float).eps * times[-1]
-    if not step > 0 or np.abs(np.diff(times) - step).max() > tol:
-        raise TimeGridError("times must ascend with a constant step")
-    return float(step)
-
-
 KRYLOV_DIM = 30
 EXPM_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-12  # h_{j+1,j} <= this times ||m||_1: the space is invariant
@@ -380,17 +357,18 @@ def _touched_coordinates(m, v: np.ndarray):
 
 
 def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
-    """exp(t*m) @ v for dense or sparse m and a vector v; exact passthrough
-    at t = 0.
+    """exp(t*m) @ v for a vector v and a square m, dense or sparse, which is
+    converted to CSR once; exact passthrough at t = 0.
 
-    t is a scalar, giving one vector, or an ascending grid with a constant
-    step, giving one row per time. The state is carried from grid time to
-    grid time by a restarted Arnoldi integrator (Saad 1992; Sidje's
-    Expokit 1998): each step builds one Krylov space of dimension
-    min(KRYLOV_DIM, n) by classical Gram-Schmidt with a second pass, and
-    uses it for the largest step tau whose Expokit estimate (phi1/phi2 on
-    the (KRYLOV_DIM + 2)-augmented Hessenberg) is at most
-    EXPM_RTOL * ||v|| * tau / t_last. That is the whole remaining interval
+    t is a scalar, giving one vector, or a nonempty 1-D grid of strictly
+    ascending times, giving one row per time; every time must be finite and
+    nonnegative, or TimeGridError is raised. Steps may be uneven. The state
+    is carried from grid time to grid time by a restarted Arnoldi
+    integrator (Saad 1992; Sidje's Expokit 1998): each step builds one
+    Krylov space of dimension min(KRYLOV_DIM, n) by classical Gram-Schmidt
+    with a second pass, and uses it for the largest step tau whose Expokit
+    estimate (phi1/phi2 on the (KRYLOV_DIM + 2)-augmented Hessenberg) is at
+    most EXPM_RTOL * ||v|| * tau / t_last. That is the whole remaining interval
     to the next grid time when it passes; otherwise it is found by halving
     and geometric bisection over small dense expm evaluations. A space that
     is invariant (h_{j+1,j} <= 1e-12 ||m||_1, or all of C^n) is exact and
@@ -409,26 +387,29 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
     Krylov steps, the rejected step trials, the largest accepted error
     estimate and how many of the n coordinates were evolved.
     """
+    m = scipy.sparse.csr_matrix(m)
     v = np.asarray(v)
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or v.shape != (n,):
         raise DimensionError(f"shape mismatch: m {m.shape} vs v {v.shape}")
     scalar = np.ndim(t) == 0
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    _time_grid_step(times)
-    sparse = scipy.sparse.issparse(m)
-    m = m.tocsr() if sparse else np.asarray(m)
-    if not (np.all(np.isfinite(m.data if sparse else m)) and np.all(np.isfinite(v))):
+    if times.ndim != 1 or times.size == 0:
+        raise TimeGridError(f"expected a scalar or a nonempty 1-D time grid, got shape "
+                            f"{times.shape}")
+    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise TimeGridError("times must be finite, nonnegative and strictly ascending")
+    if not (np.all(np.isfinite(m.data)) and np.all(np.isfinite(v))):
         raise NumericalError("expm_apply needs a finite matrix and vector")
     x = v.astype(np.result_type(m.dtype, v.dtype, float))
     keep = _touched_coordinates(m, x)
     if keep is None:
         keep = slice(None)
     else:
-        m = m[keep][:, keep] if sparse else m[np.ix_(keep, keep)]
+        m = m[keep][:, keep]
         x = x[keep]
     # a v that is exactly 0 keeps no coordinate when m has several components
-    norm1 = (scipy.sparse.linalg.norm if sparse else np.linalg.norm)(m, 1) if x.size else 0.0
+    norm1 = scipy.sparse.linalg.norm(m, 1) if x.size else 0.0
     budget = EXPM_RTOL * float(np.linalg.norm(x)) / times[-1] if times[-1] else 0.0
     arnoldi = _Arnoldi(m, budget, _BREAKDOWN_RTOL * norm1)
     out = np.zeros((times.size, n), dtype=x.dtype)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -73,6 +75,16 @@ def _generator_fixtures():
     yield pytest.param(gksl.WalkSpec(nonmoral.standard_hamiltonian(dg),
                                      nonmoral.symmetrized_path_lindblads(dg), 1.0, 0.5),
                        id="NGQSW")
+    yield pytest.param(gksl.lqsw_spec(tri, 0.0), id="no-dissipation")
+    yield pytest.param(gksl.lqsw_spec(tri, 1.0), id="no-hamiltonian")
+    yield pytest.param(gksl.WalkSpec(nonmoral.standard_hamiltonian(dg), (), 0.8, 0.5),
+                       id="no-lindblads")
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    ls = [(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+          * (rng.random((6, 6)) < 0.5) / 2 for _ in range(3)]
+    yield pytest.param(gksl.WalkSpec((x + x.conj().T) / 2, tuple(ls), 0.6, 0.9),
+                       id="random-complex")
 
 
 @pytest.mark.parametrize("spec", list(_generator_fixtures()))
@@ -82,6 +94,15 @@ def test_build_generator_matches_per_lindblad_assembly(spec):
                                    spec.ham_weight, spec.diss_weight)
     assert abs(got - want).max() <= 1e-14
     assert got.nnz <= want.nnz
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("field", ["ham_weight", "diss_weight"])
+def test_build_generator_rejects_bad_weights(field, weight):
+    spec = dataclasses.replace(gksl.lqsw_spec(graphs.to_digraph(graphs.path(3)), 0.5),
+                               **{field: weight})
+    with pytest.raises(ParameterRangeError, match=field):
+        gksl.build_generator(spec)
 
 
 @pytest.mark.parametrize("omega", [np.nan, -0.1, 1.5, np.inf])
@@ -182,6 +203,8 @@ GRID_SHAPES = [
     [0.5, 1.0, 1.5, 2.0],      # aligned: multiples of the step
     [0.7, 1.2, 1.7],           # unaligned first time
     [200.0, 200.5, 201.0],     # late short grid, where scipy's start > 0 fails
+    [0.0, 1.0, 3.0],           # uneven steps
+    [0.7, 0.8, 5.0],           # uneven steps, off 0
 ]
 
 
@@ -256,7 +279,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
 
 def test_evolve_rejects_bad_grids():
     gen, rho0 = _grid_fixture("gqsw")
-    for times in ([1.0, 2.0, 4.0], [2.0, 1.0], [-1.0], [np.inf]):
+    for times in ([1.0, 1.0], [2.0, 1.0], [-1.0], [np.inf], []):
         with pytest.raises(TimeGridError):
             gksl.evolve(gen, rho0, np.array(times))
 

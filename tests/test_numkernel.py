@@ -238,6 +238,8 @@ def test_check_hermitian_rejects_non_finite(value):
     [1.0, 1.5, 2.0],          # first time a multiple of the step
     [0.7, 1.2, 1.7],          # first time off the step lattice
     [200.0, 200.5, 201.0],    # late and short: scipy's start > 0 fails here
+    [0.0, 1.0, 3.0],          # uneven steps
+    [0.7, 0.8, 5.0],          # uneven steps, off 0
 ])
 def test_expm_apply_grid_matches_dense_expm(times):
     rng = np.random.default_rng(8)
@@ -262,7 +264,7 @@ def test_expm_apply_one_point_grid_is_scalar_form():
 
 @pytest.mark.parametrize("times", [
     [1.0, 0.5],                # descending
-    [0.0, 1.0, 3.0],           # uneven steps
+    [0.0, 2.0, 1.0],           # ascends, then descends
     [1.0, 1.0],                # zero step
     [-1.0, 0.0],               # negative
     [0.0, np.nan],             # non-finite
