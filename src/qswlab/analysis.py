@@ -1,6 +1,5 @@
-"""Propagation measurement, convergence classification, structure
-observance, and closed-form references for the interpolated global walk
-on paths.
+"""Propagation measurement, convergence classification, and closed-form
+references for the interpolated global walk on paths.
 """
 from __future__ import annotations
 
@@ -10,8 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, special
 
-from . import gksl, graphs, numkernel
-from .exceptions import DimensionError, NonPositiveDataError, NumericalError, TimeGridError
+from . import gksl, numkernel
+from .exceptions import (
+    DimensionError,
+    NonPositiveDataError,
+    NumericalError,
+    ParameterRangeError,
+    TimeGridError,
+)
 
 GENERATOR_DIM_CAP = 2500  # largest n^2 we will diagonalize densely
 
@@ -19,7 +24,7 @@ GENERATOR_DIM_CAP = 2500  # largest n^2 we will diagonalize densely
 def second_moment(p: np.ndarray, positions: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("probabilities must sum to 1")
+        raise ParameterRangeError("probabilities must sum to 1")
     pos = np.asarray(positions, dtype=float)
     return float(np.sum(pos * pos * p))
 
@@ -38,7 +43,7 @@ def scaling_exponents(times, values, batch: int) -> PropagationTrace:
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)
     if t.size != f.size or t.size < batch or batch < 2:
-        raise ValueError("need at least `batch` matching points, batch >= 2")
+        raise DimensionError("need at least `batch` matching points, batch >= 2")
     if np.any(t <= 0) or np.any(f <= 0):
         k = int(np.argmax((t <= 0) | (f <= 0)))
         raise NonPositiveDataError(f"log-log slopes need positive data, got "
@@ -67,7 +72,7 @@ def fit_limit_model(times, alphas) -> LimitFit:
     t = np.asarray(times, dtype=float)
     y = np.asarray(alphas, dtype=float)
     if t.size < 8:
-        raise ValueError("need at least 8 points")
+        raise DimensionError("need at least 8 points")
     tmin = t.min()
 
     def resid(p):
@@ -89,14 +94,6 @@ def fit_limit_model(times, alphas) -> LimitFit:
 # ---------------------------------------------------------------------------
 # Closed forms for the interpolated global walk on paths
 
-def path_probability_closed_form(n: int, l: int, k: int, t: float, omega: float) -> float:
-    """Probability of vertex k at time t, started at vertex l, on the
-    n-vertex path; vertices numbered 1..n. Entry k-1 of the profile."""
-    if not 1 <= k <= n:
-        raise ValueError("vertex labels must lie in 1..n")
-    return float(path_probability_profile(n, l, t, omega)[k - 1])
-
-
 PROFILE_NEG_TOL = 1e-12
 PROFILE_SUM_TOL = 1e-10
 
@@ -115,7 +112,7 @@ def path_probability_profile(n: int, l: int, t, omega: float) -> np.ndarray:
     sum off 1 by more than PROFILE_SUM_TOL raises NumericalError; nothing is
     clipped or renormalised."""
     if not 1 <= l <= n:
-        raise ValueError("vertex labels must lie in 1..n")
+        raise ParameterRangeError("vertex labels must lie in 1..n")
     gksl.check_omega(omega)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0 or not np.all(np.isfinite(times)) or np.any(times < 0):
@@ -196,11 +193,15 @@ def taylor_B(n: int, k: int, omega: float) -> float:
     return sign * acc / 2.0 ** n
 
 
-def series_probability(k: int, t: float, omega: float, max_terms: int = 300) -> float:
-    """p_k(t) on the infinite path summed from its Taylor coefficients."""
+SERIES_MAX_TERMS = 300
+
+
+def series_probability(k: int, t: float, omega: float) -> float:
+    """p_k(t) on the infinite path summed from its Taylor coefficients;
+    NumericalError if it has not settled within SERIES_MAX_TERMS terms."""
     total = 0.0
     tn = 1.0  # t^n / n!
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         coeff = taylor_A(n, k) if omega == 1.0 else taylor_B(n, k, omega)
         term = coeff * tn
         total += term
@@ -264,38 +265,3 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
         cls = "ConvergentNonRelaxing"
     return ConvergenceReport(classification=cls, zero_multiplicity=zero,
                              second_smallest_abs=second, imaginary_count=imag, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Structure observance
-
-def structure_measures(g: graphs.DiGraph, probs: np.ndarray):
-    """For each probability row: mass on the unique sink component, and the
-    squared-distance-to-sink weighted spread."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=float))
-    if probs.shape[1] != g.n:
-        raise DimensionError("probability rows must have one entry per vertex")
-    cond = graphs.condensation(g)
-    dist = graphs.distances_to_sink_set(g, cond).astype(float)
-    sink = np.zeros(g.n)
-    for v in cond.partition[cond.sinks[0]]:
-        sink[v] = 1.0
-    p_s = probs @ sink
-    mu_s = probs @ (dist * dist)
-    return p_s, mu_s
-
-
-def convergence_profile(probs: np.ndarray, times) -> float:
-    """Smallest timepoint after which the sup-distance to the final
-    distribution is nonincreasing."""
-    probs = np.asarray(probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if probs.shape[0] != times.size or times.size < 3:
-        raise ValueError("need one probability row per timepoint, at least 3")
-    dev = np.abs(probs - probs[-1]).max(axis=1)
-    start = 0
-    for i in range(times.size - 2, -1, -1):
-        if dev[i] < dev[i + 1] - 1e-12:
-            start = i + 1
-            break
-    return float(times[start])

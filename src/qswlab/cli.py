@@ -116,23 +116,20 @@ def cmd_graphgen(model, n, p, m0, a, b, directed, seed, out):
     """Sample a random graph and write it as JSON."""
     if n < 1:
         raise click.UsageError("--n must be positive")
-    try:
-        if model == "er":
-            if p is None:
-                raise click.UsageError("er requires --p")
-            g = graphs.gen_er(n, p, seed, directed=directed)
-        elif model == "ba":
-            if m0 is None:
-                raise click.UsageError("ba requires --m0")
-            g = graphs.gen_ba(n, m0, seed, directed=directed)
-        else:
-            if a is None or b is None:
-                raise click.UsageError("cl requires --a and --b")
-            if directed:
-                raise click.UsageError("cl model is undirected")
-            g = graphs.gen_cl(n, graphs.cl_powerlaw_omega(n, a, b), seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if model == "er":
+        if p is None:
+            raise click.UsageError("er requires --p")
+        g = graphs.gen_er(n, p, seed, directed=directed)
+    elif model == "ba":
+        if m0 is None:
+            raise click.UsageError("ba requires --m0")
+        g = graphs.gen_ba(n, m0, seed, directed=directed)
+    else:
+        if a is None or b is None:
+            raise click.UsageError("cl requires --a and --b")
+        if directed:
+            raise click.UsageError("cl model is undirected")
+        g = graphs.gen_cl(n, graphs.cl_powerlaw_omega(n, a, b), seed)
     with _open_output(out) as fh:
         graphs.to_json(g, fh)
 

@@ -58,13 +58,15 @@ class NonPositiveDataError(QswlabError, ValueError):
 
 
 class ParameterRangeError(QswlabError, ValueError):
-    """A model parameter, such as the interpolation weight omega, lies
-    outside its domain or is not finite."""
+    """A parameter, such as the interpolation weight omega, an edge
+    probability, a vertex label or the name of a rule, lies outside its
+    domain or is not finite."""
+
+
+class MalformedGraphError(QswlabError, ValueError):
+    """A vertex pair of a graph has a vertex out of range or is a
+    self-loop."""
 
 
 class DensityInvariantViolated(QswlabError, RuntimeError):
     """Evolved state drifted beyond density-matrix tolerances."""
-
-
-class OracleNeverSucceeds(QswlabError, RuntimeError):
-    """Geometric measurement schedule exhausted without oracle success."""

@@ -53,10 +53,6 @@ def pure_state(n: int, k: int) -> np.ndarray:
     return rho
 
 
-def maximally_mixed(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex) / n
-
-
 @dataclass(frozen=True)
 class EvolutionGenerator:
     """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0))."""
@@ -153,15 +149,6 @@ def _arc_lindblads(g: graphs.DiGraph) -> tuple:
                  for v, w in sorted(g.arcs))
 
 
-def ctqw_spec(g: graphs.Graph) -> WalkSpec:
-    return WalkSpec(graphs.arc_matrix(g).astype(complex), (), 1.0, 0.0)
-
-
-def ctrw_rate_matrix(g: graphs.Graph) -> np.ndarray:
-    """Classical master-equation generator dp/dt = M p, i.e. minus the Laplacian."""
-    return -graphs.laplacian(g)
-
-
 def check_omega(omega: float) -> None:
     """Raise ParameterRangeError unless the interpolation weight lies in [0, 1]."""
     if not 0.0 <= omega <= 1.0:
@@ -227,13 +214,3 @@ def measure(rho: np.ndarray) -> np.ndarray:
     """Canonical-basis measurement probabilities, the real diagonal of rho;
     see check_probabilities."""
     return check_probabilities(np.diagonal(rho).real)
-
-
-def gqsw_spectrum_commuting(g: graphs.Graph, omega: float) -> np.ndarray:
-    """Generator eigenvalues for an undirected GQSW, where H and L commute:
-    lambda_ij = -i(1-omega)(d_i - d_j) - (omega/2)(d_i - d_j)^2 over the
-    adjacency eigenvalues d."""
-    d = np.linalg.eigvalsh(graphs.adjacency(g))
-    diff = d[:, None] - d[None, :]
-    lam = -1j * (1.0 - omega) * diff - 0.5 * omega * diff * diff
-    return lam.ravel()

@@ -14,25 +14,25 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .exceptions import (
+    DimensionError,
     DisconnectedGraphError,
     IsolatedVertexError,
+    MalformedGraphError,
     MultipleSinksError,
+    ParameterRangeError,
     ProbabilityOverflowError,
     WrongTopologyError,
 )
 
 
-def _check_pairs(n: int, pairs, ordered: bool):
-    seen = set()
+def _check_pairs(n: int, pairs):
+    """Reject a pair with a vertex outside 0..n-1, or a self-loop. The pairs
+    arrive as a frozenset already normalized, so none repeats."""
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range in pair ({u}, {v})")
+            raise MalformedGraphError(f"vertex out of range in pair ({u}, {v})")
         if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        key = (u, v) if ordered else (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate pair ({u}, {v})")
-        seen.add(key)
+            raise MalformedGraphError(f"self-loop at vertex {u}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class DiGraph:
 
     def __post_init__(self):
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
-        _check_pairs(self.n, arcs, ordered=True)
+        _check_pairs(self.n, arcs)
         object.__setattr__(self, "arcs", arcs)
 
 
@@ -57,7 +57,7 @@ class Graph:
 
     def __post_init__(self):
         edges = frozenset((min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edges)
-        _check_pairs(self.n, edges, ordered=False)
+        _check_pairs(self.n, edges)
         object.__setattr__(self, "edges", edges)
 
     def degrees(self) -> np.ndarray:
@@ -94,14 +94,6 @@ def to_digraph(g: Graph) -> DiGraph:
     for u, v in g.edges:
         arcs.add((u, v))
         arcs.add((v, u))
-    return DiGraph(g.n, frozenset(arcs))
-
-
-def random_orientation(g: Graph, seed: int) -> DiGraph:
-    rng = np.random.default_rng(seed)
-    arcs = set()
-    for u, v in sorted(g.edges):
-        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
     return DiGraph(g.n, frozenset(arcs))
 
 
@@ -184,7 +176,7 @@ def giant_component(g: Graph) -> Graph:
 
 def gen_er(n: int, p: float, seed: int, directed: bool = False):
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise ParameterRangeError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     if directed:
         mask = rng.random((n, n)) < p
@@ -200,7 +192,7 @@ def gen_er(n: int, p: float, seed: int, directed: bool = False):
 def cl_powerlaw_omega(n: int, a: float, b: float) -> np.ndarray:
     """Expected-degree vector omega_i = n^(a + (i/n) b), i = 1..n."""
     if not (0 < a < a + b <= 1):
-        raise ValueError(f"require 0 < a < a+b <= 1, got a={a}, b={b}")
+        raise ParameterRangeError(f"require 0 < a < a+b <= 1, got a={a}, b={b}")
     i = np.arange(1, n + 1)
     return np.power(float(n), a + (i / n) * b)
 
@@ -208,9 +200,9 @@ def cl_powerlaw_omega(n: int, a: float, b: float) -> np.ndarray:
 def gen_cl(n: int, omega: np.ndarray, seed: int) -> Graph:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (n,):
-        raise ValueError("omega must have one entry per vertex")
+        raise DimensionError("omega must have one entry per vertex")
     if np.any(omega < 0) or np.any(omega > n - 1):
-        raise ValueError("omega entries must lie in [0, n-1]")
+        raise ParameterRangeError("omega entries must lie in [0, n-1]")
     total = omega.sum()
     if total > 0 and omega.max() ** 2 > total:
         raise ProbabilityOverflowError("some pair probability omega_i*omega_j/||omega||_1 exceeds 1")
@@ -228,7 +220,7 @@ def gen_ba(n: int, m0: int, seed: int, directed: bool = False):
     """Preferential attachment: seed clique K_m0, then each new vertex picks
     m0 distinct existing targets with probability proportional to degree."""
     if not 1 <= m0 <= n:
-        raise ValueError(f"require 1 <= m0 <= n, got m0={m0}, n={n}")
+        raise ParameterRangeError(f"require 1 <= m0 <= n, got m0={m0}, n={n}")
     rng = np.random.default_rng(seed)
     deg = np.zeros(n, dtype=np.int64)
     pairs = []

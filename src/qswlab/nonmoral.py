@@ -65,7 +65,7 @@ def demoralize(g: graphs.DiGraph) -> DemoralizedGraph:
 
 def fourier_matrix(n: int) -> np.ndarray:
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DimensionError("n must be positive")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n)
 
@@ -136,26 +136,6 @@ def standard_rotating_hamiltonian(dg: DemoralizedGraph) -> sp.csr_matrix:
     return _block_diagonal(dg, sp.diags([up, -up], [1, -1], shape=(dg.dim, dg.dim)))
 
 
-def random_rotating_hamiltonian(dg: DemoralizedGraph, ensemble: str, seed: int) -> sp.csr_matrix:
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for d in dg.block_sizes:
-        if ensemble == "GOE":
-            x = rng.standard_normal((d, d))
-            block = (x + x.T).astype(complex)
-        elif ensemble == "GUE":
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            block = x + x.conj().T
-        elif ensemble == "XY":
-            x = rng.random((d, d))
-            y = rng.random((d, d))
-            block = x + x.T + 1j * (y - y.T)
-        else:
-            raise ValueError(f"unknown ensemble {ensemble!r}")
-        blocks.append(block)
-    return _block_diagonal(dg, sp.block_diag(blocks))
-
-
 def ngqsw_spec(dg: DemoralizedGraph, omega: float, lindblads=None) -> gksl.WalkSpec:
     """Coherent part (1-omega) H + omega H_rot with the standard and rotating
     Hamiltonians; dissipator weight omega over the given Lindblads, by
@@ -200,11 +180,6 @@ def natural_measure(rho: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
         raise DimensionError("state dimension does not match enlarged space")
     diag = gksl.check_probabilities(np.diagonal(rho).real)
     return dg.copies.T @ diag
-
-
-def uniform_block_state(dg: DemoralizedGraph) -> np.ndarray:
-    """Each base vertex weighted 1/n, spread evenly over its copies."""
-    return np.diag(dg.copies @ (1.0 / (dg.base.n * np.array(dg.block_sizes)))).astype(complex)
 
 
 def block_mixed_state(dg: DemoralizedGraph, v: int) -> np.ndarray:

@@ -34,18 +34,10 @@ def vec(b: np.ndarray) -> np.ndarray:
     return np.asarray(b).reshape(-1)
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v).reshape(-1)
-    n = math.isqrt(v.size)
-    if n * n != v.size:
-        raise DimensionError(f"cannot unvec a vector of length {v.size}")
-    return v.reshape(n, n)
-
-
-def check_hermitian(h, tol: float = TOL_HERM):
+def check_hermitian(h):
     """Return h, a dense array or a scipy sparse matrix, unchanged if it is
-    square, finite and Hermitian to tol relative to its largest entry (at
-    least 1); raise DimensionError or NumericalError otherwise."""
+    square, finite and Hermitian to TOL_HERM relative to its largest entry
+    (at least 1); raise DimensionError or NumericalError otherwise."""
     sparse = scipy.sparse.issparse(h)
     h = h if sparse else np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -58,7 +50,7 @@ def check_hermitian(h, tol: float = TOL_HERM):
         raise NumericalError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(stored(h)).max(initial=0.0)))
     dev = float(np.abs(stored(h - h.conj().T)).max(initial=0.0))
-    if dev > tol * scale:
+    if dev > TOL_HERM * scale:
         raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return h
 

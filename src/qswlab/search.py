@@ -23,7 +23,7 @@ from .exceptions import (
     DegenerateTopError,
     DimensionError,
     NumericalError,
-    OracleNeverSucceeds,
+    ParameterRangeError,
     ZeroOverlapError,
 )
 
@@ -31,6 +31,7 @@ GRAPH_MATRIX_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
 TOL_TOP_GAP = 1e-12   # relative gap below which the top eigenvalue counts as degenerate
 TOL_PROB = 1e-10      # rounding allowed above p = 1 before a probability is an error
 TOL_AMP = 1e-12       # allowed miss of the t = 0 amplitude against <w|init>, per unit norm
+SEARCH_CONDITION_CONST = 0.1  # c in the applicability condition sqrt(eps) < c min(...)
 
 
 def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
@@ -42,7 +43,16 @@ def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
     if kind == "normalized_laplacian":
         graphs.require_connected(g)
         return graphs.normalized_laplacian(g)
-    raise ValueError(f"unknown graph matrix kind {kind!r}")
+    raise ParameterRangeError(f"unknown graph matrix kind {kind!r}")
+
+
+def _require_simple_top(values: np.ndarray) -> None:
+    """Raise DegenerateTopError unless the gap between the two largest of
+    values, sorted descending, exceeds TOL_TOP_GAP * max(1, max |lambda|)."""
+    scale = max(1.0, float(np.abs(values).max()))
+    # written so that a NaN gap is rejected too
+    if not values[0] - values[1] > TOL_TOP_GAP * scale:
+        raise DegenerateTopError("top eigenvalue of the search matrix is not simple")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +72,7 @@ class SearchSpectrum:
     def __post_init__(self):
         if self.n < 2:
             raise DimensionError(f"search needs at least 2 vertices, got {self.n}")
-        scale = max(1.0, float(np.abs(self.values).max()))
-        # written so that a NaN gap is rejected too
-        if not self.values[0] - self.values[1] > TOL_TOP_GAP * scale:
-            raise DegenerateTopError("top eigenvalue of the search matrix is not simple")
+        _require_simple_top(self.values)
 
     @property
     def n(self) -> int:
@@ -102,19 +109,15 @@ def shift_rescale(h: np.ndarray) -> np.ndarray:
     """Affine map to top eigenvalue 1 with |lambda_2| = |lambda_n|.
 
     Balancing the second and bottom eigenvalues maximizes the worst-case
-    success bound over shifts; eigenvectors are untouched.
+    success bound over shifts; eigenvectors are untouched. The top
+    eigenvalue must be simple by the rule of SearchSpectrum.
     """
     h = np.asarray(h)
-    w = np.linalg.eigvalsh(h)
-    lam1, lam2, lamn = w[-1], w[-2], w[0]
-    if lam1 - lam2 <= 1e-12:
-        raise DegenerateTopError("top eigenvalue is not simple")
+    w = np.linalg.eigvalsh(h)[::-1]
+    _require_simple_top(w)
+    lam1, lam2, lamn = w[0], w[1], w[-1]
     a = -(lam2 + lamn) / 2.0
     return (h + a * np.eye(h.shape[0])) / (lam1 + a)
-
-
-def optimal_shift_success_bound(lam2: float, lamn: float) -> float:
-    return (1.0 - lam2) / (1.0 - lamn)
 
 
 def _overlap_sums(spec: SearchSpectrum, w: int) -> tuple[float, float, float, float]:
@@ -134,12 +137,11 @@ class SearchStats:
     s3: float
     gap: float
     condition_holds: bool
-    c_const: float
     predicted_t: float
     gamma: float
 
 
-def search_stats(spec: SearchSpectrum, w: int, c_const: float = 0.1) -> SearchStats:
+def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
     eps, s1, s2, s3 = _overlap_sums(spec, w)
     # an overlap amplitude at the eigensolver's rounding level is no overlap
     if math.sqrt(eps) <= spec.n * np.finfo(float).eps:
@@ -147,11 +149,10 @@ def search_stats(spec: SearchSpectrum, w: int, c_const: float = 0.1) -> SearchSt
             f"the marked vertex has no overlap with the principal eigenvector "
             f"(eps = {eps:.3e}); the search cannot find it")
     gap = float(spec.values[0] - spec.values[1])
-    cond = math.sqrt(eps) < c_const * min(s1 * s2 / s3, gap * math.sqrt(s2))
+    cond = math.sqrt(eps) < SEARCH_CONDITION_CONST * min(s1 * s2 / s3, gap * math.sqrt(s2))
     predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1
     return SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap,
-                       condition_holds=cond, c_const=c_const,
-                       predicted_t=predicted_t, gamma=s1)
+                       condition_holds=cond, predicted_t=predicted_t, gamma=s1)
 
 
 def caption_gamma(spec: SearchSpectrum, w: int) -> float:
@@ -189,7 +190,7 @@ def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun
         elif gamma == "caption":
             gamma = caption_gamma(spec, w)
         else:
-            raise ValueError(f"unknown gamma rule {gamma!r}")
+            raise ParameterRangeError(f"unknown gamma rule {gamma!r}")
     row = spec.vectors[w, :]   # <w|v_j>
     if isinstance(initial, str) and initial == "principal":
         # the start is +-v_1, so its coordinates are +-e_1
@@ -200,7 +201,7 @@ def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun
     else:
         if isinstance(initial, str):
             if initial != "uniform":
-                raise ValueError(f"unknown initial state {initial!r}")
+                raise ParameterRangeError(f"unknown initial state {initial!r}")
             initial = np.ones(spec.n) / math.sqrt(spec.n)
         x = np.asarray(initial)
         xhat = spec.vectors.conj().T @ x
@@ -297,26 +298,7 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Measurement-time schedule and Lambert bound
-
-def geometric_schedule(beta0: float, beta1: float, kprime: float, n: int,
-                       oracle, c: float = 1.0):
-    """Try measurement times t_k = c * n^(beta0 + k*beta1/K), K = K' ln n,
-    until the oracle reports success. Consecutive times have the fixed
-    ratio exp(beta1/K')."""
-    if beta1 <= 0 or kprime <= 0:
-        raise ValueError("beta1 and kprime must be positive")
-    big_k = kprime * math.log(n)
-    total = 0.0
-    k = 0
-    while k <= big_k:
-        t_k = c * n ** (beta0 + k * beta1 / big_k)
-        total += t_k
-        if oracle(t_k):
-            return total, k
-        k += 1
-    raise OracleNeverSucceeds(f"no success within {k} schedule steps")
-
+# Lambert bound
 
 def _lambert_branch(x: float, branch: int) -> float:
     w = float(np.real(lambertw(x, branch)))
@@ -334,6 +316,6 @@ def _lambert_branch(x: float, branch: int) -> float:
 def lambert_bound(p0: float) -> float:
     """Success-probability bound W0(x)/W-1(x) with x = (1-p0)/(e*p0)."""
     if p0 <= 1.0:
-        raise ValueError("p0 must exceed 1")
+        raise ParameterRangeError("p0 must exceed 1")
     x = (1.0 - p0) / (math.e * p0)
     return _lambert_branch(x, 0) / _lambert_branch(x, -1)

@@ -58,6 +58,16 @@ def reachability(g) -> np.ndarray:
         r = nxt
 
 
+def gqsw_spectrum_commuting(g, omega: float) -> np.ndarray:
+    """Generator eigenvalues for an undirected GQSW, where H and L commute:
+    lambda_ij = -i(1-omega)(d_i - d_j) - (omega/2)(d_i - d_j)^2 over the
+    adjacency eigenvalues d."""
+    d = np.linalg.eigvalsh(graphs.adjacency(g))
+    diff = d[:, None] - d[None, :]
+    lam = -1j * (1.0 - omega) * diff - 0.5 * omega * diff * diff
+    return lam.ravel()
+
+
 def evolve_complex(gen, rho0, t) -> np.ndarray:
     """exp(S t) vec(rho0) with the complex generator S itself, reshaped to
     one state (scalar t) or one state per time: the reference for
@@ -116,15 +126,6 @@ def standard_rotating_hamiltonian(dg) -> np.ndarray:
             h[idx[k], idx[k + 1]] = 1j
             h[idx[k + 1], idx[k]] = -1j
     return h
-
-
-def uniform_block_state(dg) -> np.ndarray:
-    """nonmoral.uniform_block_state copy by copy."""
-    w = np.zeros(dg.dim)
-    for v in range(dg.base.n):
-        for i in dg.index[v]:
-            w[i] = 1.0 / (dg.base.n * dg.block_sizes[v])
-    return np.diag(w).astype(complex)
 
 
 def block_mixed_state(dg, v) -> np.ndarray:

@@ -9,14 +9,14 @@ from scipy.sparse.csgraph import connected_components
 
 import oracles
 from qswlab import analysis, gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import (DimensionError, NumericalError, ParameterRangeError,
-                               TimeGridError)
+from qswlab.exceptions import (DimensionError, NonPositiveDataError, NumericalError,
+                               ParameterRangeError, TimeGridError)
 
 
 def test_second_moment_basics():
     assert analysis.second_moment([1.0], [0]) == 0.0
     assert analysis.second_moment([0.5, 0.5], [-1, 1]) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRangeError):
         analysis.second_moment([0.4, 0.4], [0, 1])
 
 
@@ -31,8 +31,18 @@ def test_scaling_exponents_exact_power():
 
 
 def test_scaling_exponents_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPositiveDataError):
         analysis.scaling_exponents([1, 2, 3], [1.0, -1.0, 2.0], batch=2)
+
+
+@pytest.mark.parametrize("times, values, batch", [
+    ([1, 2, 3], [1.0, 2.0], 2),         # one value short
+    ([1, 2, 3], [1.0, 2.0, 3.0], 4),    # fewer points than the window
+    ([1, 2, 3], [1.0, 2.0, 3.0], 1),    # a window of one point has no slope
+])
+def test_scaling_exponents_rejects_short_input(times, values, batch):
+    with pytest.raises(DimensionError):
+        analysis.scaling_exponents(times, values, batch=batch)
 
 
 def test_fit_limit_model_recovers_synthetic():
@@ -50,10 +60,15 @@ def test_fit_limit_model_constant_series():
     assert abs(fit.params[0] - 1.5) < 1e-6 or fit.degenerate
 
 
+def test_fit_limit_model_rejects_too_few_points():
+    with pytest.raises(DimensionError):
+        analysis.fit_limit_model(np.arange(1.0, 8.0), np.ones(7))
+
+
 def test_path_closed_form_t0_delta():
     for k in (1, 3, 7):
         want = 1.0 if k == 3 else 0.0
-        assert abs(analysis.path_probability_closed_form(7, 3, k, 0.0, 0.5) - want) < 1e-12
+        assert abs(analysis.path_probability_profile(7, 3, 0.0, 0.5)[k - 1] - want) < 1e-12
 
 
 def test_path_closed_form_omega0_is_ctqw():
@@ -63,7 +78,7 @@ def test_path_closed_form_omega0_is_ctqw():
     psi0[l - 1] = 1.0
     p = np.abs(oracles.unitary_apply(a, psi0, t)) ** 2
     for k in range(1, n + 1):
-        assert abs(analysis.path_probability_closed_form(n, l, k, t, 0.0) - p[k - 1]) < 1e-10
+        assert abs(analysis.path_probability_profile(n, l, t, 0.0)[k - 1] - p[k - 1]) < 1e-10
 
 
 def test_path_closed_form_matches_evolve():
@@ -100,13 +115,11 @@ def test_path_profile_grid_rows_equal_scalar_calls(omega):
         assert np.abs(row - _einsum_profile(n, l, t, omega)).max() <= 1e-13
         assert abs(row.sum() - 1.0) <= 1e-12
     assert analysis.path_probability_profile(n, l, times[:1], omega).shape == (1, n)
-    k = 5
-    assert analysis.path_probability_closed_form(n, l, k, 3.0, omega) == grid[2, k - 1]
 
 
 @pytest.mark.parametrize("args, error", [
-    ((9, 0, 1.0, 0.5), ValueError),              # start vertex outside 1..n
-    ((9, 10, 1.0, 0.5), ValueError),
+    ((9, 0, 1.0, 0.5), ParameterRangeError),     # start vertex outside 1..n
+    ((9, 10, 1.0, 0.5), ParameterRangeError),
     ((9, 5, 1.0, 1.5), ParameterRangeError),
     ((9, 5, 1.0, np.nan), ParameterRangeError),
     ((9, 5, -1.0, 0.5), TimeGridError),
@@ -164,7 +177,7 @@ def test_infinite_path_matches_finite_truncation():
     n = 201
     center = 101
     for k, t in ((0, 2.0), (3, 5.0)):
-        fin = analysis.path_probability_closed_form(n, center, center + k, t, 0.4)
+        fin = analysis.path_probability_profile(n, center, t, 0.4)[center + k - 1]
         inf = analysis.infinite_path_probability(k, t, 0.4)
         assert abs(fin - inf) < 1e-5
 
@@ -296,33 +309,17 @@ def test_classifier_dimension_cap():
         analysis.classify_convergence(gen)
 
 
-def test_structure_measures_mass_on_sink():
-    g = graphs.DiGraph(3, frozenset({(0, 1), (1, 2)}))
-    p_s, mu_s = analysis.structure_measures(g, np.array([0.0, 0.0, 1.0]))
-    assert p_s[0] == 1.0 and mu_s[0] == 0.0
-    p_s, mu_s = analysis.structure_measures(g, np.array([1.0, 0.0, 0.0]))
-    assert p_s[0] == 0.0 and mu_s[0] == 4.0
-
-
 def test_structure_measures_lqsw_gap_below_one():
     """A partially coherent local walk on a directed path leaves visible
-    probability outside the sink component even at long times."""
+    probability outside the sink component even at long times; vertex 5 is
+    the sink."""
     g = graphs.DiGraph(6, frozenset((i, i + 1) for i in range(5)))
     for omega, expect_full in ((1.0, True), (0.5, False)):
         gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
         rho = gksl.evolve(gen, gksl.pure_state(6, 0), 2000.0)
-        p_s, _ = analysis.structure_measures(g, gksl.measure(rho))
+        p_sink = gksl.measure(rho)[-1]
         if expect_full:
-            assert p_s[0] > 1 - 1e-6
+            assert p_sink > 1 - 1e-6
         else:
-            assert p_s[0] < 1 - 1e-3
+            assert p_sink < 1 - 1e-3
 
-
-def test_convergence_profile():
-    times = np.array([0.0, 1.0, 2.0, 3.0])
-    const = np.tile([0.5, 0.5], (4, 1))
-    assert analysis.convergence_profile(const, times) == 0.0
-    decay = np.array([[1.0, 0.0], [0.7, 0.3], [0.6, 0.4], [0.5, 0.5]])
-    assert analysis.convergence_profile(decay, times) == 0.0
-    bump = np.array([[0.6, 0.4], [0.55, 0.45], [0.7, 0.3], [0.5, 0.5]])
-    assert analysis.convergence_profile(bump, times) == 2.0

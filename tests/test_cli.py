@@ -57,12 +57,20 @@ def test_graphgen_ba_bounds(runner, tmp_path):
 
 
 def test_graphgen_usage_errors(runner, tmp_path):
-    r = runner.invoke(cli.main, ["graphgen", "--model", "er", "--n", "10",
-                                 "--out", str(tmp_path / "x.json")])
-    assert r.exit_code == 2  # missing --p
-    r = runner.invoke(cli.main, ["graphgen", "--model", "er", "--n", "10",
-                                 "--p", "2.0", "--out", str(tmp_path / "x.json")])
-    assert r.exit_code == 2
+    """A missing model parameter or one outside its domain exits 2 with no
+    traceback and writes no graph."""
+    out = tmp_path / "x.json"
+    for args in (["--model", "er"],                     # missing --p
+                 ["--model", "er", "--p", "2.0"],
+                 ["--model", "er", "--p", "nan"],
+                 ["--model", "er", "--p", "-0.1"],
+                 ["--model", "ba", "--m0", "0"],
+                 ["--model", "ba", "--m0", "11"],          # m0 > n
+                 ["--model", "cl", "--a", "0.5", "--b", "0.6"]):
+        r = runner.invoke(cli.main, ["graphgen", "--n", "10", *args, "--out", str(out)])
+        assert r.exit_code == 2, (args, r.output)
+        assert isinstance(r.exception, SystemExit), (args, r.exception)
+        assert not out.exists()
 
 
 def test_propagate_gqsw(runner, tmp_path):

@@ -33,7 +33,7 @@ def test_generator_matches_direct_rhs():
     l = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = random_density(3, 5)
     gen = gksl.build_generator(gksl.WalkSpec(h, (l,), 1.0, 1.0))
-    lhs = numkernel.unvec(gen.s @ numkernel.vec(rho))
+    lhs = (gen.s @ numkernel.vec(rho)).reshape(3, 3)
     ldl = l.conj().T @ l
     rhs = -1j * (h @ rho - rho @ h) + l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -138,7 +138,7 @@ def test_lqsw_omega1_matches_classical_rates():
     p0[2] = 1.0
     t = 1.3
     rho = gksl.evolve(gen, np.diag(p0).astype(complex), t)
-    want = scipy.linalg.expm(t * gksl.ctrw_rate_matrix(g)) @ p0
+    want = scipy.linalg.expm(-t * graphs.laplacian(g)) @ p0
     assert np.abs(gksl.measure(rho) - want).max() < 1e-9
 
 
@@ -168,12 +168,11 @@ def test_moral_triangle_closed_form():
 
 def test_ctqw_pure_state_consistency():
     g = graphs.path(6)
-    spec = gksl.ctqw_spec(g)
-    gen = gksl.build_generator(spec)
+    gen = gksl.build_generator(gksl.WalkSpec(graphs.arc_matrix(g), (), 1.0, 0.0))
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
     t = 2.7
-    psi = oracles.unitary_apply(spec.hamiltonian.toarray(), psi0, t)
+    psi = oracles.unitary_apply(graphs.adjacency(g), psi0, t)
     rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), t)
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-9
 
@@ -286,7 +285,7 @@ def test_evolve_rejects_bad_grids():
 
 def test_measure_examples():
     assert np.array_equal(gksl.measure(gksl.pure_state(4, 2)), np.eye(4)[2])
-    assert np.allclose(gksl.measure(gksl.maximally_mixed(5)), 0.2)
+    assert np.allclose(gksl.measure(np.eye(5, dtype=complex) / 5), 0.2)
 
 
 @pytest.mark.parametrize("diag", [[0.5, 0.501, -1e-3], [0.3, 0.3, 0.3]])
@@ -307,17 +306,23 @@ def test_check_density_rejects():
 def test_gqsw_spectrum_formula_cross_check():
     g = graphs.path(5)
     for omega in (0.3, 1.0):
-        lam_f = gksl.gqsw_spectrum_commuting(g, omega)
+        lam_f = oracles.gqsw_spectrum_commuting(g, omega)
         gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(g), omega))
         lam_d = numkernel.eig_general(gen.s)
         dev = max(np.abs(lam_d - x).min() for x in lam_f)
         assert dev < 1e-7
-    assert np.abs(gksl.gqsw_spectrum_commuting(g, 1.0).imag).max() < 1e-12
+    assert np.abs(oracles.gqsw_spectrum_commuting(g, 1.0).imag).max() < 1e-12
 
 
 def test_gqsw_spectrum_has_stationary_directions():
-    lam = gksl.gqsw_spectrum_commuting(graphs.complete(4), 0.5).reshape(4, 4)
-    assert np.abs(np.diagonal(lam)).max() < 1e-12
+    """lambda_ii = 0 in the closed form, so the generator has at least n
+    zero eigenvalues, one stationary direction per adjacency eigenvector."""
+    g = graphs.complete(4)
+    lam = oracles.gqsw_spectrum_commuting(g, 0.5)
+    assert np.abs(np.diagonal(lam.reshape(4, 4))).max() < 1e-12
+    gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(g), 0.5))
+    zeros = np.count_nonzero(np.abs(numkernel.eig_general(gen.s)) < 1e-9)
+    assert zeros == np.count_nonzero(np.abs(lam) < 1e-9) >= 4
 
 
 @settings(deadline=None, max_examples=20)

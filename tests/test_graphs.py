@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 import oracles
 from qswlab import graphs
 from qswlab.exceptions import (
+    DimensionError,
     IsolatedVertexError,
+    MalformedGraphError,
     MultipleSinksError,
+    ParameterRangeError,
     ProbabilityOverflowError,
     WrongTopologyError,
 )
 
 
 def test_digraph_rejects_bad_arcs():
-    with pytest.raises(ValueError):
-        graphs.DiGraph(3, frozenset({(0, 0)}))
-    with pytest.raises(ValueError):
-        graphs.DiGraph(3, frozenset({(0, 5)}))
+    for cls in (graphs.DiGraph, graphs.Graph):
+        for pair in ((0, 0), (0, 5), (-1, 2)):
+            with pytest.raises(MalformedGraphError):
+                cls(3, frozenset({pair}))
 
 
 def test_graph_normalizes_edge_order():
@@ -105,6 +108,12 @@ def test_gen_er_directed_counts_both_arcs():
     assert 0.07 < len(g.arcs) / (100 * 99) < 0.13
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+def test_gen_er_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ParameterRangeError):
+        graphs.gen_er(10, p, seed=0)
+
+
 def test_gen_cl_respects_expected_degrees():
     omega = np.full(300, 5.0)
     g = graphs.gen_cl(300, omega, seed=9)
@@ -119,11 +128,22 @@ def test_gen_cl_overflow_guard():
         graphs.gen_cl(10, omega, seed=0)
 
 
+def test_gen_cl_rejects_bad_omega():
+    with pytest.raises(DimensionError):
+        graphs.gen_cl(10, np.ones(9), seed=0)
+    for bad in (-1.0, 10.0):
+        omega = np.ones(10)
+        omega[3] = bad
+        with pytest.raises(ParameterRangeError):
+            graphs.gen_cl(10, omega, seed=0)
+
+
 def test_cl_powerlaw_omega_bounds():
     w = graphs.cl_powerlaw_omega(100, 0.3, 0.4)
     assert w[0] == pytest.approx(100 ** (0.3 + 0.004))
-    with pytest.raises(ValueError):
-        graphs.cl_powerlaw_omega(100, 0.5, 0.6)
+    for a, b in ((0.5, 0.6), (0.0, 0.5), (0.5, -0.1)):
+        with pytest.raises(ParameterRangeError):
+            graphs.cl_powerlaw_omega(100, a, b)
 
 
 def test_gen_ba_edge_count_and_connectivity():
@@ -133,18 +153,17 @@ def test_gen_ba_edge_count_and_connectivity():
     assert graphs.is_connected(g)
 
 
+@pytest.mark.parametrize("m0", [0, 11])
+def test_gen_ba_rejects_m0_outside_1_to_n(m0):
+    with pytest.raises(ParameterRangeError):
+        graphs.gen_ba(10, m0, seed=0)
+
+
 def test_gen_ba_directed_points_to_new_vertex():
     g = graphs.gen_ba(10, 2, seed=0, directed=True)
     for u, v in g.arcs:
         if max(u, v) >= 2:
             assert v > u or (u < 2 and v < 2)
-
-
-def test_random_orientation_keeps_underlying():
-    g = graphs.complete(6)
-    dg = graphs.random_orientation(g, seed=11)
-    assert len(dg.arcs) == len(g.edges)
-    assert graphs.underlying(dg) == g
 
 
 def _indegrees(g):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import NonOrthogonalColumnsError, NumericalError, WrongTopologyError
+from qswlab.exceptions import (DimensionError, NonOrthogonalColumnsError, NumericalError,
+                               WrongTopologyError)
 
 
 def _indegrees(g):
@@ -51,7 +52,6 @@ def _assert_matches_arc_scan(g):
     for got, want in pairs:
         assert got.format == "csr" and got.dtype == complex
         assert np.array_equal(got.toarray(), want)
-    assert np.array_equal(nonmoral.uniform_block_state(dg), oracles.uniform_block_state(dg))
     for v in range(g.n):
         assert np.array_equal(nonmoral.block_mixed_state(dg, v), oracles.block_mixed_state(dg, v))
 
@@ -77,6 +77,8 @@ def test_fourier_matrix():
     assert np.allclose(nonmoral.fourier_matrix(2), [[1, 1], [1, -1]])
     f5 = nonmoral.fourier_matrix(5)
     assert np.abs(f5.conj().T @ f5 - 5 * np.eye(5)).max() < 1e-12
+    with pytest.raises(DimensionError):
+        nonmoral.fourier_matrix(0)
 
 
 def test_lindblad_moral_triangle_display():
@@ -166,21 +168,6 @@ def test_rotating_hamiltonian_blocks():
     for v in (1, 2, 3):
         assert h[dg.index[v][0], dg.index[v][0]] == 0
     numkernel.check_hermitian(h)
-
-
-def test_random_rotating_hamiltonian_ensembles():
-    dg = nonmoral.demoralize(graphs.ngqsw_period_graph())
-    for ens in ("GOE", "GUE", "XY"):
-        h = nonmoral.random_rotating_hamiltonian(dg, ens, seed=3)
-        numkernel.check_hermitian(h)
-        h = h.toarray()
-        h2 = nonmoral.random_rotating_hamiltonian(dg, ens, seed=3).toarray()
-        assert np.array_equal(h, h2)
-        # block diagonal over copies
-        assert h[dg.index[0][0], dg.index[1][0]] == 0
-    assert np.abs(nonmoral.random_rotating_hamiltonian(dg, "GOE", 0).toarray().imag).max() == 0
-    with pytest.raises(ValueError):
-        nonmoral.random_rotating_hamiltonian(dg, "bogus", 0)
 
 
 def test_ngqsw_moral_triangle_closed_form():
@@ -282,14 +269,6 @@ def test_natural_measure_rejects_non_distribution(diag):
     dg = nonmoral.demoralize(graphs.moral_triangle())
     with pytest.raises(NumericalError):
         nonmoral.natural_measure(np.diag(diag).astype(complex), dg)
-
-
-def test_uniform_block_state():
-    dg = nonmoral.demoralize(graphs.moral_triangle())
-    rho = nonmoral.uniform_block_state(dg)
-    assert np.allclose(np.diagonal(rho).real, [1 / 3, 1 / 3, 1 / 6, 1 / 6])
-    gksl.check_density(rho)
-    assert np.allclose(nonmoral.natural_measure(rho, dg), 1 / 3)
 
 
 def test_sink_block_state_is_stationary():

@@ -13,7 +13,7 @@ from qswlab.exceptions import (
     DimensionError,
     DisconnectedGraphError,
     NumericalError,
-    OracleNeverSucceeds,
+    ParameterRangeError,
     ZeroOverlapError,
 )
 
@@ -86,9 +86,19 @@ def test_shift_rescale_idempotent_and_degenerate():
         search.shift_rescale(np.eye(4))
 
 
-def test_optimal_shift_success_bound():
-    assert search.optimal_shift_success_bound(0.2, 0.2) == 1.0
-    assert search.optimal_shift_success_bound(1.0 - 1e-15, -0.5) < 1e-12
+def test_shift_rescale_and_spectrum_share_the_simple_top_rule():
+    """A gap of 1e-7 under eigenvalues of size 1e6 is below the relative
+    TOL_TOP_GAP; neither the map nor the spectrum accepts it."""
+    h = np.diag([1e6, 1e6 - 1e-7, -1e6])
+    with pytest.raises(DegenerateTopError):
+        search.shift_rescale(h)
+    with pytest.raises(DegenerateTopError):
+        search.SearchSpectrum.of(h)
+
+
+def test_search_spectrum_rejects_unknown_kind():
+    with pytest.raises(ParameterRangeError):
+        search.search_spectrum(graphs.complete(4), "incidence")
 
 
 def test_search_stats_examples():
@@ -125,6 +135,13 @@ def test_run_search_complete_graph():
     late = search.run_search(a, 0, 1 / (n - 2), "uniform",
                              np.array([math.pi * math.sqrt(n)]))
     assert late.probs[0] < 5.0 / n
+
+
+@pytest.mark.parametrize("gamma, initial", [("S2", "uniform"), (0.1, "random")])
+def test_run_search_rejects_unknown_rules(gamma, initial):
+    spec = search.search_spectrum(graphs.complete(8), "adjacency")
+    with pytest.raises(ParameterRangeError):
+        search.run_search(spec, 0, gamma, initial, np.array([1.0]))
 
 
 def test_run_search_sign_flip_invariance():
@@ -355,30 +372,10 @@ def test_kernel_backends_agree():
     assert np.array_equal(a, b)
 
 
-def test_geometric_schedule():
-    total, k = search.geometric_schedule(0.0, 1.0, 2.0, 100, lambda t: True, c=3.0)
-    assert k == 0 and total == 3.0
-
-    seen = []
-    with pytest.raises(OracleNeverSucceeds):
-        search.geometric_schedule(0.0, 1.0, 1.5, 50,
-                                  lambda t: (seen.append(t), False)[1])
-    ratios = np.diff(np.log(seen))
-    assert np.abs(ratios - 1.0 / 1.5).max() < 1e-12
-
-    # total cost stays within the geometric-series factor of the hit time
-    alpha = 0.43
-    for n in (100, 1000, 10000):
-        total, k = search.geometric_schedule(0.1, 1.0, 2.0, n,
-                                             lambda t, n=n: t >= n**alpha)
-        factor = math.exp(1.0 / 2.0) / (1 - math.exp(-1.0 / 2.0))
-        assert total / n**alpha <= factor + 1e-9
-
-
 def test_lambert_bound():
     assert search.lambert_bound(1.0 + 1e-9) < 1e-3
     assert search.lambert_bound(1e6) > 0.99
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRangeError):
         search.lambert_bound(0.5)
     # defining-equation residuals
     for p0 in (1.5, 2.0, 10.0):
