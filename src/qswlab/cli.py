@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -33,7 +35,7 @@ def parse_graph_spec(spec: str):
         try:
             with open(arg) as fh:
                 return graphs.from_json(fh)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load graph file {arg}: {exc}")
     try:
         n = int(arg)
@@ -50,11 +52,23 @@ def parse_graph_spec(spec: str):
     raise click.UsageError(f"unknown graph family {kind!r}")
 
 
-def _open_output(path, newline=None):
-    """path opened for writing; an OSError becomes a UsageError that names
-    the path, so an unwritable report exits 2."""
+def _write_text(path, text):
+    """Overwrite path with text in place, the one way the CLI writes a file.
+
+    The file is opened without truncation, written and flushed; a regular
+    file is then cut at the end of the new text, and a device such as
+    /dev/null is left uncut. An existing output keeps its inode, so hard
+    links, mode and owner survive, and a read-only output fails. Nothing
+    is fsynced: a power loss within the kernel's writeback window can leave
+    the old bytes or a mix of old and new. An OSError at any step becomes a
+    UsageError that names the path, so an unwritable report exits 2."""
     try:
-        return open(path, "w", newline=newline)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode())
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -71,15 +85,15 @@ def _write_json(path, payload, config, seed):
         text = json.dumps(doc, indent=1, default=float, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"report {path} would hold a non-finite value: {exc}") from exc
-    with _open_output(path) as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
 def _write_csv(path, header, rows):
-    with _open_output(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def numerical_guard(f):
@@ -130,8 +144,7 @@ def cmd_graphgen(model, n, p, m0, a, b, directed, seed, out):
         if directed:
             raise click.UsageError("cl model is undirected")
         g = graphs.gen_cl(n, graphs.cl_powerlaw_omega(n, a, b), seed)
-    with _open_output(out) as fh:
-        graphs.to_json(g, fh)
+    _write_text(out, graphs.to_json(g))
 
 
 MAX_GRID_POINTS = 100_000

@@ -301,7 +301,7 @@ def ngqsw_period_graph() -> DiGraph:
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n": int, "directed": bool, "edges": [[u, v], ...]}, 1-based
 
-def to_json(g, fp=None):
+def to_json(g) -> str:
     directed = isinstance(g, DiGraph)
     pairs = sorted(g.arcs if directed else g.edges)
     doc = {
@@ -309,19 +309,38 @@ def to_json(g, fp=None):
         "directed": directed,
         "edges": [[u + 1, v + 1] for u, v in pairs],
     }
-    if fp is None:
-        return json.dumps(doc, indent=1)
-    json.dump(doc, fp, indent=1)
-    return None
+    return json.dumps(doc, indent=1)
 
 
 def from_json(source):
+    """The graph a JSON document describes, exactly: MalformedGraphError for
+    a document that is not an object with n, directed and edges, an n that
+    is not a non-negative integer, a vertex label that is not an integer, a
+    directed flag that is not a bool, an edge that is not a pair, or an edge
+    given twice ([1, 2] and [2, 1] are the same undirected edge). Range and
+    self-loop checks are the constructor's."""
     doc = json.loads(source) if isinstance(source, str) else json.load(source)
-    n = int(doc["n"])
-    pairs = frozenset((int(u) - 1, int(v) - 1) for u, v in doc["edges"])
-    if doc["directed"]:
-        return DiGraph(n, pairs)
-    return Graph(n, pairs)
+    if not (isinstance(doc, dict) and {"n", "directed", "edges"} <= doc.keys()):
+        raise MalformedGraphError("a graph document is an object with n, directed and edges")
+    n, directed, edges = doc["n"], doc["directed"], doc["edges"]
+    # `type(x) is int` is a JSON integer: it excludes bools and floats such as 3.0
+    if not (type(n) is int and n >= 0):
+        raise MalformedGraphError(f"n must be a non-negative integer, got {n!r}")
+    if not isinstance(directed, bool):
+        raise MalformedGraphError(f"directed must be true or false, got {directed!r}")
+    if not isinstance(edges, list):
+        raise MalformedGraphError("edges must be a list of vertex pairs")
+    pairs = set()
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int):
+            raise MalformedGraphError(f"an edge is a pair of integer vertex labels, got {e!r}")
+        u, v = e[0] - 1, e[1] - 1
+        pair = (u, v) if directed or u <= v else (v, u)
+        if pair in pairs:
+            raise MalformedGraphError(f"repeated {'arc' if directed else 'edge'} {e!r}")
+        pairs.add(pair)
+    return (DiGraph if directed else Graph)(n, frozenset(pairs))
 
 
 def require_connected(g: Graph):

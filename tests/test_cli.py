@@ -208,6 +208,9 @@ def _unwritable_report(tmp_path, case):
         return ["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "5",
                 "--t-start", "1", "--t-stop", "3", "--t-step", "1", "--batch", "2",
                 "--out-csv", str(bad), "--out-json", str(missing / "p.json")], bad
+    if case == "devfull":
+        return ["graphgen", "--model", "er", "--n", "5", "--p", "0.5",
+                "--out", "/dev/full"], "/dev/full"
     bad = tmp_path / "taken"
     bad.write_text("")
     cfg = tmp_path / "cfg.json"
@@ -216,17 +219,83 @@ def _unwritable_report(tmp_path, case):
     return ["sweep", "--config", str(cfg)], bad
 
 
-@pytest.mark.parametrize("case", ["converge", "graphgen", "search", "propagate", "sweep"])
+@pytest.mark.parametrize("case", [
+    "converge", "graphgen", "search", "propagate", "sweep",
+    pytest.param("devfull", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+])
 def test_unwritable_report_path_exits_2(runner, tmp_path, case):
     """A report path in a missing directory, a report path that is a
-    directory, and a sweep outdir that is a file all exit 2 and name the
-    path."""
+    directory, a sweep outdir that is a file, and a device whose every
+    write fails (/dev/full) all exit 2 and name the path."""
     args, bad = _unwritable_report(tmp_path, case)
     r = runner.invoke(cli.main, args)
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert str(bad) in r.output
+
+
+def _graphgen(runner, out, n):
+    r = runner.invoke(cli.main, ["graphgen", "--model", "er", "--n", str(n),
+                                 "--p", "0.5", "--seed", "3", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+
+
+def test_rewrite_with_shorter_text_leaves_no_stale_tail(runner, tmp_path):
+    """An output is overwritten in place and cut at the end of the new
+    text: a short graph written over a long one, and a report written
+    over a longer file, read back as written to a fresh path."""
+    out, fresh = tmp_path / "g.json", tmp_path / "fresh.json"
+    _graphgen(runner, out, 40)
+    long_size = out.stat().st_size
+    _graphgen(runner, out, 4)
+    _graphgen(runner, fresh, 4)
+    assert out.stat().st_size < long_size
+    assert out.read_bytes() == fresh.read_bytes()
+    assert graphs.from_json(out.read_text()).n == 4
+
+    report = tmp_path / "c.json"
+    report.write_text("x" * 100_000)
+    args = ["converge", "--model", "lqsw", "--graph", "path:4", "--out", str(report)]
+    r = runner.invoke(cli.main, args)
+    assert r.exit_code == 0, r.output
+    doc = json.loads(report.read_text())
+    assert doc["classification"] and doc["config"]["graph"] == "path:4"
+
+
+def test_rewrite_keeps_hard_links_and_mode(runner, tmp_path):
+    out, link = tmp_path / "g.json", tmp_path / "link.json"
+    _graphgen(runner, out, 30)
+    os.link(out, link)
+    os.chmod(out, 0o640)
+    _graphgen(runner, out, 5)
+    assert link.read_bytes() == out.read_bytes()
+    assert graphs.from_json(link.read_text()).n == 5
+    assert os.stat(out).st_mode & 0o777 == 0o640
+    assert os.stat(out).st_nlink == 2
+
+
+def test_output_to_a_device_is_written_uncut(runner):
+    """A character device takes the text and is not truncated, which it
+    would refuse."""
+    r = runner.invoke(cli.main, ["graphgen", "--model", "er", "--n", "5",
+                                 "--p", "0.5", "--out", os.devnull])
+    assert r.exit_code == 0, r.output
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes to a read-only file")
+def test_read_only_report_exits_2_and_is_kept(runner, tmp_path):
+    out = tmp_path / "g.json"
+    _graphgen(runner, out, 30)
+    before = out.read_bytes()
+    os.chmod(out, 0o444)
+    r = runner.invoke(cli.main, ["graphgen", "--model", "er", "--n", "5",
+                                 "--p", "0.5", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert str(out) in r.output
+    assert out.read_bytes() == before
 
 
 def test_search_report_echoes_its_grid(runner, tmp_path):
@@ -252,6 +321,8 @@ def _search_args(tmp_path, graph, marked):
     ([], 1, 1, "at least 2 vertices"),                     # path:1
     ([[1, 2], [3, 4]], 4, 1, "not simple"),                # two disjoint K2
     ([[1, 2], [2, 3], [4, 5]], 5, 5, "no overlap"),        # eps = 0
+    ([[1.9, 2]], 3.7, 1, "cannot load graph file"),         # malformed file
+    ([[1, 2], [2, 1], [1, 2]], 3, 1, "cannot load graph file"),
 ])
 def test_search_domain_errors_exit_2(runner, tmp_path, edges, n, marked, message):
     g_file = tmp_path / "g.json"
@@ -498,12 +569,22 @@ def test_propagate_refuses_a_generator_too_large_to_assemble(runner, tmp_path, m
     assert f"above the cap {gksl.GENERATOR_NNZ_CAP:.3g}" in r.output
 
 
-def test_cli_imports_neither_networkx_nor_numba():
-    """The package runs on numpy, scipy and click alone."""
+def _imported_by_cli(modules):
+    """Those of modules that `import qswlab.cli` loads in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import qswlab.cli, sys; print(sorted({'networkx', 'numba'} & set(sys.modules)))"
+    code = f"import qswlab.cli, sys; print(sorted({set(modules)!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_imports_neither_networkx_nor_numba():
+    """The package runs on numpy, scipy and click alone."""
+    assert _imported_by_cli({"networkx", "numba"}) == "[]"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """Only the limit-model fit needs scipy.optimize, so it imports it."""
+    assert _imported_by_cli({"scipy.optimize"}) == "[]"

@@ -190,16 +190,50 @@ def test_circulant_jump2_size_check():
 
 def test_json_roundtrip_is_one_based():
     g = graphs.DiGraph(3, frozenset({(0, 2)}))
-    buf = io.StringIO()
-    graphs.to_json(g, buf)
-    doc = json.loads(buf.getvalue())
+    text = graphs.to_json(g)
+    doc = json.loads(text)
     assert doc["edges"] == [[1, 3]] and doc["directed"]
-    assert graphs.from_json(buf.getvalue()) == g
+    assert graphs.from_json(text) == g
+    assert graphs.from_json(io.StringIO(text)) == g
 
 
 def test_json_roundtrip_undirected():
     g = graphs.path(4)
     assert graphs.from_json(graphs.to_json(g)) == g
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3.7, "directed": False, "edges": [[1, 2]]},          # n not an integer
+    {"n": 3.0, "directed": False, "edges": [[1, 2]]},
+    {"n": True, "directed": False, "edges": []},
+    {"n": "3", "directed": False, "edges": []},
+    {"n": -1, "directed": False, "edges": []},
+    {"n": 3, "directed": False, "edges": [[1.9, 2]]},          # label not an integer
+    {"n": 3, "directed": False, "edges": [[1, 2.0]]},
+    {"n": 3, "directed": True, "edges": [[True, 2]]},
+    {"n": 3, "directed": 0, "edges": [[1, 2]]},                # directed not a bool
+    {"n": 3, "directed": "false", "edges": [[1, 2]]},
+    {"n": 3, "directed": False, "edges": [[1, 2, 3]]},         # edge not a pair
+    {"n": 3, "directed": False, "edges": [[1]]},
+    {"n": 3, "directed": False, "edges": [12]},
+    {"n": 3, "directed": False, "edges": {"1": 2}},
+    {"n": 3, "directed": False, "edges": [[1, 2], [2, 1]]},    # repeated edge
+    {"n": 3, "directed": False, "edges": [[1, 2], [2, 3], [1, 2]]},
+    {"n": 3, "directed": True, "edges": [[1, 2], [1, 2]]},     # repeated arc
+    {"n": 3, "directed": False},                               # a key missing
+    [[1, 2]],
+])
+def test_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(MalformedGraphError):
+        graphs.from_json(json.dumps(doc))
+
+
+def test_from_json_keeps_opposite_arcs_and_range_checks():
+    doc = {"n": 2, "directed": True, "edges": [[1, 2], [2, 1]]}
+    assert graphs.from_json(json.dumps(doc)) == graphs.DiGraph(2, frozenset({(0, 1), (1, 0)}))
+    for edges in ([[0, 1]], [[1, 4]], [[2, 2]]):               # range and self-loop
+        with pytest.raises(MalformedGraphError):
+            graphs.from_json(json.dumps({"n": 3, "directed": False, "edges": edges}))
 
 
 @settings(deadline=None, max_examples=30)
