@@ -34,9 +34,12 @@ def parse_graph_spec(spec: str):
     if kind == "file":
         try:
             with open(arg) as fh:
-                return graphs.from_json(fh)
+                g = graphs.from_json(fh.read())
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load graph file {arg}: {exc}")
+        if g.n < 1:
+            raise click.UsageError("graph size must be positive")
+        return g
     try:
         n = int(arg)
     except ValueError:
@@ -310,14 +313,16 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         if None in (t_start, t_stop, t_step):
             raise click.UsageError("give all of --t-start/--t-stop/--t-step or none")
         times = _time_grid(t_start, t_stop, t_step)
-    gm = gamma if gamma is not None else ("S1" if gamma_rule == "s1" else "caption")
-    run = search.run_search(spec, w, gm, "principal", times)
+    # config.gamma keeps the --gamma given, null for a rule
+    rate = gamma if gamma is not None else (
+        stats.s1 if gamma_rule == "s1" else search.caption_gamma(spec, w))
+    run = search.run_search(spec, w, rate, times)
     _write_csv(out_csv, ["t", "p"], list(zip(times, run.probs)))
     payload = {
         "stats": {
             "eps": stats.eps, "S1": stats.s1, "S2": stats.s2, "S3": stats.s3,
             "gap": stats.gap, "condition_holds": stats.condition_holds,
-            "predicted_t": stats.predicted_t, "gamma": run.gamma,
+            "predicted_t": stats.predicted_t, "gamma": rate,
         },
         "argmax_t": run.argmax_t,
         "p_max": run.p_max,
@@ -344,8 +349,8 @@ def _sweep_er_p0(outdir, seed, samples, p0_list, n, marked_per_graph):
             t_meas = math.pi * math.sqrt(gc.n) / 2.0
             marked = rng.choice(gc.n, size=min(marked_per_graph, gc.n),
                                 replace=False)
-            for w in marked:
-                run = search.run_search(spec, int(w), "caption", "principal",
+            for w in marked.tolist():
+                run = search.run_search(spec, w, search.caption_gamma(spec, w),
                                         np.array([t_meas]))
                 probs.append(run.probs[0])
         bound = search.lambert_bound(p0) if p0 > 1 else 0.0
@@ -363,35 +368,36 @@ def _sweep_ba_search(outdir, seed, samples, n_list, m0):
         children = root.spawn(samples)
         for s in range(samples):
             rng = np.random.default_rng(children[s])
-            g = graphs.gen_ba(int(n), m0, int(rng.integers(2**32)))
-            w = int(n) - 1
+            g = graphs.gen_ba(n, m0, int(rng.integers(2**32)))
+            w = n - 1
             spec = search.search_spectrum(g, "normalized_laplacian")
             stats = search.search_stats(spec, w)
-            run = search.run_search(spec, w, "S1", "principal",
-                                    np.array([stats.predicted_t]))
+            run = search.run_search(spec, w, stats.s1, np.array([stats.predicted_t]))
             rows.append([n, stats.predicted_t, run.probs[0]])
     _write_csv(os.path.join(outdir, "aggregate.csv"), ["n", "T", "pT"], rows)
 
 
 def _config_number(key, value, low, kind=int):
-    """The config field `key` converted by kind; UsageError unless it is
+    """The config field `key` as given; UsageError unless it is a JSON
+    integer (kind int) or a JSON number that is not a bool (kind float),
     finite and at least low."""
+    # `type(x) is int` is a JSON integer: it excludes bools and floats such as 3.0
     try:
-        number = kind(value)
-        ok = math.isfinite(number) and number >= low
-    except (TypeError, ValueError, OverflowError):
+        ok = type(value) is int if kind is int else (
+            type(value) in (int, float) and math.isfinite(float(value)))
+    except OverflowError:   # an integer beyond the float range
         ok = False
-    if not ok:
-        raise click.UsageError(f"config field {key!r} must be a number >= {low}, got {value!r}")
-    return number
+    if not (ok and value >= low):
+        what = "an integer" if kind is int else "a number"
+        raise click.UsageError(f"config field {key!r} must be {what} >= {low}, got {value!r}")
+    return value
 
 
 def _config_list(key, values, low, kind=int):
-    """The config field `key` as given: a nonempty list of JSON numbers,
-    each of which _config_number accepts."""
-    if not (isinstance(values, list) and values
-            and all(isinstance(v, (int, float)) for v in values)):
-        raise click.UsageError(f"config field {key!r} must be a nonempty list of numbers")
+    """The config field `key` as given: a nonempty list, each entry of
+    which _config_number accepts."""
+    if not (isinstance(values, list) and values):
+        raise click.UsageError(f"config field {key!r} must be a nonempty list")
     for v in values:
         _config_number(key, v, low, kind)
     return values

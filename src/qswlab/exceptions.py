@@ -10,15 +10,12 @@ class DimensionError(QswlabError, ValueError):
 
 
 class NumericalError(QswlabError, RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical check failed: a routine did not converge, or a result
+    is not finite or misses its stated tolerance."""
 
 
 class IsolatedVertexError(QswlabError, ValueError):
     """Normalized Laplacian requested for a graph with a degree-0 vertex."""
-
-
-class MultipleSinksError(QswlabError, ValueError):
-    """The condensation has more than one sink component."""
 
 
 class DisconnectedGraphError(QswlabError, ValueError):
@@ -59,13 +56,14 @@ class NonPositiveDataError(QswlabError, ValueError):
 
 class ParameterRangeError(QswlabError, ValueError):
     """A parameter, such as the interpolation weight omega, an edge
-    probability, a vertex label or the name of a rule, lies outside its
+    probability, a vertex label or a graph matrix kind, lies outside its
     domain or is not finite."""
 
 
 class MalformedGraphError(QswlabError, ValueError):
     """A vertex pair of a graph has a vertex out of range or is a
-    self-loop."""
+    self-loop, or a graph document is not the JSON object `from_json`
+    reads."""
 
 
 class DensityInvariantViolated(QswlabError, RuntimeError):

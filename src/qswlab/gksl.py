@@ -23,26 +23,24 @@ from .exceptions import (
 )
 
 HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIG_FLOOR = -1e-8
 DRIFT_TOL = 1e-7
 # About 0.9 GB peak RSS while S and its real form are assembled: the
 # length-301 ngqsw path has a bound of 1.65e7 and peaked at 749 MB.
 GENERATOR_NNZ_CAP = 20_000_000
 
 
-def check_density(rho: np.ndarray, herm_tol=HERM_TOL, trace_tol=TRACE_TOL,
-                  eig_floor=EIG_FLOOR) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, near-positive."""
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix to DRIFT_TOL: Hermitian, unit trace, and
+    no eigenvalue below -DRIFT_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > DRIFT_TOL:
         raise DensityInvariantViolated("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > DRIFT_TOL:
         raise DensityInvariantViolated(f"trace {np.trace(rho)} deviates from 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < eig_floor:
+    if w.min() < -DRIFT_TOL:
         raise DensityInvariantViolated(f"negative eigenvalue {w.min()}")
     return rho
 
@@ -193,7 +191,7 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
     rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
     for rho, xk in zip(rhos, xs):
         rho[...] = (form.basis @ xk).reshape(gen.dim, gen.dim)
-        check_density(rho, herm_tol=DRIFT_TOL, trace_tol=DRIFT_TOL, eig_floor=-DRIFT_TOL)
+        check_density(rho)
     return rhos[0] if np.ndim(t) == 0 else rhos
 
 

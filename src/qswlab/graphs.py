@@ -18,7 +18,6 @@ from .exceptions import (
     DisconnectedGraphError,
     IsolatedVertexError,
     MalformedGraphError,
-    MultipleSinksError,
     ParameterRangeError,
     ProbabilityOverflowError,
     WrongTopologyError,
@@ -108,45 +107,6 @@ def arc_matrix(g) -> sp.csr_matrix:
     if isinstance(g, Graph):
         u, v = np.concatenate([u, v]), np.concatenate([v, u])
     return sp.csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
-
-
-@dataclass(frozen=True)
-class Condensation:
-    """Strongly connected components, the DAG over them, and its sinks."""
-
-    partition: tuple
-    dag: DiGraph
-    sinks: tuple
-
-
-def condensation(g: DiGraph) -> Condensation:
-    """Components ordered by smallest vertex, each a sorted vertex tuple."""
-    a = arc_matrix(g)
-    ncomp, labels = csgraph.connected_components(a, connection="strong")
-    _, first = np.unique(labels, return_index=True)
-    comp = np.argsort(np.argsort(first))[labels]
-    comps = [[] for _ in range(ncomp)]
-    for v, c in enumerate(comp.tolist()):
-        comps[c].append(v)
-    a = a.tocoo()
-    cu, cv = comp[a.row], comp[a.col]
-    cross = cu != cv
-    dag = DiGraph(len(comps), frozenset(zip(cu[cross].tolist(), cv[cross].tolist())))
-    sinks = np.flatnonzero(np.bincount(cu[cross], minlength=dag.n) == 0)
-    return Condensation(partition=tuple(map(tuple, comps)), dag=dag,
-                        sinks=tuple(sinks.tolist()))
-
-
-def distances_to_sink_set(g: DiGraph, cond: Condensation | None = None) -> np.ndarray:
-    """Directed distance from each vertex to the unique sink component."""
-    if cond is None:
-        cond = condensation(g)
-    if len(cond.sinks) != 1:
-        raise MultipleSinksError(f"expected a unique sink component, found {len(cond.sinks)}")
-    # every vertex reaches the unique sink of a finite DAG, so all are finite
-    dist = csgraph.dijkstra(arc_matrix(g).T, indices=cond.partition[cond.sinks[0]],
-                            unweighted=True, min_only=True)
-    return dist.astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:
@@ -312,14 +272,14 @@ def to_json(g) -> str:
     return json.dumps(doc, indent=1)
 
 
-def from_json(source):
-    """The graph a JSON document describes, exactly: MalformedGraphError for
+def from_json(text: str):
+    """The graph described by the JSON text, exactly: MalformedGraphError for
     a document that is not an object with n, directed and edges, an n that
     is not a non-negative integer, a vertex label that is not an integer, a
     directed flag that is not a bool, an edge that is not a pair, or an edge
     given twice ([1, 2] and [2, 1] are the same undirected edge). Range and
     self-loop checks are the constructor's."""
-    doc = json.loads(source) if isinstance(source, str) else json.load(source)
+    doc = json.loads(text)
     if not (isinstance(doc, dict) and {"n", "directed", "edges"} <= doc.keys()):
         raise MalformedGraphError("a graph document is an object with n, directed and edges")
     n, directed, edges = doc["n"], doc["directed"], doc["edges"]

@@ -28,7 +28,6 @@ class DemoralizedGraph:
     base: graphs.DiGraph
     block_sizes: tuple          # per base vertex
     index: tuple                # index[v][k] -> enlarged basis position
-    labels: tuple               # labels[i] = (v, k)
     dim: int
 
     @functools.cached_property
@@ -52,15 +51,10 @@ def _parents(g: graphs.DiGraph):
 def demoralize(g: graphs.DiGraph) -> DemoralizedGraph:
     indptr, _ = _parents(g)
     sizes = tuple(int(d) for d in np.maximum(np.diff(indptr), 1))
-    labels = []
-    for k in range(max(sizes)):
-        for v in range(g.n):
-            if k < sizes[v]:
-                labels.append((v, k))
+    labels = [(v, k) for k in range(max(sizes)) for v in range(g.n) if k < sizes[v]]
     pos = {lab: i for i, lab in enumerate(labels)}
     index = tuple(tuple(pos[(v, k)] for k in range(sizes[v])) for v in range(g.n))
-    return DemoralizedGraph(base=g, block_sizes=sizes, index=index,
-                            labels=tuple(labels), dim=len(labels))
+    return DemoralizedGraph(base=g, block_sizes=sizes, index=index, dim=len(labels))
 
 
 def fourier_matrix(n: int) -> np.ndarray:

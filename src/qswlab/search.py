@@ -30,7 +30,7 @@ from .exceptions import (
 GRAPH_MATRIX_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
 TOL_TOP_GAP = 1e-12   # relative gap below which the top eigenvalue counts as degenerate
 TOL_PROB = 1e-10      # rounding allowed above p = 1 before a probability is an error
-TOL_AMP = 1e-12       # allowed miss of the t = 0 amplitude against <w|init>, per unit norm
+TOL_AMP = 1e-12       # allowed miss of the t = 0 amplitude against <w|v_1>
 SEARCH_CONDITION_CONST = 0.1  # c in the applicability condition sqrt(eps) < c min(...)
 
 
@@ -138,7 +138,6 @@ class SearchStats:
     gap: float
     condition_holds: bool
     predicted_t: float
-    gamma: float
 
 
 def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
@@ -152,7 +151,7 @@ def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
     cond = math.sqrt(eps) < SEARCH_CONDITION_CONST * min(s1 * s2 / s3, gap * math.sqrt(s2))
     predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1
     return SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap,
-                       condition_holds=cond, predicted_t=predicted_t, gamma=s1)
+                       condition_holds=cond, predicted_t=predicted_t)
 
 
 def caption_gamma(spec: SearchSpectrum, w: int) -> float:
@@ -167,53 +166,34 @@ class SearchRun:
     probs: np.ndarray
     argmax_t: float
     p_max: float
-    gamma: float
 
 
-def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun:
-    """Success probability |<w| exp(-i(gamma H_G + |w><w|) t) |init>|^2.
-
-    gamma may be "S1", "caption", or a number. initial may be
-    "principal" (top eigenvector of H_G), "uniform", or a state vector.
+def run_search(spec: SearchSpectrum, w: int, gamma: float, times) -> SearchRun:
+    """Success probability |<w| exp(-i(gamma H_G + |w><w|) t) |v_1>|^2 from
+    the principal eigenvector v_1 of H_G, signed so that its entries sum to
+    at least 0.
 
     In the eigenbasis V of H_G the search matrix is gamma Lambda + a a^H
-    with a = V^H e_w. Moving the phases of a into the start state leaves
-    the real diag(gamma lambda) + |a| |a|^T, whose eigensystem
+    with a = V^H e_w, and the start is e_1. Moving the phases of a into the
+    start leaves the real diag(gamma lambda) + |a| |a|^T, whose eigensystem
     `numkernel.rank_one_eig` finds in O(n^2) from the secular equation.
-    Raises NumericalError when the t = 0 amplitude misses <w|init> by more
+    Raises NumericalError when the t = 0 amplitude misses <w|v_1> by more
     than TOL_AMP, or a probability is not finite or exceeds 1 by more than
     rounding.
     """
-    if isinstance(gamma, str):
-        if gamma == "S1":
-            gamma = search_stats(spec, w).gamma
-        elif gamma == "caption":
-            gamma = caption_gamma(spec, w)
-        else:
-            raise ParameterRangeError(f"unknown gamma rule {gamma!r}")
     row = spec.vectors[w, :]   # <w|v_j>
-    if isinstance(initial, str) and initial == "principal":
-        # the start is +-v_1, so its coordinates are +-e_1
-        sign = -1.0 if spec.vectors[:, 0].real.sum() < 0 else 1.0
-        xhat = np.zeros(spec.n)
-        xhat[0] = sign
-        x_w, x_norm = sign * row[0], 1.0
-    else:
-        if isinstance(initial, str):
-            if initial != "uniform":
-                raise ParameterRangeError(f"unknown initial state {initial!r}")
-            initial = np.ones(spec.n) / math.sqrt(spec.n)
-        x = np.asarray(initial)
-        xhat = spec.vectors.conj().T @ x
-        x_w, x_norm = x[w], float(np.linalg.norm(x))
+    sign = -1.0 if spec.vectors[:, 0].real.sum() < 0 else 1.0
+    xhat = np.zeros(spec.n)   # the start +-v_1 has coordinates +-e_1
+    xhat[0] = sign
+    x_w = sign * row[0]       # <w|+-v_1>
     times = np.asarray(times, dtype=float)
-    r1 = numkernel.rank_one_eig(float(gamma) * spec.values, np.abs(row))
-    # <w|u_i> and <u_i|x> for the eigenvectors u_i that overlap w
+    r1 = numkernel.rank_one_eig(gamma * spec.values, np.abs(row))
+    # <w|u_i> and <u_i|v_1> for the eigenvectors u_i that overlap w
     weights = (r1.weights @ r1.vectors) * (r1.fold(row * xhat) @ r1.vectors)
     amp0 = complex(weights.sum())
-    if not abs(amp0 - x_w) <= TOL_AMP * max(1.0, x_norm):
+    if not abs(amp0 - x_w) <= TOL_AMP:
         raise NumericalError(f"search amplitude at t = 0 is {amp0!r}, not "
-                             f"<w|init> = {complex(x_w)!r}")
+                             f"<w|v_1> = {complex(x_w)!r}")
     amps = np.exp(-1j * np.outer(times, r1.values)) @ weights
     probs = np.abs(amps) ** 2
     bad = ~(probs <= 1.0 + TOL_PROB)  # NaN fails the comparison too
@@ -224,7 +204,7 @@ def run_search(spec: SearchSpectrum, w: int, gamma, initial, times) -> SearchRun
     probs = np.minimum(probs, 1.0)
     k = int(np.argmax(probs))
     return SearchRun(times=times, probs=probs, argmax_t=float(times[k]),
-                     p_max=float(probs[k]), gamma=float(gamma))
+                     p_max=float(probs[k]))
 
 
 # ---------------------------------------------------------------------------

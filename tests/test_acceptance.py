@@ -160,13 +160,13 @@ def test_acceptance_08_complete_graph_search():
     sizes = [64, 256, 1024]
     probs, argmaxes = [], []
     for n in sizes:
+        # the search starts from the principal eigenvector of K_n, the uniform state
         a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
         gamma = 1.0 / (n - 2)
-        p = search.run_search(a, 0, gamma, "uniform",
-                              np.array([math.pi * math.sqrt(n) / 2])).probs[0]
+        p = search.run_search(a, 0, gamma, np.array([math.pi * math.sqrt(n) / 2])).probs[0]
         probs.append(p)
         grid = np.linspace(0.0, 1.3 * math.pi * math.sqrt(n) / 2, 400)
-        argmaxes.append(search.run_search(a, 0, gamma, "uniform", grid).argmax_t)
+        argmaxes.append(search.run_search(a, 0, gamma, grid).argmax_t)
     slope = np.polyfit(np.log(sizes), np.log(argmaxes), 1)[0]
     ok = min(probs) >= 0.9 and abs(slope - 0.5) <= 0.05
     report("acceptance 08 complete-graph search", ok,
@@ -184,7 +184,7 @@ def test_acceptance_09_star_graph():
         hp = search.SearchSpectrum.of(search.shift_rescale(graphs.adjacency(graphs.star(n))))
         st = search.search_stats(hp, 1)
         grid = np.linspace(0.0, 6.0 * st.predicted_t, 900)
-        run = search.run_search(hp, 1, "S1", "principal", grid)
+        run = search.run_search(hp, 1, st.s1, grid)
         worst = min(worst, run.p_max)
     ok = ok_c and worst >= 0.45
     report("acceptance 09 star graph", ok, f"c dev {abs(c - 1/3):.2e}, min leaf p {worst:.4f}")
@@ -229,8 +229,8 @@ def test_acceptance_11_er_p0_sweep():
             hg = search.search_spectrum(gc, "laplacian")
             t = math.pi * math.sqrt(gc.n) / 2.0
             for w in rng.choice(gc.n, 5, replace=False):
-                probs.append(search.run_search(hg, int(w), "caption",
-                                               "principal", np.array([t])).probs[0])
+                gamma = search.caption_gamma(hg, int(w))
+                probs.append(search.run_search(hg, int(w), gamma, np.array([t])).probs[0])
         results.append((p0, float(np.mean(probs)), search.lambert_bound(p0)))
     ok = all(mean >= bound - 0.05 for _, mean, bound in results)
     report("acceptance 11 ER p0 sweep", ok,
@@ -246,8 +246,7 @@ def test_acceptance_12_ba_speedup_exponent():
             w = n - 1
             hg = search.search_spectrum(g, "normalized_laplacian")
             st = search.search_stats(hg, w)
-            p = search.run_search(hg, w, "S1", "principal",
-                                  np.array([st.predicted_t])).probs[0]
+            p = search.run_search(hg, w, st.s1, np.array([st.predicted_t])).probs[0]
             rows.append((n, st.predicted_t / p))
     rows = np.array(rows)
     slope = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 1]), 1)[0]

@@ -27,11 +27,15 @@ def test_parse_graph_spec():
     assert cli.parse_graph_spec("star:6") == graphs.star(6)
 
 
-def test_parse_graph_spec_errors():
+def test_parse_graph_spec_errors(tmp_path):
     import click
     for bad in ("path", "path:x", "ring:5", "path:0"):
         with pytest.raises(click.UsageError):
             cli.parse_graph_spec(bad)
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 0, "directed": True, "edges": []}))
+    with pytest.raises(click.UsageError, match="graph size must be positive"):
+        cli.parse_graph_spec(f"file:{empty}")
 
 
 def test_graphgen_deterministic(runner, tmp_path):
@@ -148,29 +152,47 @@ def test_sweep_requires_samples(runner, tmp_path):
     assert r.exit_code == 2
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps({"kind": "er_p0", "samples": "x"}),
-    json.dumps([{"kind": "er_p0", "samples": 1}]),
-    '{"kind": "er_p0", "samples": 1',
-    json.dumps({"kind": "er_p0", "samples": 1, "n": 0}),
-    json.dumps({"kind": "ba_search", "samples": 1, "n": [2]}),
-    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "marked_per_graph": 0}),
-    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": [-1.0]}),
-    json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": 2.0}),
-    json.dumps({"kind": "ba_search", "samples": 1, "n": 30}),
-    json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "seed": -1}),
-    json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "outdir": 3}),
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"kind": "er_p0", "samples": "x"}), "'samples'"),
+    (json.dumps([{"kind": "er_p0", "samples": 1}]), "JSON object"),
+    ('{"kind": "er_p0", "samples": 1', "cannot read config"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 0}), "'n'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [2]}), "'n'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "marked_per_graph": 0}),
+     "'marked_per_graph'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": [-1.0]}), "'p0'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": 2.0}), "'p0'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": 30}), "'n'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "seed": -1}), "'seed'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "outdir": 3}), "'outdir'"),
+    # every count, size and seed is a JSON integer, never truncated
+    (json.dumps({"kind": "ba_search", "samples": 1.9, "n": [30]}), "'samples'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "seed": True}), "'seed'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "seed": 1.0}), "'seed'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [100.7], "m0": 3}), "'n'"),
+    (json.dumps({"kind": "ba_search", "samples": 1, "n": [30], "m0": 3.0}), "'m0'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 60.5}), "'n'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "marked_per_graph": 2.5}),
+     "'marked_per_graph'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": [True]}), "'p0'"),
+    (json.dumps({"kind": "er_p0", "samples": 1, "n": 20, "p0": ["2"]}), "'p0'"),
+    ('{"kind": "er_p0", "samples": 1, "n": 20, "p0": [1e400]}', "'p0'"),
+    ('{"kind": "er_p0", "samples": 1, "n": 20, "p0": [1%s]}' % ("0" * 400), "'p0'"),
 ], ids=["samples_not_a_number", "list", "malformed", "er_n0", "ba_n_below_m0",
         "zero_marked", "negative_p0", "p0_not_a_list", "ba_n_not_a_list", "negative_seed",
-        "outdir_not_a_string"])
-def test_sweep_bad_config_exits_2(runner, tmp_path, text):
-    """A malformed config is refused with exit 2 before the sweep runs."""
+        "outdir_not_a_string", "samples_float", "seed_bool", "seed_float", "ba_n_float",
+        "m0_float", "er_n_float", "marked_float", "p0_bool", "p0_string", "p0_infinite",
+        "p0_beyond_float"])
+def test_sweep_bad_config_exits_2(runner, tmp_path, text, message):
+    """A malformed config is refused with exit 2 before the sweep runs, and
+    the message names the field."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     r = runner.invoke(cli.main, ["sweep", "--config", str(cfg)])
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
+    assert message in r.output
 
 
 def test_sweep_ba_search_small(runner, tmp_path):
@@ -300,7 +322,9 @@ def test_read_only_report_exits_2_and_is_kept(runner, tmp_path):
 
 def test_search_report_echoes_its_grid(runner, tmp_path):
     """The config of a search report holds the time grid it ran on, null
-    for the auto grid, so the run can be repeated from the report."""
+    for the auto grid, and the --gamma given, null for a rule, so the run
+    can be repeated from the report; stats.gamma is the rate the search ran
+    with: S1, S1 / (1 - eps) or the --gamma given."""
     args = _search_args(tmp_path, "complete:8", 1)
     r = runner.invoke(cli.main, args + ["--t-start", "0", "--t-stop", "2", "--t-step", "0.5"])
     assert r.exit_code == 0, r.output
@@ -310,6 +334,21 @@ def test_search_report_echoes_its_grid(runner, tmp_path):
     assert r.exit_code == 0, r.output
     config = json.loads((tmp_path / "s.json").read_text())["config"]
     assert (config["t_start"], config["t_stop"], config["t_step"]) == (None, None, None)
+    args = _search_args(tmp_path, "star:12", 3)
+    for extra in ([], ["--gamma-rule", "s1"], ["--gamma-rule", "caption"],
+                  ["--gamma", "0.37"], ["--gamma-rule", "caption", "--gamma", "-0.2"]):
+        r = runner.invoke(cli.main, args + extra)
+        assert r.exit_code == 0, r.output
+        doc = json.loads((tmp_path / "s.json").read_text())
+        given = float(extra[-1]) if "--gamma" in extra else None
+        assert doc["config"]["gamma"] == given
+        st = doc["stats"]
+        if given is not None:
+            assert st["gamma"] == given
+        elif "caption" in extra:
+            assert st["gamma"] == pytest.approx(st["S1"] / (1.0 - st["eps"]), rel=1e-15)
+        else:
+            assert st["gamma"] == st["S1"]
 
 
 def _search_args(tmp_path, graph, marked):
@@ -537,6 +576,22 @@ def test_converge_bad_parameters_exit_2(runner, tmp_path, model, flag, value, me
     assert isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
     assert message in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
+def test_converge_empty_graph_file_exits_2(runner, tmp_path, model):
+    """A 0-vertex graph file is refused as `path:0` is, before any operator
+    is built."""
+    g_file = tmp_path / "g.json"
+    g_file.write_text(json.dumps({"n": 0, "directed": True, "edges": []}))
+    out = tmp_path / "c.json"
+    r = runner.invoke(cli.main, ["converge", "--model", model, "--graph", f"file:{g_file}",
+                                 "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "graph size must be positive" in r.output
     assert not out.exists()
 
 

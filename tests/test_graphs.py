@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -12,7 +11,6 @@ from qswlab.exceptions import (
     DimensionError,
     IsolatedVertexError,
     MalformedGraphError,
-    MultipleSinksError,
     ParameterRangeError,
     ProbabilityOverflowError,
     WrongTopologyError,
@@ -60,25 +58,9 @@ def test_underlying_and_to_digraph_inverse():
     assert graphs.underlying(graphs.to_digraph(g)) == g
 
 
-def test_condensation_on_dag():
-    g = graphs.DiGraph(4, frozenset({(0, 1), (1, 2), (3, 2)}))
-    cond = graphs.condensation(g)
-    assert len(cond.partition) == 4
-    assert cond.sinks == (2,)
-    dist = graphs.distances_to_sink_set(g, cond)
-    assert list(dist) == [2, 1, 0, 1]
-
-
-def test_multiple_sinks_raises():
-    g = graphs.DiGraph(3, frozenset({(0, 1), (0, 2)}))
-    with pytest.raises(MultipleSinksError):
-        graphs.distances_to_sink_set(g)
-
-
 def test_strongly_connected_cycle():
     g = graphs.DiGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
     assert graphs.is_strongly_connected(g)
-    assert len(graphs.condensation(g).partition) == 1
 
 
 def test_giant_component_relabels():
@@ -194,7 +176,6 @@ def test_json_roundtrip_is_one_based():
     doc = json.loads(text)
     assert doc["edges"] == [[1, 3]] and doc["directed"]
     assert graphs.from_json(text) == g
-    assert graphs.from_json(io.StringIO(text)) == g
 
 
 def test_json_roundtrip_undirected():
@@ -261,29 +242,7 @@ def small_digraphs(draw):
 def test_structure_matches_transitive_closure(g):
     """Each structure query of a digraph, of its underlying graph and of
     that graph's bidirected form against the brute-force closure."""
-    reach = oracles.reachability(g)
-    mutual = reach & reach.T
-    comps = sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
-    sinks = tuple(i for i, c in enumerate(comps) if np.array_equal(reach[c[0]], mutual[c[0]]))
-    cond = graphs.condensation(g)
-    assert cond.partition == tuple(comps) and cond.sinks == sinks
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    assert cond.dag.arcs == {(comp_of[u], comp_of[v]) for u, v in g.arcs
-                             if comp_of[u] != comp_of[v]}
-    assert graphs.is_strongly_connected(g) == bool(reach.all())
-    if len(sinks) == 1:
-        # step k adds the vertices with an arc into the set reached in k - 1 steps
-        a = graphs.adjacency(g).T > 0
-        near = np.isin(np.arange(g.n), comps[sinks[0]])
-        want = np.where(near, 0, -1)
-        for k in range(1, g.n):
-            near = near | (a.astype(int) @ near.astype(int) > 0)
-            want[near & (want < 0)] = k
-        assert np.array_equal(graphs.distances_to_sink_set(g, cond), want)
-    else:
-        with pytest.raises(MultipleSinksError):
-            graphs.distances_to_sink_set(g)
-
+    assert graphs.is_strongly_connected(g) == bool(oracles.reachability(g).all())
     und = graphs.underlying(g)
     for h in (g, und):
         arcs = graphs.arc_matrix(h)
@@ -293,7 +252,6 @@ def test_structure_matches_transitive_closure(g):
     parts = sorted({tuple(np.flatnonzero(row).tolist()) for row in oracles.reachability(und)})
     assert graphs.is_connected(und) == (len(parts) == 1)
     assert graphs.is_strongly_connected(graphs.to_digraph(und)) == (len(parts) == 1)
-    assert graphs.condensation(graphs.to_digraph(und)).partition == tuple(parts)
     big = max(parts, key=len)  # the first of equal sizes holds the smallest vertex
     new = {v: i for i, v in enumerate(big)}
     want = graphs.Graph(len(big), frozenset((new[u], new[v]) for u, v in und.edges if u in new))

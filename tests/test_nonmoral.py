@@ -24,7 +24,7 @@ def test_demoralize_premature_order():
     """Copy-major basis: all 0th copies in vertex order, then 1st copies."""
     dg = nonmoral.demoralize(graphs.premature_graph())
     assert dg.dim == 7
-    assert dg.labels == ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1))
+    assert dg.index == ((0, 4), (1, 5), (2, 6), (3,))
 
 
 def test_demoralize_isolated_vertex():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,40 +130,34 @@ def test_search_stats_vertex_transitive_independent_of_w():
 def test_run_search_complete_graph():
     n = 64
     a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
-    good = search.run_search(a, 0, 1 / (n - 2), "uniform",
-                             np.array([math.pi * math.sqrt(n) / 2]))
+    # the principal eigenvector of K_n is the uniform state
+    good = search.run_search(a, 0, 1 / (n - 2), np.array([math.pi * math.sqrt(n) / 2]))
     assert good.probs[0] >= 0.9
-    late = search.run_search(a, 0, 1 / (n - 2), "uniform",
-                             np.array([math.pi * math.sqrt(n)]))
+    late = search.run_search(a, 0, 1 / (n - 2), np.array([math.pi * math.sqrt(n)]))
     assert late.probs[0] < 5.0 / n
 
 
-@pytest.mark.parametrize("gamma, initial", [("S2", "uniform"), (0.1, "random")])
-def test_run_search_rejects_unknown_rules(gamma, initial):
-    spec = search.search_spectrum(graphs.complete(8), "adjacency")
-    with pytest.raises(ParameterRangeError):
-        search.run_search(spec, 0, gamma, initial, np.array([1.0]))
-
-
 def test_run_search_sign_flip_invariance():
+    """The eigensolver's choice of eigenvector signs, v_1's included, does
+    not change p(t): the start is signed by its entry sum."""
     g = graphs.gen_er(12, 0.5, seed=3)
     g = graphs.giant_component(g)
-    hg = oracles.search_matrix(g, "laplacian")
+    spec = search.search_spectrum(g, "laplacian")
+    signs = np.where(np.random.default_rng(3).random(g.n) < 0.5, -1.0, 1.0)
+    signs[0] = -1.0
+    flipped = search.SearchSpectrum(values=spec.values, vectors=spec.vectors * signs)
     times = np.linspace(0, 10, 21)
-    # flipping the sign of the whole search Hamiltonian conjugates the
-    # amplitudes, so probabilities are unchanged for real H and real start
-    h_full = 0.7 * hg
-    h_full[2, 2] += 1.0
-    direct = search.run_search(search.SearchSpectrum.of(-h_full), 2, 0.0, "uniform", times)
-    ref = search.run_search(search.SearchSpectrum.of(h_full), 2, 0.0, "uniform", times)
-    assert np.abs(direct.probs - ref.probs).max() < 1e-12
+    for gamma in (0.0, 0.7):
+        direct = search.run_search(flipped, 2, gamma, times)
+        ref = search.run_search(spec, 2, gamma, times)
+        assert np.abs(direct.probs - ref.probs).max() < 1e-12
 
 
 def test_run_search_p0_is_eps_from_principal_start():
     g = graphs.gen_ba(20, 2, seed=9)
     hg = search.search_spectrum(g, "normalized_laplacian")
     st = search.search_stats(hg, 5)
-    run = search.run_search(hg, 5, "S1", "principal", np.array([0.0]))
+    run = search.run_search(hg, 5, st.s1, np.array([0.0]))
     assert abs(run.probs[0] - st.eps) < 1e-10
 
 
@@ -175,13 +170,24 @@ def test_run_search_matches_dense_expm():
     for g, kind in ((er, "laplacian"), (ba, "normalized_laplacian")):
         spec = search.search_spectrum(g, kind)
         h_g = oracles.search_matrix(g, kind)
-        for w, rule in ((0, "S1"), (g.n // 2, "caption"), (g.n - 1, "S1")):
-            run = search.run_search(spec, w, rule, "principal", times)
-            h = run.gamma * h_g
+        for w, rule in ((0, "s1"), (g.n // 2, "caption"), (g.n - 1, "s1")):
+            gamma = gamma_of(spec, w, rule)
+            run = search.run_search(spec, w, gamma, times)
+            h = gamma * h_g
             h[w, w] += 1.0
             psi = spec.vectors[:, 0]
             want = [abs(scipy.linalg.expm(-1j * t * h)[w] @ psi) ** 2 for t in times]
             assert np.abs(run.probs - want).max() < 1e-12
+
+
+def gamma_of(spec, w, rule):
+    """gamma for a rule name as `qswlab search --gamma-rule` resolves it, or
+    the number itself."""
+    if rule == "s1":
+        return search.search_stats(spec, w).s1
+    if rule == "caption":
+        return search.caption_gamma(spec, w)
+    return rule
 
 
 def dense_search_probs(h_g, w, gamma, x, times):
@@ -198,12 +204,6 @@ def principal_state(spec):
     return -v if v.real.sum() < 0 else v
 
 
-def explicit_state(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return x / np.linalg.norm(x)
-
-
 SECULAR_CASES = {
     # star, complete and complete-plus-leaf have degenerate poles
     "star": (graphs.star(9), "adjacency", (0, 4)),
@@ -217,20 +217,17 @@ SECULAR_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SECULAR_CASES))
-@pytest.mark.parametrize("start", ["principal", "uniform", "explicit"])
-def test_run_search_secular_matches_dense_eigh(case, start):
+def test_run_search_secular_matches_dense_eigh(case):
     g, kind, marked = SECULAR_CASES[case]
     spec = search.search_spectrum(g, kind)
     times = np.linspace(0.0, 60.0, 121)
-    x = {"principal": principal_state(spec),
-         "uniform": np.ones(g.n) / math.sqrt(g.n),
-         "explicit": explicit_state(g.n, g.n)}[start]
-    initial = x if start == "explicit" else start
+    x = principal_state(spec)
     for w in marked:
-        for gamma in ("S1", "caption", 0.0, -0.8, 2.5):
-            run = search.run_search(spec, w, gamma, initial, times)
-            want = dense_search_probs(oracles.search_matrix(g, kind), w, run.gamma, x, times)
-            assert np.abs(run.probs - want).max() < 1e-12, (w, gamma)
+        for rule in ("s1", "caption", 0.0, -0.8, 2.5):
+            gamma = gamma_of(spec, w, rule)
+            run = search.run_search(spec, w, gamma, times)
+            want = dense_search_probs(oracles.search_matrix(g, kind), w, gamma, x, times)
+            assert np.abs(run.probs - want).max() < 1e-12, (w, rule)
 
 
 def test_run_search_deflation_counts():
@@ -244,7 +241,8 @@ def test_run_search_deflation_counts():
 
 
 def test_run_search_secular_complex_hermitian():
-    """Complex eigenvectors: the phases of <w|v_j> move into the start state."""
+    """Complex eigenvectors: the phases of <w|v_j> move into the start state,
+    and the start v_1 is signed by the real part of its entry sum."""
     rng = np.random.default_rng(12)
     n = 30
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -252,26 +250,23 @@ def test_run_search_secular_complex_hermitian():
     spec = search.SearchSpectrum.of(h_g)
     assert np.iscomplexobj(spec.vectors)
     times = np.linspace(0.0, 25.0, 51)
-    for w, gamma, x in ((0, 0.7, principal_state(spec)), (7, -1.3, explicit_state(n, 5)),
-                        (19, 0.0, np.ones(n) / math.sqrt(n))):
-        run = search.run_search(spec, w, gamma, x, times)
+    x = principal_state(spec)
+    for w, gamma in ((0, 0.7), (7, -1.3), (19, 0.0)):
+        run = search.run_search(spec, w, gamma, times)
         assert np.abs(run.probs - dense_search_probs(h_g, w, gamma, x, times)).max() < 1e-12
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 14), st.floats(0.15, 0.9), st.integers(0, 2**32 - 1),
-       st.sampled_from(search.GRAPH_MATRIX_KINDS), st.floats(-4.0, 4.0),
-       st.sampled_from(["principal", "uniform", "explicit"]), st.data())
-def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, start, data):
+       st.sampled_from(search.GRAPH_MATRIX_KINDS), st.floats(-4.0, 4.0), st.data())
+def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, data):
     g = graphs.gen_er(n, p, seed)
     assume(graphs.is_connected(g))
     spec = search.search_spectrum(g, kind)
     w = data.draw(st.integers(0, n - 1))
-    x = {"principal": principal_state(spec),
-         "uniform": np.ones(n) / math.sqrt(n),
-         "explicit": explicit_state(n, seed)}[start]
+    x = principal_state(spec)
     times = np.linspace(0.0, 30.0, 31)
-    run = search.run_search(spec, w, gamma, x if start == "explicit" else start, times)
+    run = search.run_search(spec, w, gamma, times)
     assert run.probs[0] == pytest.approx(abs(x[w]) ** 2, abs=1e-12)
     assert np.all((run.probs >= 0.0) & (run.probs <= 1.0))
     r1 = numkernel.rank_one_eig(gamma * spec.values, np.abs(spec.vectors[w, :]))
@@ -279,21 +274,28 @@ def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, start, dat
     assert np.abs(r1.vectors.T @ r1.vectors - np.eye(k)).max() < 1e-12
 
 
-def test_run_search_rejects_bad_probabilities():
+def test_run_search_rejects_bad_probabilities(monkeypatch):
     spec = search.search_spectrum(graphs.complete(8), "adjacency")
     times = np.linspace(0.0, 5.0, 11)
-    with pytest.raises(NumericalError):
-        search.run_search(spec, 0, 1.0, np.full(8, np.nan), times)
-    with pytest.raises(NumericalError):
-        search.run_search(spec, 0, 1.0, 3.0 * np.ones(8) / math.sqrt(8), times)
     # at gamma = 1e20 the marked-vertex term is below rounding and deflates away,
-    # so the t = 0 amplitude misses <w|init>
+    # so the t = 0 amplitude misses <w|v_1>
     with pytest.raises(NumericalError, match="amplitude at t = 0"):
-        search.run_search(spec, 0, 1e20, "uniform", times)
-    # a start on the marked vertex rounds to p(0) = 1 and is clamped there
-    run = search.run_search(spec, 0, 1.0, np.eye(8)[0], times)
+        search.run_search(spec, 0, 1e20, times)
+    # a start on the marked vertex keeps p = 1 and never exceeds it
+    diag = search.SearchSpectrum.of(np.diag([1.0, 0.5, 0.2, -0.3]))
+    run = search.run_search(diag, 0, 1.0, times)
     assert run.probs.max() <= 1.0
     assert run.probs[0] == pytest.approx(1.0, abs=1e-12)
+
+    real = numkernel.rank_one_eig
+
+    def nan_values(d, z):
+        r1 = real(d, z)
+        return dataclasses.replace(r1, values=np.full_like(r1.values, np.nan))
+
+    monkeypatch.setattr(numkernel, "rank_one_eig", nan_values)
+    with pytest.raises(NumericalError, match=r"not in \[0, 1\]"):
+        search.run_search(spec, 0, 1.0, times)
 
 
 def test_search_stats_rejects_zero_overlap():
@@ -303,7 +305,7 @@ def test_search_stats_rejects_zero_overlap():
     with pytest.raises(ZeroOverlapError):
         search.search_stats(spec, 4)
     with pytest.raises(ZeroOverlapError):
-        search.run_search(spec, 4, "caption", "principal", np.array([1.0]))
+        search.caption_gamma(spec, 4)
     assert search.search_stats(spec, 1).eps == pytest.approx(0.5)
 
 
