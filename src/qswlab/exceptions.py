@@ -15,7 +15,7 @@ class NumericalError(QswlabError, RuntimeError):
 
 
 class IsolatedVertexError(QswlabError, ValueError):
-    """Normalized Laplacian requested for a graph with a degree-0 vertex."""
+    """A normalized Laplacian or a random walk met a degree-0 vertex."""
 
 
 class DisconnectedGraphError(QswlabError, ValueError):
@@ -41,7 +41,7 @@ class DegenerateTopError(QswlabError, ValueError):
 
 class ZeroOverlapError(QswlabError, ValueError):
     """The marked vertex has no overlap with the principal eigenvector, so
-    the search started there can never find it."""
+    the search started there can never find it, or it is that eigenvector."""
 
 
 class TimeGridError(QswlabError, ValueError):

@@ -120,7 +120,10 @@ def is_strongly_connected(g: DiGraph) -> bool:
 
 def giant_component(g: Graph) -> Graph:
     """Largest connected component, relabeled to 0..k-1; of components of
-    equal size, the one with the smallest vertex."""
+    equal size, the one with the smallest vertex. A graph with no vertex
+    is its own giant component."""
+    if g.n == 0:
+        return g
     _, labels = csgraph.connected_components(arc_matrix(g))
     sizes = np.bincount(labels)[labels]
     # argmax finds the smallest vertex of a largest component

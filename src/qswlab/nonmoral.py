@@ -49,6 +49,8 @@ def _parents(g: graphs.DiGraph):
 
 
 def demoralize(g: graphs.DiGraph) -> DemoralizedGraph:
+    if g.n < 1:
+        raise DimensionError("a digraph with no vertex has nothing to demoralize")
     indptr, _ = _parents(g)
     sizes = tuple(int(d) for d in np.maximum(np.diff(indptr), 1))
     labels = [(v, k) for k in range(max(sizes)) for v in range(g.n) if k < sizes[v]]

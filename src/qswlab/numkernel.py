@@ -1,6 +1,6 @@
-"""Dense complex linear algebra: eigendecompositions, the eigensystem of a
-diagonal plus rank-one matrix, matrix-exponential action, vectorization and
-the real Hermitian basis for superoperators.
+"""Dense complex linear algebra: eigendecompositions, the spectral weights
+of a diagonal plus rank-one matrix, matrix-exponential action,
+vectorization and the real Hermitian basis for superoperators.
 
 The matrix-exponential action expm_apply is a restarted Arnoldi integrator:
 one Krylov space of dimension KRYLOV_DIM per step, each step as long as
@@ -55,18 +55,11 @@ def check_hermitian(h):
     return h
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues sorted descending, orthonormal eigenvectors as columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(h: np.ndarray) -> EigenSystem:
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues descending and orthonormal eigenvectors as columns."""
     h = check_hermitian(h)
     w, v = np.linalg.eigh(h)
-    return EigenSystem(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _lapack_routine(name: str, nargs: int):
@@ -90,65 +83,45 @@ def _lapack_routine(name: str, nargs: int):
 _DLAED9 = _lapack_routine("dlaed9", 13)
 
 
-@dataclass(frozen=True)
-class RankOneEigenSystem:
-    """Eigensystem of diag(d) + z z^T restricted to where z has weight.
-
-    Deflation leaves K merged poles. `index` lists the surviving entries
-    of d in ascending order and group g spans index[starts[g]:starts[g+1]];
-    its direction is z_group / weights[g] with weights[g] = ||z_group||.
-    `values` holds the K eigenvalues ascending and the columns of `vectors`
-    (K x K, orthogonal) their eigenvectors in the basis of group directions.
-    Every deflated eigenvector is orthogonal to z to within the tolerance.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    weights: np.ndarray
-    index: np.ndarray
-    starts: np.ndarray
-
-    def fold(self, c: np.ndarray) -> np.ndarray:
-        """Sum of c over each group, divided by the group weight; with
-        c = z * x these are the coordinates of x along the group directions."""
-        return np.add.reduceat(np.asarray(c)[self.index], self.starts) / self.weights
-
-
-def rank_one_eig(d: np.ndarray, z: np.ndarray) -> RankOneEigenSystem:
-    """Eigenvalues and eigenvectors of diag(d) + z z^T in O(n^2).
+def rank_one_eig(d: np.ndarray, z: np.ndarray, zx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, weights): the eigenvalues mu_i of M = diag(d) + z z^T that
+    deflation keeps, ascending, and c_i = (z^T u_i)(u_i^T x) for their
+    eigenvectors u_i, so that sum_i c_i f(mu_i) = z^T f(M) x, in O(n^2). The
+    start x, complex allowed, is given as zx = z * x. Every eigenvector that
+    deflation drops is orthogonal to z to within its tolerance.
 
     Deflation follows LAPACK dlaed2 with tol = 8 eps max(|d|, |z|): weights
     |z_j| <= tol are dropped, and sorted poles whose gap is at most tol merge
     into one pole at their z^2-weighted mean with weight ||z_group||. The K
     remaining poles are strictly increasing and go to one dlaed9 call with
-    w = zeta / ||zeta|| and rho = ||zeta||^2. Raises NumericalError when an
-    input is not finite or the root finder fails.
+    w = zeta / ||zeta|| and rho = ||zeta||^2. Raises DimensionError or
+    NumericalError for bad input, and NumericalError when dlaed9 fails.
     """
     d = np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
-    if d.ndim != 1 or z.shape != d.shape:
-        raise DimensionError(f"shape mismatch: d {d.shape} vs z {z.shape}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
+    zx = np.asarray(zx)   # complex allowed
+    if d.ndim != 1 or z.shape != d.shape or zx.shape != d.shape:
+        raise DimensionError(f"shape mismatch: d {d.shape}, z {z.shape}, zx {zx.shape}")
+    if not all(np.all(np.isfinite(a)) for a in (d, z, zx)):
         raise NumericalError("rank-one update has non-finite entries")
     tol = 8.0 * np.finfo(float).eps * max(np.abs(d).max(initial=0.0),
                                           np.abs(z).max(initial=0.0))
     order = np.argsort(d, kind="stable")
     index = order[np.abs(z[order]) > tol]
     poles = d[index]
+    # group g spans index[starts[g]:starts[g + 1]]
     starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > tol)
     k = starts.size
     if k == 0:
-        empty = np.zeros(0)
-        return RankOneEigenSystem(values=empty, vectors=np.zeros((0, 0)),
-                                  weights=empty, index=index, starts=starts)
+        return np.zeros(0), np.zeros(0)
     sq = z[index] ** 2
-    weights = np.sqrt(np.add.reduceat(sq, starts))
-    merged = np.add.reduceat(sq * poles, starts) / weights**2
-    rho = float(weights @ weights)
-    w = weights / math.sqrt(rho)
+    norms = np.sqrt(np.add.reduceat(sq, starts))   # ||z_group||
+    merged = np.add.reduceat(sq * poles, starts) / norms**2
+    rho = float(norms @ norms)
+    w = norms / math.sqrt(rho)
     values = np.empty(k)
     work = np.empty((k, k), order="F")
-    vectors = np.empty((k, k), order="F")
+    vectors = np.empty((k, k), order="F")   # in the basis of group directions z_group / ||z_group||
     k_c, one, info = ctypes.c_int(k), ctypes.c_int(1), ctypes.c_int(0)
     rho_c = ctypes.c_double(rho)
     ref = ctypes.byref
@@ -159,8 +132,9 @@ def rank_one_eig(d: np.ndarray, z: np.ndarray) -> RankOneEigenSystem:
             ref(info))
     if info.value != 0:
         raise NumericalError(f"secular equation solver dlaed9 failed (INFO = {info.value})")
-    return RankOneEigenSystem(values=values, vectors=vectors, weights=weights,
-                              index=index, starts=starts)
+    # the coordinates of x along the group directions
+    x_groups = np.add.reduceat(zx[index], starts) / norms
+    return values, (norms @ vectors) * (x_groups @ vectors)
 
 
 def eig_general(m) -> np.ndarray:

@@ -22,8 +22,10 @@ from . import graphs, numkernel
 from .exceptions import (
     DegenerateTopError,
     DimensionError,
+    IsolatedVertexError,
     NumericalError,
     ParameterRangeError,
+    TimeGridError,
     ZeroOverlapError,
 )
 
@@ -47,8 +49,11 @@ def _base_matrix(g: graphs.Graph, kind: str) -> np.ndarray:
 
 
 def _require_simple_top(values: np.ndarray) -> None:
-    """Raise DegenerateTopError unless the gap between the two largest of
-    values, sorted descending, exceeds TOL_TOP_GAP * max(1, max |lambda|)."""
+    """Raise DimensionError for fewer than 2 values, and DegenerateTopError
+    unless the gap between the two largest of values, sorted descending,
+    exceeds TOL_TOP_GAP * max(1, max |lambda|)."""
+    if values.size < 2:
+        raise DimensionError(f"search needs at least 2 vertices, got {values.size}")
     scale = max(1.0, float(np.abs(values).max()))
     # written so that a NaN gap is rejected too
     if not values[0] - values[1] > TOL_TOP_GAP * scale:
@@ -70,19 +75,13 @@ class SearchSpectrum:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DimensionError(f"search needs at least 2 vertices, got {self.n}")
         _require_simple_top(self.values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
     @classmethod
     def of(cls, h: np.ndarray) -> SearchSpectrum:
         """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
-        es = numkernel.eig_hermitian(np.asarray(h))
-        return cls(values=es.values, vectors=es.vectors)
+        values, vectors = numkernel.eig_hermitian(np.asarray(h))
+        return cls(values=values, vectors=vectors)
 
 
 def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
@@ -91,28 +90,30 @@ def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
 
     adjacency: A / lambda_max(A); laplacian: I - L / lambda_max(L);
     normalized_laplacian: I - L_norm. The affine maps keep the eigenvectors,
-    so only the eigenvalues are transformed.
-    """
-    m = _base_matrix(g, kind)
-    es = numkernel.eig_hermitian(m)
-    top = float(es.values[0])
+    so only the eigenvalues are transformed. Fewer than 2 vertices raise
+    DimensionError before any decomposition."""
+    if g.n < 2:
+        raise DimensionError(f"search needs at least 2 vertices, got {g.n}")
+    values, vectors = numkernel.eig_hermitian(_base_matrix(g, kind))
+    top = float(values[0])
     if kind == "normalized_laplacian" or top <= 0.0:
         # L_norm needs no scale; the zero matrix of an edgeless graph keeps
         # scale 1 and is then rejected for its degenerate top eigenvalue
         top = 1.0
     if kind == "adjacency":
-        return SearchSpectrum(values=es.values / top, vectors=es.vectors)
-    return SearchSpectrum(values=1.0 - es.values[::-1] / top, vectors=es.vectors[:, ::-1])
+        return SearchSpectrum(values=values / top, vectors=vectors)
+    return SearchSpectrum(values=1.0 - values[::-1] / top, vectors=vectors[:, ::-1])
 
 
 def shift_rescale(h: np.ndarray) -> np.ndarray:
     """Affine map to top eigenvalue 1 with |lambda_2| = |lambda_n|.
 
     Balancing the second and bottom eigenvalues maximizes the worst-case
-    success bound over shifts; eigenvectors are untouched. The top
-    eigenvalue must be simple by the rule of SearchSpectrum.
+    success bound over shifts; eigenvectors are untouched. h must be
+    Hermitian (numkernel.check_hermitian) with a simple top eigenvalue by
+    the rule of SearchSpectrum.
     """
-    h = np.asarray(h)
+    h = numkernel.check_hermitian(np.asarray(h))
     w = np.linalg.eigvalsh(h)[::-1]
     _require_simple_top(w)
     lam1, lam2, lamn = w[0], w[1], w[-1]
@@ -120,8 +121,15 @@ def shift_rescale(h: np.ndarray) -> np.ndarray:
     return (h + a * np.eye(h.shape[0])) / (lam1 + a)
 
 
+def _require_vertex(w, n: int) -> None:
+    # a negative index would wrap around to another vertex
+    if not (isinstance(w, (int, np.integer)) and 0 <= w < n):
+        raise ParameterRangeError(f"vertex must be an integer in 0..{n - 1}, got {w!r}")
+
+
 def _overlap_sums(spec: SearchSpectrum, w: int) -> tuple[float, float, float, float]:
     """eps = |<v_1|w>|^2 and S_k = sum_{j>1} |<v_j|w>|^2 / (1 - lambda_j)^k, k = 1..3."""
+    _require_vertex(w, spec.values.size)
     overlaps = np.abs(spec.vectors[w, :]) ** 2
     denom = 1.0 - spec.values[1:]
     rest = overlaps[1:]
@@ -143,10 +151,12 @@ class SearchStats:
 def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
     eps, s1, s2, s3 = _overlap_sums(spec, w)
     # an overlap amplitude at the eigensolver's rounding level is no overlap
-    if math.sqrt(eps) <= spec.n * np.finfo(float).eps:
+    if math.sqrt(eps) <= spec.values.size * np.finfo(float).eps:
         raise ZeroOverlapError(
             f"the marked vertex has no overlap with the principal eigenvector "
             f"(eps = {eps:.3e}); the search cannot find it")
+    if s1 == 0.0:
+        raise ZeroOverlapError("the marked vertex is the principal eigenvector: S_k = 0")
     gap = float(spec.values[0] - spec.values[1])
     cond = math.sqrt(eps) < SEARCH_CONDITION_CONST * min(s1 * s2 / s3, gap * math.sqrt(s2))
     predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1
@@ -162,7 +172,6 @@ def caption_gamma(spec: SearchSpectrum, w: int) -> float:
 
 @dataclass(frozen=True)
 class SearchRun:
-    times: np.ndarray
     probs: np.ndarray
     argmax_t: float
     p_max: float
@@ -175,27 +184,32 @@ def run_search(spec: SearchSpectrum, w: int, gamma: float, times) -> SearchRun:
 
     In the eigenbasis V of H_G the search matrix is gamma Lambda + a a^H
     with a = V^H e_w, and the start is e_1. Moving the phases of a into the
-    start leaves the real diag(gamma lambda) + |a| |a|^T, whose eigensystem
-    `numkernel.rank_one_eig` finds in O(n^2) from the secular equation.
-    Raises NumericalError when the t = 0 amplitude misses <w|v_1> by more
-    than TOL_AMP, or a probability is not finite or exceeds 1 by more than
-    rounding.
+    start x leaves the amplitude |a|^T exp(-i M t) x for the real
+    M = diag(gamma lambda) + |a| |a|^T, which `numkernel.rank_one_eig`
+    expands over M's eigenvalues in O(n^2). w must be a vertex, gamma finite
+    and times a nonempty 1-D array of finite values. Raises NumericalError
+    when the t = 0 amplitude misses <w|v_1> by more than TOL_AMP, or a
+    probability is not finite or exceeds 1 by more than rounding.
     """
+    _require_vertex(w, spec.values.size)
+    if not math.isfinite(gamma):
+        raise ParameterRangeError(f"gamma must be finite, got {gamma}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise TimeGridError("search times must be a nonempty 1-D array of finite values")
     row = spec.vectors[w, :]   # <w|v_j>
     sign = -1.0 if spec.vectors[:, 0].real.sum() < 0 else 1.0
-    xhat = np.zeros(spec.n)   # the start +-v_1 has coordinates +-e_1
+    xhat = np.zeros(spec.values.size)   # the start +-v_1 has coordinates +-e_1
     xhat[0] = sign
     x_w = sign * row[0]       # <w|+-v_1>
-    times = np.asarray(times, dtype=float)
-    r1 = numkernel.rank_one_eig(gamma * spec.values, np.abs(row))
-    # <w|u_i> and <u_i|v_1> for the eigenvectors u_i that overlap w
-    weights = (r1.weights @ r1.vectors) * (r1.fold(row * xhat) @ r1.vectors)
+    values, weights = numkernel.rank_one_eig(gamma * spec.values, np.abs(row), row * xhat)
     amp0 = complex(weights.sum())
     if not abs(amp0 - x_w) <= TOL_AMP:
         raise NumericalError(f"search amplitude at t = 0 is {amp0!r}, not "
                              f"<w|v_1> = {complex(x_w)!r}")
-    amps = np.exp(-1j * np.outer(times, r1.values)) @ weights
-    probs = np.abs(amps) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.exp(-1j * np.outer(times, values)) @ weights
+    probs = np.abs(amps) ** 2  # NaN for a phase t mu beyond the float range
     bad = ~(probs <= 1.0 + TOL_PROB)  # NaN fails the comparison too
     if bad.any():
         i = int(np.argmax(bad))
@@ -203,12 +217,20 @@ def run_search(spec: SearchSpectrum, w: int, gamma: float, times) -> SearchRun:
                              f"{float(probs[i])!r}, not in [0, 1]")
     probs = np.minimum(probs, 1.0)
     k = int(np.argmax(probs))
-    return SearchRun(times=times, probs=probs, argmax_t=float(times[k]),
-                     p_max=float(probs[k]))
+    return SearchRun(probs=probs, argmax_t=float(times[k]), p_max=float(probs[k]))
 
 
 # ---------------------------------------------------------------------------
 # Classical baseline
+
+def _walk_degrees(g: graphs.Graph, w: int) -> np.ndarray:
+    """Vertex degrees, once w is a vertex and g is connected with an edge."""
+    _require_vertex(w, g.n)
+    graphs.require_connected(g)
+    if not g.edges:
+        raise IsolatedVertexError("a random walk needs at least one edge")
+    return g.degrees()
+
 
 def classical_mfpt(g: graphs.Graph, w: int) -> float:
     """Mean first passage time to w of the discrete uniform walk started
@@ -219,7 +241,7 @@ def classical_mfpt(g: graphs.Graph, w: int) -> float:
 
 
 def classical_mfpt_lower_bound(g: graphs.Graph, w: int) -> float:
-    return len(g.edges) / g.degrees()[w] - 0.5
+    return len(g.edges) / _walk_degrees(g, w)[w] - 0.5
 
 
 def _hitting_steps(indptr, indices, starts, target, max_steps, raw):
@@ -255,9 +277,10 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
     (degree / 2|E|); a start on w counts as 0 steps. Raises NumericalError
     when a walk has not reached w after max_steps steps, since counting
     the censored walks at any length would bias the mean."""
-    graphs.require_connected(g)
+    deg = _walk_degrees(g, w).astype(float)
+    if walks < 1:
+        raise ParameterRangeError(f"need at least one walk, got {walks}")
     arcs = graphs.arc_matrix(g)
-    deg = g.degrees().astype(float)
     rng = np.random.default_rng(seed)
     starts = rng.choice(g.n, size=walks, p=deg / deg.sum()).astype(np.int64)
     if max_steps is None:
@@ -280,22 +303,14 @@ def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
 # ---------------------------------------------------------------------------
 # Lambert bound
 
-def _lambert_branch(x: float, branch: int) -> float:
-    w = float(np.real(lambertw(x, branch)))
-    # one Halley polish keeps the defining residual at the 1e-12 scale
-    for _ in range(3):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w -= f / denom
-    return w
-
-
 def lambert_bound(p0: float) -> float:
-    """Success-probability bound W0(x)/W-1(x) with x = (1-p0)/(e*p0)."""
-    if p0 <= 1.0:
-        raise ParameterRangeError("p0 must exceed 1")
+    """Success-probability bound W0(x)/W-1(x) with x = (1-p0)/(e*p0) for a
+    finite p0 > 1; NumericalError where scipy's lambertw gives NaN, from
+    p0 near 1e16 on, where x rounds to the branch point -1/e."""
+    if not (math.isfinite(p0) and p0 > 1.0):
+        raise ParameterRangeError(f"p0 must be finite and exceed 1, got {p0}")
     x = (1.0 - p0) / (math.e * p0)
-    return _lambert_branch(x, 0) / _lambert_branch(x, -1)
+    bound = float(lambertw(x, 0).real) / float(lambertw(x, -1).real)
+    if math.isnan(bound):
+        raise NumericalError(f"lambertw gives NaN at x = {x!r} (p0 = {p0})")
+    return bound

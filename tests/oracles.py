@@ -1,5 +1,7 @@
 """Reference helpers that only the tests use as oracles, and the
 hypothesis strategy for random walk generators that several tests share."""
+import math
+
 import numpy as np
 import scipy.sparse.linalg
 from hypothesis import strategies as st
@@ -29,6 +31,40 @@ def search_matrix(g, kind: str) -> np.ndarray:
         lap = graphs.laplacian(g)
         return np.eye(g.n) - lap / np.linalg.eigvalsh(lap)[-1]
     return np.eye(g.n) - graphs.normalized_laplacian(g)
+
+
+def lambert_w_bisect(x: float, branch: int) -> float:
+    """The real Lambert W of x in (-1/e, 0) by bisection on w e^w = x:
+    branch 0 lies in [-1, 0], where w e^w increases, and branch -1 below
+    -1, where it decreases, until the bracket stops shrinking."""
+    if branch == 0:
+        lo, hi = -1.0, 0.0
+    else:
+        lo, hi = -2.0, -1.0
+        while lo * math.exp(lo) < x:  # widen until w e^w at lo is nearer 0 than x
+            lo *= 2.0
+    rising = branch == 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (mid * math.exp(mid) < x) == rising:
+            lo = mid
+        else:
+            hi = mid
+
+
+def assert_spectral_weights(d, z, x, values, weights):
+    """The weights of numkernel.rank_one_eig expand z^T f(M) x over its
+    eigenvalues: sum_i c_i f(mu_i) = z^T f(M) x for M = diag(d) + z z^T from
+    a dense eigh and f = 1, mu, mu^2 and exp(-1.7 i mu), to 1e-12 relative
+    to the same sum with every term in modulus."""
+    mu, u = np.linalg.eigh(np.diag(d) + np.outer(z, z))
+    zu, ux = z @ u, u.T @ x
+    for f in (np.ones_like, lambda m: m, np.square, lambda m: np.exp(-1.7j * m)):
+        want = (zu * f(mu)) @ ux
+        scale = np.abs(zu * f(mu)) @ np.abs(ux)
+        assert abs(weights @ f(values) - want) <= 1e-12 * scale
 
 
 def hitting_steps_loop(indptr, indices, starts, target, max_steps, raw):

@@ -48,12 +48,12 @@ def test_acceptance_03_scaling_exponents():
 
     # ballistic: coherent walk on a path long enough to contain the light cone
     n = 1301
-    es = numkernel.eig_hermitian(graphs.adjacency(graphs.path(n)))
+    values, vectors = numkernel.eig_hermitian(graphs.adjacency(graphs.path(n)))
     psi0 = np.zeros(n)
     psi0[n // 2] = 1.0
-    coeff = es.vectors.conj().T @ psi0
+    coeff = vectors.conj().T @ psi0
     pos = np.arange(n) - n // 2
-    mu_q = [float(pos**2 @ np.abs(es.vectors @ (np.exp(-1j * t * es.values) * coeff))**2)
+    mu_q = [float(pos**2 @ np.abs(vectors @ (np.exp(-1j * t * values) * coeff))**2)
             for t in times]
     alpha_q = analysis.scaling_exponents(times, mu_q, 5).alphas[-1]
 

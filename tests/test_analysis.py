@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -183,24 +186,71 @@ def test_infinite_path_matches_finite_truncation():
 
 
 def test_taylor_coefficients_known_values():
-    assert analysis.taylor_A(0, 0) == pytest.approx(1.0)
-    assert analysis.taylor_A(1, 0) == pytest.approx(-2.0)
-    assert analysis.taylor_A(0, 2) == 0.0
+    """At omega = 1, B_{n,k} is the closed form A_{n,k} =
+    (-1)^(n+k) 2^(-n) C(2n,n) C(2n,n+k), zero for n < |k|: taken exactly
+    with Fractions, it is within 1 ulp up to n = 40."""
+    for n in range(41):
+        for k in range(-n - 2, n + 3):
+            if n < abs(k):
+                assert analysis.taylor_B(n, k, 1.0)[0] == 0.0
+                continue
+            exact = Fraction((-1) ** (n + k) * math.comb(2 * n, n) * math.comb(2 * n, n + abs(k)),
+                             2 ** n)
+            got, size = analysis.taylor_B(n, k, 1.0)
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (n, k)
+            assert size == abs(got)   # one term: nothing cancels
+    assert analysis.taylor_B(1, 0, 1.0)[0] == -2.0
     om = 0.37
-    assert analysis.taylor_B(1, 0, om) == pytest.approx(-2 * om)
-    assert analysis.taylor_B(1, 1, om) == pytest.approx(om)
+    assert analysis.taylor_B(1, 0, om)[0] == pytest.approx(-2 * om)
+    assert analysis.taylor_B(1, 1, om)[0] == pytest.approx(om)
     # second moment of the n=2 coefficients reproduces the ballistic term
-    s = sum(k * k * analysis.taylor_B(2, k, om) for k in range(-2, 3))
+    s = sum(k * k * analysis.taylor_B(2, k, om)[0] for k in range(-2, 3))
     assert s == pytest.approx(4 * (1 - om) ** 2)
-    assert analysis.taylor_B(3, 2, 1.0) == pytest.approx(analysis.taylor_A(3, 2))
+    # B_{2,0} = 9 omega^2 - 4 (1 - omega)^2 adds terms of opposite sign
+    b, size = analysis.taylor_B(2, 0, om)
+    assert b == pytest.approx(9 * om**2 - 4 * (1 - om) ** 2)
+    assert size == pytest.approx(9 * om**2 + 4 * (1 - om) ** 2)
 
 
 def test_series_matches_quadrature():
-    for om in (0.5, 1.0):
-        for k in (0, 2):
-            s = analysis.series_probability(k, 0.5, om)
-            q = analysis.infinite_path_probability(k, 0.5, om)
-            assert abs(s - q) < 1e-7
+    """Each point of the grid either returns a value within SERIES_TOL of
+    Gauss-Hermite quadrature or raises NumericalError; every point with
+    t <= 1 returns, and t = 5 and 10 are beyond double precision."""
+    for om in (0.2, 0.5, 1.0):
+        for t in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+            for k in range(4):
+                try:
+                    s = analysis.series_probability(k, t, om)
+                except NumericalError:
+                    assert t > 1.0, (k, t, om)
+                    continue
+                assert t < 5.0, (k, t, om)
+                q = analysis.infinite_path_probability(k, t, om)
+                assert abs(s - q) <= analysis.SERIES_TOL, (k, t, om)
+
+
+@pytest.mark.parametrize("k, t, omega, error", [
+    (0, 5.0, 1.0, NumericalError),        # once 20.18 against 0.2396
+    (0, 10.0, 0.5, NumericalError),       # once 1.08e6
+    (0, 25.0, 0.5, NumericalError),       # once an OverflowError
+    (0, 1e300, 0.5, NumericalError),
+    (0, math.nan, 0.5, TimeGridError),
+    (0, math.inf, 0.5, TimeGridError),
+    (0, -1.0, 0.5, TimeGridError),
+    (0, 1.0, math.nan, ParameterRangeError),
+    (0, 1.0, 2.0, ParameterRangeError),
+])
+def test_series_probability_refuses(k, t, omega, error):
+    with pytest.raises(error):
+        analysis.series_probability(k, t, omega)
+
+
+def test_series_probability_at_the_start_and_far_out():
+    assert analysis.series_probability(0, 0.0, 0.5) == 1.0
+    assert analysis.series_probability(3, 0.0, 0.5) == 0.0
+    # B_{n,k} = 0 for n < k: the sum is 0 to well within SERIES_TOL
+    assert analysis.series_probability(1000, 1.0, 0.5) == 0.0
+    assert analysis.series_probability(-2, 1.0, 0.3) == analysis.series_probability(2, 1.0, 0.3)
 
 
 def test_moment_mu2_formula_on_path():

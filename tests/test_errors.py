@@ -2,13 +2,19 @@
 its documented exit code (2 for usage or domain errors, 3 for numerical
 failure), or a click.UsageError, which exits 2."""
 import ast
+import dataclasses
 import importlib
+import math
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qswlab
+from qswlab import analysis, graphs, nonmoral, search
 from qswlab.exceptions import QswlabError
 
 MODULES = sorted(Path(qswlab.__file__).parent.glob("*.py"))
@@ -36,3 +42,81 @@ def test_every_raise_is_a_package_error(path):
            for line, source, cls in raised_classes(path)
            if cls is None or not issubclass(cls, (QswlabError, click.UsageError))]
     assert not bad, bad
+
+
+# ---------------------------------------------------------------------------
+# The contract at run time: returned values are finite, failures are typed.
+# The check above sees `raise` statements only; this one also catches what a
+# library call raises on the package's behalf (an IndexError from a wrapped
+# index, an OverflowError, a NaN that propagates).
+
+SPECIAL = [0.0, -0.0, -1.0, 1e300, -1e300, math.nan, math.inf, -math.inf]
+NUMBERS = st.one_of(st.sampled_from(SPECIAL), st.floats(-50.0, 50.0))
+WEIGHTS = st.one_of(NUMBERS, st.floats(0.0, 1.0))
+INTEGERS = st.one_of(st.sampled_from([0, -1, -7, 10**6]), st.integers(-3, 9))
+GRAPHS = st.one_of(
+    st.sampled_from([graphs.Graph(0), graphs.Graph(1), graphs.Graph(3), graphs.path(2),
+                     graphs.star(5), graphs.complete(4),
+                     graphs.Graph(4, frozenset({(0, 1), (2, 3)}))]),
+    st.builds(graphs.gen_er, st.integers(0, 8), st.floats(0.0, 1.0), st.integers(0, 99)))
+DIGRAPHS = st.one_of(
+    st.sampled_from([graphs.DiGraph(0), graphs.DiGraph(1), graphs.premature_graph(),
+                     graphs.to_digraph(graphs.path(3))]),
+    st.builds(graphs.gen_er, st.integers(0, 6), st.floats(0.0, 1.0), st.integers(0, 99),
+              st.just(True)))
+KINDS = st.sampled_from(search.GRAPH_MATRIX_KINDS)
+TIMES = st.lists(NUMBERS, max_size=3).map(np.array)
+MATRICES = st.integers(0, 4).flatmap(
+    lambda n: st.lists(NUMBERS, min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n)))
+
+
+def _search_stats(g, kind, w):
+    return search.search_stats(search.search_spectrum(g, kind), w)
+
+
+def _run_search(g, kind, w, gamma, times):
+    return search.run_search(search.search_spectrum(g, kind), w, gamma, times)
+
+
+CALLS = {
+    "series_probability": (analysis.series_probability, (INTEGERS, NUMBERS, WEIGHTS)),
+    "infinite_path_probability": (analysis.infinite_path_probability,
+                                  (INTEGERS, NUMBERS, WEIGHTS)),
+    "path_probability_profile": (analysis.path_probability_profile,
+                                 (st.integers(-2, 8), INTEGERS, NUMBERS, WEIGHTS)),
+    "lambert_bound": (search.lambert_bound, (st.one_of(NUMBERS, st.floats(1.0, 1e8)),)),
+    "search_stats": (_search_stats, (GRAPHS, KINDS, INTEGERS)),
+    "run_search": (_run_search, (GRAPHS, KINDS, INTEGERS, NUMBERS, TIMES)),
+    "shift_rescale": (search.shift_rescale,
+                      (st.one_of(MATRICES, MATRICES.map(lambda h: np.triu(h) + np.triu(h, 1).T)),)),
+    "classical_mfpt_lower_bound": (search.classical_mfpt_lower_bound, (GRAPHS, INTEGERS)),
+    "demoralize": (nonmoral.demoralize, (DIGRAPHS,)),
+    "giant_component": (graphs.giant_component, (GRAPHS,)),
+}
+
+
+def assert_finite(value):
+    """Every number in value, a number, an array, a tuple or a dataclass
+    such as SearchStats, is finite."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            assert_finite(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            assert_finite(v)
+    elif isinstance(value, (int, float, np.number, np.ndarray)):
+        assert np.all(np.isfinite(value)), value
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_public_calls_return_finite_values_or_raise_package_errors(name, data):
+    call, strategies = CALLS[name]
+    args = [data.draw(s) for s in strategies]
+    try:
+        result = call(*args)
+    except QswlabError:
+        return
+    assert_finite(result)

@@ -69,6 +69,10 @@ def test_giant_component_relabels():
     assert gc.n == 3 and len(gc.edges) == 2
 
 
+def test_giant_component_of_the_empty_graph_is_empty():
+    assert graphs.giant_component(graphs.Graph(0)) == graphs.Graph(0)
+
+
 def test_giant_component_size_tie_keeps_smallest_vertex():
     # {1, 3, 5} and {0, 2, 4} tie; the one holding vertex 0 wins
     g = graphs.Graph(6, frozenset({(1, 3), (3, 5), (0, 4), (2, 4)}))

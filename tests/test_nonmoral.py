@@ -14,6 +14,11 @@ def _indegrees(g):
     return np.asarray(graphs.arc_matrix(g).sum(axis=0)).ravel().astype(int)
 
 
+def test_demoralize_rejects_the_empty_digraph():
+    with pytest.raises(DimensionError):
+        nonmoral.demoralize(graphs.DiGraph(0))
+
+
 def test_demoralize_moral_triangle():
     dg = nonmoral.demoralize(graphs.moral_triangle())
     assert dg.block_sizes == (1, 1, 2)

@@ -49,9 +49,9 @@ def test_check_hermitian_accepts_and_rejects():
 
 def test_eig_hermitian_descending_and_reconstructs():
     h = random_hermitian(6, 1)
-    es = numkernel.eig_hermitian(h)
-    assert np.all(np.diff(es.values) <= 1e-12)
-    rebuilt = (es.vectors * es.values) @ es.vectors.conj().T
+    values, vectors = numkernel.eig_hermitian(h)
+    assert np.all(np.diff(values) <= 1e-12)
+    rebuilt = (vectors * values) @ vectors.conj().T
     assert np.abs(rebuilt - h).max() < 1e-10
 
 
@@ -289,15 +289,7 @@ def test_hermitian_basis_is_unitary_onto_hermitian_matrices(n):
     assert np.abs(t @ coords.real - numkernel.vec(h)).max() < 1e-13
 
 
-def rank_one_vectors(r1, z):
-    """The eigenvectors of a rank_one_eig result in the original coordinates."""
-    directions = np.zeros((z.size, r1.values.size))
-    group = np.repeat(np.arange(r1.starts.size), np.diff(np.append(r1.starts, r1.index.size)))
-    directions[r1.index, group] = z[r1.index] / r1.weights[group]
-    return directions @ r1.vectors
-
-
-@pytest.mark.parametrize("d, z", [
+RANK_ONE_CASES = [
     (np.array([3.0]), np.array([0.5])),
     (np.array([0.2, -1.0]), np.array([0.6, -0.8])),
     (np.random.default_rng(1).standard_normal(40), np.random.default_rng(2).standard_normal(40)),
@@ -305,56 +297,58 @@ def rank_one_vectors(r1, z):
     (np.array([1.0, 1.0, 1.0, -2.0, 0.5, 0.5, 4.0]),
      np.array([0.3, -0.4, 0.2, 0.0, 0.5, 0.1, -0.6])),
     (np.zeros(6), np.full(6, 1 / np.sqrt(6))),
-])
+]
+
+
+@pytest.mark.parametrize("d, z", RANK_ONE_CASES)
 def test_rank_one_eig_matches_dense(d, z):
-    r1 = numkernel.rank_one_eig(d, z)
     m = np.diag(d) + np.outer(z, z)
-    k = r1.values.size
-    assert np.all(np.diff(r1.values) > 0)
-    assert np.abs(r1.vectors.T @ r1.vectors - np.eye(k)).max() < 1e-13
-    u = rank_one_vectors(r1, z)
-    scale = np.abs(m).max()
-    assert np.abs(m @ u - u * r1.values).max() < 1e-13 * scale
-    # the returned eigenvectors span every direction that overlaps z
-    assert np.abs(u @ (u.T @ z) - z).max() < 1e-13
-    assert r1.weights @ r1.weights == pytest.approx(z @ z, rel=1e-14)
-    # each eigenvalue with weight on z is a root of the secular equation
-    full = np.linalg.eigvalsh(m)
-    assert all(np.abs(full - mu).min() < 1e-13 * scale for mu in r1.values)
+    full, scale = np.linalg.eigvalsh(m), np.abs(m).max()
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(d.size)
+    for x in (real, real + 1j * rng.standard_normal(d.size)):
+        values, weights = numkernel.rank_one_eig(d, z, z * x)
+        assert np.all(np.diff(values) > 0)
+        assert weights.shape == values.shape
+        # each kept eigenvalue is an eigenvalue of M
+        assert all(np.abs(full - mu).min() < 1e-13 * scale for mu in values)
+        oracles.assert_spectral_weights(d, z, x, values, weights)
 
 
 def test_rank_one_eig_deflates():
     d = np.array([2.0, 1.0, 2.0 + 1e-17, 0.0, 1.0])
     z = np.array([0.5, 0.5, 0.5, 1e-18, 0.5])
-    r1 = numkernel.rank_one_eig(d, z)
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    values, weights = numkernel.rank_one_eig(d, z, z * x)
     # the weightless pole is dropped and each pair of equal poles merges
-    assert r1.values.size == 2
-    assert np.array_equal(np.sort(r1.index), [0, 1, 2, 4])
-    assert np.allclose(r1.weights, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
-    c = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(r1.fold(c), [(2.0 + 5.0) / np.sqrt(0.5), (1.0 + 3.0) / np.sqrt(0.5)])
+    assert values.size == 2
+    oracles.assert_spectral_weights(d, z, x, values, weights)
     # against poles of 1e20 every weight of a unit z is rounding: nothing is left
-    r1 = numkernel.rank_one_eig(np.array([0.0, 1e20, -1e20]), np.full(3, 1 / np.sqrt(3)))
-    assert r1.values.size == 0 and r1.fold(c[:3]).size == 0
+    values, weights = numkernel.rank_one_eig(np.array([0.0, 1e20, -1e20]),
+                                             np.full(3, 1 / np.sqrt(3)), x[:3])
+    assert values.size == 0 and weights.size == 0
 
 
 def test_rank_one_eig_keeps_close_but_distinct_poles():
     # gaps and a weight of 1e-13, well above tol = 8 eps max(|d|, |z|)
     d = np.array([0.0, 1e-13, 1.0, 1.0 + 1e-13, 2.0])
     z = np.array([0.5, 0.5, 0.5, 1e-13, 0.5])
-    r1 = numkernel.rank_one_eig(d, z)
-    assert r1.values.size == 5
-    m = np.diag(d) + np.outer(z, z)
-    u = rank_one_vectors(r1, z)
-    assert np.abs(m @ u - u * r1.values).max() < 1e-15
-    assert np.abs(u.T @ u - np.eye(5)).max() < 1e-14
+    x = np.array([1.0, -2.0, 0.5j, 4.0, 1.0 + 1.0j])
+    values, weights = numkernel.rank_one_eig(d, z, z * x)
+    assert values.size == 5
+    oracles.assert_spectral_weights(d, z, x, values, weights)
 
 
 def test_rank_one_eig_rejects_bad_input():
     with pytest.raises(DimensionError):
-        numkernel.rank_one_eig(np.zeros(3), np.zeros(2))
+        numkernel.rank_one_eig(np.zeros(3), np.zeros(2), np.zeros(3))
+    with pytest.raises(DimensionError):
+        numkernel.rank_one_eig(np.zeros(3), np.zeros(3), np.zeros(2))
     with pytest.raises(NumericalError):
-        numkernel.rank_one_eig(np.array([0.0, np.nan]), np.array([0.6, 0.8]))
+        numkernel.rank_one_eig(np.array([0.0, np.nan]), np.array([0.6, 0.8]), np.ones(2))
+    with pytest.raises(NumericalError):
+        numkernel.rank_one_eig(np.array([0.0, 1.0]), np.array([0.6, 0.8]),
+                               np.array([1.0, np.inf]))
 
 
 def test_rank_one_eig_solver_failure_raises(monkeypatch):
@@ -364,7 +358,7 @@ def test_rank_one_eig_solver_failure_raises(monkeypatch):
 
     monkeypatch.setattr(numkernel, "_DLAED9", failing)
     with pytest.raises(NumericalError, match="INFO = 7"):
-        numkernel.rank_one_eig(np.arange(4.0), np.full(4, 0.5))
+        numkernel.rank_one_eig(np.arange(4.0), np.full(4, 0.5), np.ones(4))
 
 
 def test_hermitian_basis_rejects_empty():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +12,10 @@ from qswlab.exceptions import (
     DegenerateTopError,
     DimensionError,
     DisconnectedGraphError,
+    IsolatedVertexError,
     NumericalError,
     ParameterRangeError,
+    TimeGridError,
     ZeroOverlapError,
 )
 
@@ -234,10 +235,11 @@ def test_run_search_deflation_counts():
     """Degenerate poles merge, and with gamma = 0 every pole is one."""
     spec = search.search_spectrum(graphs.star(9), "adjacency")
     row = np.abs(spec.vectors[4, :])
-    assert numkernel.rank_one_eig(0.5 * spec.values, row).values.size == 3
-    assert numkernel.rank_one_eig(0.0 * spec.values, row).values.size == 1
+    assert numkernel.rank_one_eig(0.5 * spec.values, row, row)[0].size == 3
+    assert numkernel.rank_one_eig(0.0 * spec.values, row, row)[0].size == 1
     spec = search.search_spectrum(graphs.complete(8), "adjacency")
-    assert numkernel.rank_one_eig(0.3 * spec.values, np.abs(spec.vectors[0, :])).values.size == 2
+    row = np.abs(spec.vectors[0, :])
+    assert numkernel.rank_one_eig(0.3 * spec.values, row, row)[0].size == 2
 
 
 def test_run_search_secular_complex_hermitian():
@@ -269,9 +271,15 @@ def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, data):
     run = search.run_search(spec, w, gamma, times)
     assert run.probs[0] == pytest.approx(abs(x[w]) ** 2, abs=1e-12)
     assert np.all((run.probs >= 0.0) & (run.probs <= 1.0))
-    r1 = numkernel.rank_one_eig(gamma * spec.values, np.abs(spec.vectors[w, :]))
-    k = r1.values.size
-    assert np.abs(r1.vectors.T @ r1.vectors - np.eye(k)).max() < 1e-12
+    # the weights expand |a|^T f(M) x over the kept eigenvalues of
+    # M = diag(gamma lambda) + |a| |a|^T, for x the start with the phases
+    # of a = V^H e_w moved into it
+    row = spec.vectors[w, :]
+    z = np.abs(row)
+    x = np.zeros(n, dtype=row.dtype)
+    x[0] = row[0] / z[0] * np.sign(spec.vectors[:, 0].real.sum() or 1.0)
+    values, weights = numkernel.rank_one_eig(gamma * spec.values, z, z * x)
+    oracles.assert_spectral_weights(gamma * spec.values, z, x, values, weights)
 
 
 def test_run_search_rejects_bad_probabilities(monkeypatch):
@@ -289,9 +297,9 @@ def test_run_search_rejects_bad_probabilities(monkeypatch):
 
     real = numkernel.rank_one_eig
 
-    def nan_values(d, z):
-        r1 = real(d, z)
-        return dataclasses.replace(r1, values=np.full_like(r1.values, np.nan))
+    def nan_values(d, z, zx):
+        values, weights = real(d, z, zx)
+        return np.full_like(values, np.nan), weights
 
     monkeypatch.setattr(numkernel, "rank_one_eig", nan_values)
     with pytest.raises(NumericalError, match=r"not in \[0, 1\]"):
@@ -347,6 +355,48 @@ def test_classical_mfpt_lower_bound_random_graphs():
         checked += 1
 
 
+def test_search_layer_edges_raise_typed_errors():
+    spec = search.search_spectrum(graphs.path(6), "adjacency")
+    times = np.linspace(0.0, 5.0, 6)
+    # a negative index would wrap around to another vertex
+    for w in (-1, 6, 100):
+        with pytest.raises(ParameterRangeError):
+            search.search_stats(spec, w)
+        with pytest.raises(ParameterRangeError):
+            search.run_search(spec, w, 0.5, times)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ParameterRangeError):
+            search.run_search(spec, 0, gamma, times)
+    for bad in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
+        with pytest.raises(TimeGridError):
+            search.run_search(spec, 0, 0.5, bad)
+    for kind in search.GRAPH_MATRIX_KINDS:
+        with pytest.raises(DimensionError):
+            search.search_spectrum(graphs.Graph(0), kind)
+    for h in (np.zeros((0, 0)), np.ones((1, 1)), np.ones((2, 3))):
+        with pytest.raises(DimensionError):
+            search.shift_rescale(h)
+    for p0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterRangeError):
+            search.lambert_bound(p0)
+    # x = (1 - p0) / (e p0) rounds to the branch point, where scipy gives NaN
+    with pytest.raises(NumericalError):
+        search.lambert_bound(1e300)
+    # the walks are undefined without an edge or at a vertex off the graph
+    for g, w in ((graphs.Graph(1), 0), (graphs.Graph(2), 0)):
+        with pytest.raises((IsolatedVertexError, DisconnectedGraphError)):
+            search.classical_mfpt_mc(g, w, walks=10, seed=0)
+        with pytest.raises((IsolatedVertexError, DisconnectedGraphError)):
+            search.classical_mfpt_lower_bound(g, w)
+    with pytest.raises(ParameterRangeError):
+        search.classical_mfpt_lower_bound(graphs.path(3), -1)
+    with pytest.raises(ParameterRangeError):
+        search.classical_mfpt_mc(graphs.path(3), 0, walks=0, seed=0)
+    # the marked vertex is the whole principal eigenvector: every S_k is 0
+    with pytest.raises(ZeroOverlapError):
+        search.search_stats(search.SearchSpectrum.of(np.diag([1.0, 0.5])), 0)
+
+
 def test_classical_mfpt_mc_rejects_censored_walks():
     # on a path of 8 no walk from the far half reaches vertex 0 in 3 steps
     g = graphs.path(8)
@@ -377,14 +427,14 @@ def test_kernel_backends_agree():
 def test_lambert_bound():
     assert search.lambert_bound(1.0 + 1e-9) < 1e-3
     assert search.lambert_bound(1e6) > 0.99
-    with pytest.raises(ParameterRangeError):
-        search.lambert_bound(0.5)
-    # defining-equation residuals
-    for p0 in (1.5, 2.0, 10.0):
+    for p0 in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(ParameterRangeError):
+            search.lambert_bound(p0)
+    # against both branches found by bisection on w e^w = x
+    for p0 in (1.0 + 1e-9, 1.5, 2.0, 10.0, 1e6):
         x = (1 - p0) / (math.e * p0)
-        for branch in (0, -1):
-            w = search._lambert_branch(x, branch)
-            assert abs(w * math.exp(w) - x) <= 1e-12
+        want = oracles.lambert_w_bisect(x, 0) / oracles.lambert_w_bisect(x, -1)
+        assert search.lambert_bound(p0) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_complete_plus_leaf_eps_scaling():
