@@ -9,24 +9,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import gksl, numkernel
+from . import gksl, graphs, numkernel
 from .exceptions import (
     DimensionError,
     NonPositiveDataError,
     NumericalError,
     ParameterRangeError,
-    TimeGridError,
 )
 
 GENERATOR_DIM_CAP = 2500  # largest n^2 we will diagonalize densely
+MOMENT_TOL = 1e-6
 
 
 def second_moment(p: np.ndarray, positions: np.ndarray) -> float:
+    """sum_k x_k^2 p_k for a probability vector p over finite positions x
+    of the same 1-D shape (DimensionError otherwise). p must have no entry
+    below -MOMENT_TOL and a sum within MOMENT_TOL of 1, and the positions
+    must be finite, or ParameterRangeError is raised; NumericalError past
+    the float range."""
     p = np.asarray(p, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ParameterRangeError("probabilities must sum to 1")
     pos = np.asarray(positions, dtype=float)
-    return float(np.sum(pos * pos * p))
+    if p.ndim != 1 or p.size == 0 or pos.shape != p.shape:
+        raise DimensionError(f"need one position per probability, got shapes {p.shape} "
+                             f"and {pos.shape}")
+    # written so that NaN fails too
+    if not (p.min() >= -MOMENT_TOL and abs(p.sum() - 1.0) <= MOMENT_TOL
+            and np.all(np.isfinite(pos))):
+        raise ParameterRangeError("probabilities must form a distribution over finite "
+                                  "positions")
+    with np.errstate(over="ignore"):
+        mu2 = float(np.sum(pos * pos * p))
+    if not math.isfinite(mu2):
+        raise NumericalError("the second moment is beyond the float range")
+    return mu2
 
 
 @dataclass(frozen=True)
@@ -37,12 +52,16 @@ class PropagationTrace:
 
 def scaling_exponents(times, values, batch: int) -> PropagationTrace:
     """Sliding-window log-log slopes; window i is reported at the time
-    midpoint (t_i + t_{i+batch-1}) / 2."""
-    t = np.asarray(times, dtype=float)
+    midpoint (t_i + t_{i+batch-1}) / 2. times must pass
+    numkernel.check_times, and the logs need positive times and finite
+    positive values (NonPositiveDataError, NumericalError for NaN or inf)."""
+    t = numkernel.check_times(times)
     f = np.asarray(values, dtype=float)
-    if t.size != f.size or t.size < batch or batch < 2:
+    if f.shape != t.shape or t.size < batch or batch < 2:
         raise DimensionError("need at least `batch` matching points, batch >= 2")
-    if np.any(t <= 0) or np.any(f <= 0):
+    if not np.all(np.isfinite(f)):
+        raise NumericalError("log-log slopes need finite values")
+    if t[0] <= 0 or np.any(f <= 0):
         k = int(np.argmax((t <= 0) | (f <= 0)))
         raise NonPositiveDataError(f"log-log slopes need positive data, got "
                                    f"{f[k]!r} at t = {t[k]!r}")
@@ -66,15 +85,19 @@ class LimitFit:
 
 
 def fit_limit_model(times, alphas) -> LimitFit:
-    """Least-squares fit of f(t) = p1 - p2/(t - p3)^p4 with p4 > 0."""
+    """Least-squares fit of f(t) = p1 - p2/(t - p3)^p4 with p4 > 0 to at
+    least 8 finite points; NumericalError unless it converges to finite
+    parameters."""
     # imported here, not at module level: only this fit uses scipy.optimize,
     # and importing it takes about 65 ms (2-vCPU AMD EPYC)
     from scipy import optimize
 
     t = np.asarray(times, dtype=float)
     y = np.asarray(alphas, dtype=float)
-    if t.size < 8:
-        raise DimensionError("need at least 8 points")
+    if t.ndim != 1 or y.shape != t.shape or t.size < 8:
+        raise DimensionError("need at least 8 matching points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise NumericalError("the limit model needs finite times and exponents")
     tmin = t.min()
 
     def resid(p):
@@ -85,12 +108,16 @@ def fit_limit_model(times, alphas) -> LimitFit:
     lower = [-np.inf, -np.inf, -np.inf, 1e-8]
     upper = [np.inf, np.inf, tmin - 1e-9, np.inf]
     x0[2] = min(x0[2], tmin - 1.0)
-    sol = optimize.least_squares(resid, x0, bounds=(lower, upper), max_nfev=20000)
-    if not sol.success:
-        raise NumericalError("limit-model fit did not converge")
+    with np.errstate(all="ignore"):
+        try:
+            sol = optimize.least_squares(resid, x0, bounds=(lower, upper), max_nfev=20000)
+        except ValueError as exc:   # such as residuals beyond the float range
+            raise NumericalError(f"limit-model fit failed: {exc}") from exc
+        residual = float(np.linalg.norm(sol.fun))
     p = tuple(float(v) for v in sol.x)
-    return LimitFit(params=p, residual=float(np.linalg.norm(sol.fun)),
-                    degenerate=p[3] < 1e-6)
+    if not (sol.success and all(map(math.isfinite, p + (residual,)))):
+        raise NumericalError("limit-model fit did not converge")
+    return LimitFit(params=p, residual=residual, degenerate=p[3] < 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -100,34 +127,31 @@ PROFILE_NEG_TOL = 1e-12
 PROFILE_SUM_TOL = 1e-10
 
 
-def path_probability_profile(n: int, l: int, t, omega: float) -> np.ndarray:
-    """Occupation probabilities of all n path vertices (1-based start l) for
-    the interpolated global walk, from the eigenbasis of the path:
+def path_probability_profile(n: int, start: int, times, omega: float) -> np.ndarray:
+    """Occupation probabilities of all n path vertices, one row per time, for
+    the interpolated global walk from the vertex start (graphs.check_vertex),
+    from the eigenbasis of the path:
 
         p_k(t) = sum_ij m_ki m_kj exp(-t omega d_ij^2 / 2) cos(b d_ij),
 
-    with m_ki = (2/(n+1)) sin(k i theta) sin(l i theta), d_ij = lam_i - lam_j
-    and b = t (1 - omega). t is a scalar, giving one profile, or a 1-D array
-    of times, giving one row per time. Since cos(b d_ij) = c_i c_j + s_i s_j
-    with c = cos(b lam) and s = sin(b lam), a time costs n trig calls and
-    two matrix products. A profile with an entry below -PROFILE_NEG_TOL or a
-    sum off 1 by more than PROFILE_SUM_TOL raises NumericalError; nothing is
-    clipped or renormalised."""
-    if not 1 <= l <= n:
-        raise ParameterRangeError("vertex labels must lie in 1..n")
+    with m_ki = (2/(n+1)) sin((k+1) (i+1) theta) sin((start+1) (i+1) theta)
+    over 0-based k and i, theta = pi/(n+1), d_ij = lam_i - lam_j and
+    b = t (1 - omega). times must pass numkernel.check_times. Since
+    cos(b d_ij) = c_i c_j + s_i s_j with c = cos(b lam) and s = sin(b lam),
+    a time costs n trig calls and two matrix products. A profile with an
+    entry below -PROFILE_NEG_TOL or a sum off 1 by more than PROFILE_SUM_TOL
+    raises NumericalError; nothing is clipped or renormalised."""
+    graphs.check_vertex(start, n)
     gksl.check_omega(omega)
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or times.size == 0 or not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise TimeGridError("times must be a scalar or a nonempty 1-D array, "
-                            "finite and nonnegative")
+    times = numkernel.check_times(times)
     theta = np.pi / (n + 1)
     i = np.arange(1, n + 1)
     lam = 2.0 * np.cos(i * theta)
     sines = np.sin(np.outer(i, i) * theta)  # [k, i]
-    m = (2.0 / (n + 1)) * sines * sines[l - 1]
+    m = (2.0 / (n + 1)) * sines * sines[start]
     d2 = (lam[:, None] - lam[None, :]) ** 2
     p = np.empty((times.size, n))
-    for r, tr in enumerate(times.reshape(-1)):
+    for r, tr in enumerate(times):
         c, s = np.cos(tr * (1.0 - omega) * lam), np.sin(tr * (1.0 - omega) * lam)
         w = np.exp(-0.5 * tr * omega * d2) * (np.outer(c, c) + np.outer(s, s))
         p[r] = ((m @ w) * m).sum(1)
@@ -135,29 +159,38 @@ def path_probability_profile(n: int, l: int, t, omega: float) -> np.ndarray:
     if p.min() < -PROFILE_NEG_TOL or sum_err > PROFILE_SUM_TOL:
         raise NumericalError(f"path profile is not a distribution: min {p.min():.3e}, "
                              f"largest sum error {sum_err:.3e}")
-    return p[0] if times.ndim == 0 else p
+    return p
 
 
 INFINITE_PATH_TOL = 1e-12
+INFINITE_PATH_AGREE = INFINITE_PATH_TOL / 100
 INFINITE_PATH_MAX_NODES = 2 ** 15
 
 
 def infinite_path_probability(k: int, t: float, omega: float) -> float:
-    """Occupation probability of site k (start at 0) on the infinite path.
+    """Occupation probability of site k (start at 0) on the infinite path,
+    to within INFINITE_PATH_TOL (absolute), or NumericalError.
 
     The walk's generator averages the coherent walk over Gaussian noise:
     p_k(t) = E[J_k(2(1-omega)t + u)^2] with u ~ N(0, 4 omega t). The mean is
     taken by Gauss-Hermite quadrature, doubling the node count from 32 until
-    two estimates agree to INFINITE_PATH_TOL."""
-    if not (math.isfinite(t) and t >= 0):
-        raise TimeGridError("time must be finite and nonnegative")
+    two successive estimates agree to INFINITE_PATH_AGREE, a hundredth of
+    the tolerance. Before the quadrature settles, the estimates scatter by
+    about the oscillating part of J_k^2, which at large t is close to the
+    tolerance itself: at (0, 1e10, 0.5) the estimates with 2^9 to 2^11
+    nodes agree to 8e-13 and all miss the settled 3.1831e-11 by about
+    3e-12. Of 1,185 unsettled estimates at t from 1e2 to 1e13, 23 agreed
+    with the one before to 1e-12 and none to 1e-14; settled ones agree to
+    rounding. NumericalError when no two agree within
+    INFINITE_PATH_MAX_NODES nodes."""
+    numkernel.check_times((t,))
     gksl.check_omega(omega)
     centre, sigma = 2.0 * (1.0 - omega) * t, 2.0 * math.sqrt(omega * t)
     prev, nodes = math.nan, 32
     while nodes <= INFINITE_PATH_MAX_NODES:
         x, w = special.roots_hermite(nodes)
         est = float(w @ special.jv(k, centre + math.sqrt(2.0) * sigma * x) ** 2) / math.sqrt(math.pi)
-        if abs(est - prev) <= INFINITE_PATH_TOL:
+        if abs(est - prev) <= INFINITE_PATH_AGREE:
             return est
         prev, nodes = est, 2 * nodes
     raise NumericalError(f"Gauss-Hermite estimates did not settle within "
@@ -170,17 +203,21 @@ def taylor_B(n: int, k: int, omega: float) -> tuple[float, float]:
     (-1)^(n+k) 2^(-n) sum_l (-1)^l C(n,2l) C(2n-2l,n-l) C(2n-2l,n-l+k) 4^l
     omega^(n-2l) (1-omega)^(2l), zero for n < |k|. At omega = 1 only l = 0
     is left, one rounding of an integer. NumericalError past the float range."""
+    gksl.check_omega(omega)
     k = abs(k)
     acc = size = 0.0
     try:
         for l in range(min(n // 2, n - k) + 1):  # empty for n < k
             c = (math.comb(n, 2 * l) * math.comb(2 * n - 2 * l, n - l)
                  * math.comb(2 * n - 2 * l, n - l + k))
-            x = float(c) * 4.0 ** l * omega ** (n - 2 * l) * (1.0 - omega) ** (2 * l)
+            # the powers of omega first: a zero one makes the term exactly 0
+            x = float(c) * (omega ** (n - 2 * l) * (1.0 - omega) ** (2 * l)) * 4.0 ** l
             acc += -x if l % 2 else x
             size += x
     except OverflowError:
-        raise NumericalError(f"Taylor coefficient B_{n},{k} is beyond the float range") from None
+        size = math.inf
+    if not math.isfinite(size):
+        raise NumericalError(f"Taylor coefficient B_{n},{k} is beyond the float range")
     return (-1.0 if (n + k) % 2 else 1.0) * math.ldexp(acc, -n), math.ldexp(size, -n)
 
 
@@ -198,9 +235,9 @@ def series_probability(k: int, t: float, omega: float) -> float:
     precision forces past small t (about 1 at omega = 1, 2 at 0.5, 3 at 0.2).
     The sum stops once 2 (a t)^(n+1) / (n+1)!, a = 4 (1 + omega), which
     bounds the rest for n + 2 >= 2 a t, is below eps * max(moduli, SERIES_TOL).
-    TimeGridError unless t is finite and >= 0; omega must lie in [0, 1]."""
-    if not (math.isfinite(t) and t >= 0):
-        raise TimeGridError("time must be finite and nonnegative")
+    t must pass numkernel.check_times as the grid (t,); omega must lie in
+    [0, 1]."""
+    numkernel.check_times((t,))
     gksl.check_omega(omega)
     eps = float(np.finfo(float).eps)
     at = 4.0 * (1.0 + omega) * t
@@ -221,7 +258,17 @@ def series_probability(k: int, t: float, omega: float) -> float:
 
 
 def moment_mu2(omega: float, t: float) -> float:
-    return 2.0 * omega * t + 2.0 * (1.0 - omega) ** 2 * t * t
+    """mu2(t) = 2 omega t + 2 (1 - omega)^2 t^2, the second moment of the
+    interpolated global walk on the infinite path, for omega in [0, 1] and
+    t that passes numkernel.check_times as the grid (t,); NumericalError
+    past the float range."""
+    gksl.check_omega(omega)
+    numkernel.check_times((t,))
+    t = float(t)
+    mu2 = 2.0 * omega * t + 2.0 * (1.0 - omega) ** 2 * t * t
+    if not math.isfinite(mu2):
+        raise NumericalError(f"mu2({t}) is beyond the float range")
+    return mu2
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +305,11 @@ def classify_convergence(gen, tol: float = 1e-10) -> ConvergenceReport:
     in a Jordan block of size k is only accurate to about
     eps^(1/k) * ||S|| (eps^(1/3) is about 6e-6), while a simple one is good
     to about eps * ||S|| times its condition number. A defective gap can
-    move in its fifth digit with the LAPACK path or the BLAS thread count."""
+    move in its fifth digit with the LAPACK path or the BLAS thread count.
+
+    tol must be finite and positive, or ParameterRangeError is raised."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     check_generator_dim(gen.dim)
     lam = numkernel.eig_general(gen.real.matrix)
     mods = np.abs(lam)

@@ -167,15 +167,16 @@ def _time_grid(t_start, t_stop, t_step):
     return grid
 
 
-def _ngqsw_path_profiles(n, omega, times):
-    """Natural-measurement profiles of the symmetrized walk on a path, the
+def _ngqsw_path_profiles(n, start, omega, times):
+    """Natural-measurement profiles of the symmetrized walk on a path from
+    the vertex start, the
     largest trace drift over the evolved states, and the Hermiticity leak
     of the generator: the largest imaginary entry dropped from its real
     form (the states are Hermitian by construction)."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     spec = nonmoral.ngqsw_spec(dg, omega, nonmoral.symmetrized_path_lindblads(dg))
     gen = gksl.build_generator(spec)
-    rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), times)
+    rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, start), times)
     profiles = np.array([nonmoral.natural_measure(rho, dg) for rho in rhos])
     drift = {
         "max_trace_drift": max(abs(np.trace(rho) - 1.0) for rho in rhos),
@@ -211,13 +212,13 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     if length < 2:
         raise click.UsageError("--length must be at least 2")
     n = length
-    center = (n + 1) // 2  # 1-based
-    positions = np.arange(1, n + 1) - center
+    start = (n - 1) // 2
+    positions = np.arange(n) - start
     diagnostics = None
     if model == "gqsw":
-        profiles = analysis.path_probability_profile(n, center, times, omega)
+        profiles = analysis.path_probability_profile(n, start, times, omega)
     else:
-        profiles, diagnostics = _ngqsw_path_profiles(n, omega, times)
+        profiles, diagnostics = _ngqsw_path_profiles(n, start, omega, times)
     mu2 = np.array([analysis.second_moment(p, positions) for p in profiles])
     trace = analysis.scaling_exponents(times, mu2, batch)
     rows = []
@@ -250,8 +251,6 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
 def cmd_converge(model, graph_spec, omega, tol, out):
     """Classify the generator spectrum of a walk on the given graph."""
     t0 = time.time()
-    if not (math.isfinite(tol) and tol > 0):
-        raise click.UsageError("--tol must be finite and positive")
     g = parse_graph_spec(graph_spec)
     dig = g if isinstance(g, graphs.DiGraph) else graphs.to_digraph(g)
     # the size check runs before any operator is built

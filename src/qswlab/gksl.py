@@ -30,22 +30,25 @@ GENERATOR_NNZ_CAP = 20_000_000
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix to DRIFT_TOL: Hermitian, unit trace, and
-    no eigenvalue below -DRIFT_TOL."""
+    """Validate a density matrix to DRIFT_TOL: finite, Hermitian, unit
+    trace, and no eigenvalue below -DRIFT_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > DRIFT_TOL:
-        raise DensityInvariantViolated("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > DRIFT_TOL:
+    # written so that NaN fails too
+    if not np.abs(rho - rho.conj().T).max() <= DRIFT_TOL:
+        raise DensityInvariantViolated("density matrix is not finite and Hermitian")
+    if not abs(np.trace(rho) - 1.0) <= DRIFT_TOL:
         raise DensityInvariantViolated(f"trace {np.trace(rho)} deviates from 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -DRIFT_TOL:
+    if not w.min() >= -DRIFT_TOL:
         raise DensityInvariantViolated(f"negative eigenvalue {w.min()}")
     return rho
 
 
 def pure_state(n: int, k: int) -> np.ndarray:
+    """|k><k| on n vertices; k must pass graphs.check_vertex."""
+    graphs.check_vertex(k, n)
     rho = np.zeros((n, n), dtype=complex)
     rho[k, k] = 1.0
     return rho
@@ -168,10 +171,9 @@ def gqsw_spec(g: graphs.DiGraph, omega: float) -> WalkSpec:
     return WalkSpec(h, (l,), 1.0 - omega, omega)
 
 
-def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
-    """exp(S t) applied to rho0: one state for a scalar t, or a stack with
-    one state per time for a grid of strictly ascending times (see
-    numkernel.expm_apply).
+def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
+    """exp(S t) applied to rho0 at each time t of a grid that passes
+    numkernel.check_times: a stack with one state per time.
 
     The evolution runs in real arithmetic: the coordinates x = T^H vec(rho0)
     in the Hermitian basis T go through exp(R t) with the real R = T^H S T
@@ -187,12 +189,12 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, t) -> np.ndarray:
     x = form.basis.conj().T @ v
     if np.abs(x.imag).max() > HERM_TOL:
         raise DensityInvariantViolated("initial state is not Hermitian")
-    xs = np.atleast_2d(numkernel.expm_apply(form.matrix, x.real, t))
+    xs = numkernel.expm_apply(form.matrix, x.real, times)
     rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
     for rho, xk in zip(rhos, xs):
         rho[...] = (form.basis @ xk).reshape(gen.dim, gen.dim)
         check_density(rho)
-    return rhos[0] if np.ndim(t) == 0 else rhos
+    return rhos
 
 
 def check_probabilities(p: np.ndarray) -> np.ndarray:

@@ -24,9 +24,24 @@ from .exceptions import (
 )
 
 
+def _check_size(n) -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise DimensionError(f"a graph size is an integer >= 0, got {n!r}")
+
+
+def check_vertex(v, n: int) -> None:
+    """Raise ParameterRangeError unless v is an integer vertex label in
+    0..n-1, the one vertex rule of the package: as an index, a negative
+    label would wrap round to another vertex."""
+    if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+        raise ParameterRangeError(f"vertex must be an integer in 0..{n - 1}, got {v!r}")
+
+
 def _check_pairs(n: int, pairs):
-    """Reject a pair with a vertex outside 0..n-1, or a self-loop. The pairs
-    arrive as a frozenset already normalized, so none repeats."""
+    """Reject a size that is not an integer >= 0, a pair with a vertex
+    outside 0..n-1, or a self-loop. The pairs arrive as a frozenset already
+    normalized, so none repeats."""
+    _check_size(n)
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise MalformedGraphError(f"vertex out of range in pair ({u}, {v})")
@@ -138,6 +153,7 @@ def giant_component(g: Graph) -> Graph:
 # Random graph samplers (deterministic per seed)
 
 def gen_er(n: int, p: float, seed: int, directed: bool = False):
+    _check_size(n)
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -164,7 +180,8 @@ def gen_cl(n: int, omega: np.ndarray, seed: int) -> Graph:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (n,):
         raise DimensionError("omega must have one entry per vertex")
-    if np.any(omega < 0) or np.any(omega > n - 1):
+    # written so that NaN fails too
+    if not np.all((omega >= 0) & (omega <= n - 1)):
         raise ParameterRangeError("omega entries must lie in [0, n-1]")
     total = omega.sum()
     if total > 0 and omega.max() ** 2 > total:

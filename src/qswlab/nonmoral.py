@@ -179,7 +179,9 @@ def natural_measure(rho: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
 
 
 def block_mixed_state(dg: DemoralizedGraph, v: int) -> np.ndarray:
-    """Even mixture of the copies of a single base vertex."""
+    """Even mixture of the copies of the base vertex v, which must pass
+    graphs.check_vertex."""
+    graphs.check_vertex(v, dg.base.n)
     rho = np.zeros((dg.dim, dg.dim), dtype=complex)
     rho[dg.index[v], dg.index[v]] = 1.0 / dg.block_sizes[v]
     return rho

@@ -206,6 +206,20 @@ def real_form(s, n: int) -> RealForm:
     return RealForm(matrix=matrix, basis=basis, leak=leak)
 
 
+def check_times(times) -> np.ndarray:
+    """times as a float array if it is a nonempty 1-D grid of finite,
+    nonnegative, strictly ascending times, the one time rule of the
+    package; TimeGridError otherwise. A single time t is the grid (t,)."""
+    t = np.asarray(times, dtype=float)
+    # written so that NaN fails too
+    if not (t.ndim == 1 and t.size and np.all(np.isfinite(t)) and t[0] >= 0
+            and np.all(np.diff(t) > 0)):
+        got = f"values from {t.min():g} to {t.max():g}" if t.size else "no values"
+        raise TimeGridError(f"times must form a nonempty 1-D grid of finite, nonnegative, "
+                            f"strictly ascending values, got shape {t.shape}, {got}")
+    return t
+
+
 KRYLOV_DIM = 30
 EXPM_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-12  # h_{j+1,j} <= this times ||m||_1: the space is invariant
@@ -322,13 +336,12 @@ def _touched_coordinates(m, v: np.ndarray):
     return None if keep.all() else np.flatnonzero(keep)
 
 
-def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
-    """exp(t*m) @ v for a vector v and a square m, dense or sparse, which is
-    converted to CSR once; exact passthrough at t = 0.
+def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
+    """exp(t*m) @ v at each time t of a grid, one row per time, for a vector
+    v and a square m, dense or sparse, which is converted to CSR once; exact
+    passthrough at t = 0.
 
-    t is a scalar, giving one vector, or a nonempty 1-D grid of strictly
-    ascending times, giving one row per time; every time must be finite and
-    nonnegative, or TimeGridError is raised. Steps may be uneven. The state
+    times must pass check_times. Steps may be uneven. The state
     is carried from grid time to grid time by a restarted Arnoldi
     integrator (Saad 1992; Sidje's Expokit 1998): each step builds one
     Krylov space of dimension min(KRYLOV_DIM, n) by classical Gram-Schmidt
@@ -358,13 +371,7 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
     n = m.shape[0]
     if m.shape[0] != m.shape[1] or v.shape != (n,):
         raise DimensionError(f"shape mismatch: m {m.shape} vs v {v.shape}")
-    scalar = np.ndim(t) == 0
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim != 1 or times.size == 0:
-        raise TimeGridError(f"expected a scalar or a nonempty 1-D time grid, got shape "
-                            f"{times.shape}")
-    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
-        raise TimeGridError("times must be finite, nonnegative and strictly ascending")
+    times = check_times(times)
     if not (np.all(np.isfinite(m.data)) and np.all(np.isfinite(v))):
         raise NumericalError("expm_apply needs a finite matrix and vector")
     x = v.astype(np.result_type(m.dtype, v.dtype, float))
@@ -390,4 +397,4 @@ def expm_apply(m, v: np.ndarray, t) -> np.ndarray:
                "largest accepted error estimate %.3e, %d of %d coordinates evolved",
                arnoldi.matvecs, arnoldi.steps, arnoldi.rejected, arnoldi.largest_error,
                x.size, n)
-    return out[0] if scalar else out
+    return out

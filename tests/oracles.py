@@ -104,9 +104,9 @@ def gqsw_spectrum_commuting(g, omega: float) -> np.ndarray:
     return lam.ravel()
 
 
-def evolve_complex(gen, rho0, t) -> np.ndarray:
-    """exp(S t) vec(rho0) with the complex generator S itself, reshaped to
-    one state (scalar t) or one state per time: the reference for
+def evolve_complex(gen, rho0, times) -> np.ndarray:
+    """exp(S t) vec(rho0) with the complex generator S itself, one state per
+    time of the grid times: the reference for
     gksl.evolve, which works in the real Hermitian basis with the Krylov
     integrator of numkernel.expm_apply. Each time is one call of scipy's
     Taylor expm_multiply, nothing chained."""
@@ -116,8 +116,8 @@ def evolve_complex(gen, rho0, t) -> np.ndarray:
     # at omega = 1e-300; the estimate only sets the Taylor degree and step
     # count, and the results still agree with gksl.evolve to 1e-12
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([scipy.sparse.linalg.expm_multiply(gen.s * tk, v) for tk in np.ravel(t)])
-    return out.reshape(np.shape(t) + (gen.dim, gen.dim))
+        out = np.array([scipy.sparse.linalg.expm_multiply(gen.s * t, v) for t in times])
+    return out.reshape(len(times), gen.dim, gen.dim)
 
 
 def demoralize_scan(g) -> nonmoral.DemoralizedGraph:

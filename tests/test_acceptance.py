@@ -22,21 +22,23 @@ def test_acceptance_01_closed_form_evolution():
     worst = 0.0
     for omega in (0.0, 0.3, 0.7, 1.0):
         gen = gksl.build_generator(gksl.gqsw_spec(dig, omega))
-        for t in (0.5, 2.0, 5.0):
-            diag = np.diagonal(gksl.evolve(gen, gksl.pure_state(n, 10), t)).real
-            ref = analysis.path_probability_profile(n, 11, t, omega)
-            worst = max(worst, np.abs(diag - ref).max())
+        times = [0.5, 2.0, 5.0]
+        rhos = gksl.evolve(gen, gksl.pure_state(n, 10), times)
+        ref = analysis.path_probability_profile(n, 10, times, omega)
+        for rho, p in zip(rhos, ref):
+            worst = max(worst, np.abs(np.diagonal(rho).real - p).max())
     report("acceptance 01 closed-form evolution", worst <= 1e-8,
            f"max dev {worst:.2e}")
 
 
 def test_acceptance_02_moment_law():
-    n, center = 121, 61
-    pos = np.arange(1, n + 1) - center
+    n, start = 121, 60
+    pos = np.arange(n) - start
+    times = [1.0, 4.0, 7.0, 10.0]
     worst = 0.0
     for omega in (0.25, 0.5, 0.75):
-        for t in (1.0, 4.0, 7.0, 10.0):
-            p = analysis.path_probability_profile(n, center, t, omega)
+        profiles = analysis.path_probability_profile(n, start, times, omega)
+        for t, p in zip(times, profiles):
             mu = analysis.second_moment(p / p.sum(), pos)
             ref = analysis.moment_mu2(omega, t)
             worst = max(worst, abs(mu - ref) / ref)
@@ -58,12 +60,10 @@ def test_acceptance_03_scaling_exponents():
     alpha_q = analysis.scaling_exponents(times, mu_q, 5).alphas[-1]
 
     # diffusive: fully dissipative walk
-    n2, c = 201, 101
-    pos2 = np.arange(1, n2 + 1) - c
-    mu_c = []
-    for t in times:
-        p = analysis.path_probability_profile(n2, c, t, 1.0)
-        mu_c.append(analysis.second_moment(p / p.sum(), pos2))
+    n2, c = 201, 100
+    pos2 = np.arange(n2) - c
+    mu_c = [analysis.second_moment(p / p.sum(), pos2)
+            for p in analysis.path_probability_profile(n2, c, times, 1.0)]
     alpha_c = analysis.scaling_exponents(times, mu_c, 5).alphas[-1]
 
     ok = abs(alpha_q - 2.0) <= 0.05 and abs(alpha_c - 1.0) <= 0.05
@@ -74,14 +74,12 @@ def test_acceptance_03_scaling_exponents():
 def test_acceptance_04_moralization_removed():
     g = graphs.moral_triangle()
     gen = gksl.build_generator(gksl.gqsw_spec(g, 1.0))
-    p2 = gksl.measure(gksl.evolve(gen, gksl.pure_state(3, 0), 20.0))[1]
+    p2 = gksl.measure(gksl.evolve(gen, gksl.pure_state(3, 0), [20.0])[0])[1]
 
     dg = nonmoral.demoralize(g)
     gen_n = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
-    worst = 0.0
-    for t in np.arange(0.5, 20.5, 0.5):
-        rho = gksl.evolve(gen_n, gksl.pure_state(4, 0), t)
-        worst = max(worst, nonmoral.natural_measure(rho, dg)[1])
+    rhos = gksl.evolve(gen_n, gksl.pure_state(4, 0), np.arange(0.5, 20.5, 0.5))
+    worst = max(nonmoral.natural_measure(rho, dg)[1] for rho in rhos)
     ok = abs(p2 - 0.25) <= 1e-6 and worst <= 1e-10
     report("acceptance 04 moralization", ok,
            f"GQSW p(v2;20)={p2:.8f}, NGQSW max p(v2)={worst:.2e}")
@@ -93,7 +91,7 @@ def test_acceptance_05_premature_localization():
     zero = np.zeros((7, 7))
 
     gen0 = gksl.build_generator(gksl.WalkSpec(zero, (lb,), 1.0, 1.0))
-    rho0 = gksl.evolve(gen0, gksl.pure_state(7, 0), 200.0)
+    rho0 = gksl.evolve(gen0, gksl.pure_state(7, 0), [200.0])[0]
     printed = np.array([
         [5, 1, 1, 0, -5, -1, -1], [1, 1, 1, 0, -1, -1, -1],
         [1, 1, 1, 0, -1, -1, -1], [0, 0, 0, 2, 0, 0, 0],
@@ -103,7 +101,7 @@ def test_acceptance_05_premature_localization():
 
     spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
     gen1 = gksl.build_generator(spec)
-    rho1 = gksl.evolve(gen1, gksl.pure_state(7, 0), 500.0)
+    rho1 = gksl.evolve(gen1, gksl.pure_state(7, 0), [500.0])[0]
     target = np.zeros((7, 7))
     target[3, 3] = 1.0
     dev1 = np.abs(rho1 - target).max()
@@ -118,7 +116,7 @@ def test_acceptance_06_symmetrization():
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     lbs = nonmoral.symmetrized_path_lindblads(dg)
     gen = gksl.build_generator(gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), lbs, 1.0, 1.0))
-    rho = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), 100.0)
+    rho = gksl.evolve(gen, nonmoral.block_mixed_state(dg, (n - 1) // 2), [100.0])[0]
     p = nonmoral.natural_measure(rho, dg)
     asym = max(abs(p[k] - p[n - 1 - k]) for k in range(n))
     report("acceptance 06 symmetrization", asym <= 1e-8, f"max asymmetry {asym:.2e}")

@@ -23,6 +23,19 @@ def test_second_moment_basics():
         analysis.second_moment([0.4, 0.4], [0, 1])
 
 
+@pytest.mark.parametrize("p, positions, error", [
+    ([np.nan, 1.0], [0, 1], ParameterRangeError),     # returned nan
+    ([-1.0, 2.0], [0, 1], ParameterRangeError),       # sums to 1, was accepted
+    ([0.5, 0.5], [0, np.inf], ParameterRangeError),
+    ([0.5, 0.5], [0, 1, 2], DimensionError),          # numpy's ValueError
+    ([], [], DimensionError),
+    ([0.5, 0.5], [0, 1e300], NumericalError),         # x^2 overflows
+])
+def test_second_moment_rejects_bad_input(p, positions, error):
+    with pytest.raises(error):
+        analysis.second_moment(p, positions)
+
+
 def test_scaling_exponents_exact_power():
     t = np.linspace(1, 50, 30)
     tr = analysis.scaling_exponents(t, t**2, batch=5)
@@ -36,6 +49,20 @@ def test_scaling_exponents_exact_power():
 def test_scaling_exponents_rejects_nonpositive():
     with pytest.raises(NonPositiveDataError):
         analysis.scaling_exponents([1, 2, 3], [1.0, -1.0, 2.0], batch=2)
+    with pytest.raises(NonPositiveDataError):
+        analysis.scaling_exponents([0, 2, 3], [1.0, 1.0, 2.0], batch=2)
+
+
+@pytest.mark.parametrize("times, values, error", [
+    ([3.0, 1.0, 2.0], [9.0, 1.0, 4.0], TimeGridError),   # unsorted: gave wrong slopes
+    ([1.0, 1.0, 2.0], [1.0, 1.0, 4.0], TimeGridError),
+    ([-1.0, 1.0, 2.0], [1.0, 1.0, 4.0], TimeGridError),
+    ([1.0, 2.0, 3.0], [1.0, np.nan, 9.0], NumericalError),  # gave nan slopes
+    ([1.0, 2.0, 3.0], [1.0, np.inf, 9.0], NumericalError),
+])
+def test_scaling_exponents_rejects_bad_grids_and_values(times, values, error):
+    with pytest.raises(error):
+        analysis.scaling_exponents(times, values, batch=2)
 
 
 @pytest.mark.parametrize("times, values, batch", [
@@ -66,33 +93,44 @@ def test_fit_limit_model_constant_series():
 def test_fit_limit_model_rejects_too_few_points():
     with pytest.raises(DimensionError):
         analysis.fit_limit_model(np.arange(1.0, 8.0), np.ones(7))
+    with pytest.raises(DimensionError):
+        analysis.fit_limit_model(np.arange(1.0, 11.0), np.ones(9))
+
+
+@pytest.mark.parametrize("where", ["times", "alphas"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_limit_model_rejects_non_finite_points(where, value):
+    """A NaN alpha reached scipy's ValueError about the initial guess."""
+    t, y = np.linspace(5, 100, 10), np.full(10, 1.5)
+    (t if where == "times" else y)[3] = value
+    with pytest.raises(NumericalError, match="finite"):
+        analysis.fit_limit_model(t, y)
 
 
 def test_path_closed_form_t0_delta():
-    for k in (1, 3, 7):
-        want = 1.0 if k == 3 else 0.0
-        assert abs(analysis.path_probability_profile(7, 3, 0.0, 0.5)[k - 1] - want) < 1e-12
+    for k in (0, 2, 6):
+        want = 1.0 if k == 2 else 0.0
+        assert abs(analysis.path_probability_profile(7, 2, [0.0], 0.5)[0, k] - want) < 1e-12
 
 
 def test_path_closed_form_omega0_is_ctqw():
-    n, l, t = 9, 5, 1.7
+    n, start, t = 9, 4, 1.7
     a = graphs.adjacency(graphs.path(n))
     psi0 = np.zeros(n, dtype=complex)
-    psi0[l - 1] = 1.0
+    psi0[start] = 1.0
     p = np.abs(oracles.unitary_apply(a, psi0, t)) ** 2
-    for k in range(1, n + 1):
-        assert abs(analysis.path_probability_profile(n, l, t, 0.0)[k - 1] - p[k - 1]) < 1e-10
+    assert np.abs(analysis.path_probability_profile(n, start, [t], 0.0)[0] - p).max() < 1e-10
 
 
 def test_path_closed_form_matches_evolve():
     n, t, omega = 21, 3.0, 0.6
     gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(graphs.path(n)), omega))
-    p = gksl.measure(gksl.evolve(gen, gksl.pure_state(n, 10), t))
-    prof = analysis.path_probability_profile(n, 11, t, omega)
+    p = gksl.measure(gksl.evolve(gen, gksl.pure_state(n, 10), [t])[0])
+    prof = analysis.path_probability_profile(n, 10, [t], omega)[0]
     assert np.abs(p - prof).max() < 1e-8
 
 
-def _einsum_profile(n, l, t, omega):
+def _einsum_profile(n, start, t, omega):
     """Reference profile: the kernel cos(t(1-omega)(lam_i - lam_j)) built
     entry by entry and contracted by einsum."""
     theta = np.pi / (n + 1)
@@ -101,34 +139,37 @@ def _einsum_profile(n, l, t, omega):
     sines = np.sin(np.outer(i, i) * theta)
     d = lam[:, None] - lam[None, :]
     w = np.exp(-0.5 * t * omega * d * d) * np.cos(t * (1.0 - omega) * d)
-    m = sines * sines[l - 1]
+    m = sines * sines[start]
     return (2.0 / (n + 1)) ** 2 * np.einsum("ki,ij,kj->k", m, w, m)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.35, 1.0])
 def test_path_profile_grid_rows_equal_scalar_calls(omega):
-    n, l = 41, 17
+    n, start = 41, 16
     times = np.array([0.0, 0.5, 3.0, 17.25, 90.0])
-    grid = analysis.path_probability_profile(n, l, times, omega)
+    grid = analysis.path_probability_profile(n, start, times, omega)
     assert grid.shape == (times.size, n)
     for row, t in zip(grid, times):
-        one = analysis.path_probability_profile(n, l, t, omega)
-        assert one.shape == (n,)
-        assert np.abs(row - one).max() <= 1e-14
-        assert np.abs(row - _einsum_profile(n, l, t, omega)).max() <= 1e-13
+        one = analysis.path_probability_profile(n, start, [t], omega)
+        assert one.shape == (1, n)
+        assert np.abs(row - one[0]).max() <= 1e-14
+        assert np.abs(row - _einsum_profile(n, start, t, omega)).max() <= 1e-13
         assert abs(row.sum() - 1.0) <= 1e-12
-    assert analysis.path_probability_profile(n, l, times[:1], omega).shape == (1, n)
 
 
 @pytest.mark.parametrize("args, error", [
-    ((9, 0, 1.0, 0.5), ParameterRangeError),     # start vertex outside 1..n
-    ((9, 10, 1.0, 0.5), ParameterRangeError),
-    ((9, 5, 1.0, 1.5), ParameterRangeError),
-    ((9, 5, 1.0, np.nan), ParameterRangeError),
-    ((9, 5, -1.0, 0.5), TimeGridError),
-    ((9, 5, np.array([1.0, np.inf]), 0.5), TimeGridError),
-    ((9, 5, np.ones((2, 2)), 0.5), TimeGridError),
-    ((9, 5, np.array([]), 0.5), TimeGridError),
+    ((9, -1, [1.0], 0.5), ParameterRangeError),     # start vertex outside 0..n-1
+    ((9, 9, [1.0], 0.5), ParameterRangeError),
+    ((9, 4, [1.0], 1.5), ParameterRangeError),
+    ((9, 4, [1.0], np.nan), ParameterRangeError),
+    ((9, 4, [-1.0], 0.5), TimeGridError),
+    ((9, 4, np.array([1.0, np.inf]), 0.5), TimeGridError),
+    ((9, 4, np.ones((2, 2)), 0.5), TimeGridError),
+    ((9, 4, np.array([]), 0.5), TimeGridError),
+    ((9, 4.0, [1.0], 0.5), ParameterRangeError),
+    ((9, 4, 1.0, 0.5), TimeGridError),              # a scalar time is not a grid
+    ((9, 4, [2.0, 1.0], 0.5), TimeGridError),
+    ((9, 4, [1.0, 1.0], 0.5), TimeGridError),
 ])
 def test_path_profile_rejects_bad_input(args, error):
     with pytest.raises(error):
@@ -169,6 +210,18 @@ def test_infinite_path_raises_when_nodes_do_not_settle(monkeypatch):
         analysis.infinite_path_probability(3, 1000.0, 0.5)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 10])
+def test_infinite_path_is_within_tolerance_at_large_t(k):
+    """At t = 1e10 and omega = 0.5 the Gauss-Hermite estimates with 2^9 to
+    2^11 nodes agree to 1e-12 while about 3e-12 off. The settled value is
+    the mean of J_k^2 over its oscillation, 1/(pi * 2 (1 - omega) t), to
+    about 1e-20 here."""
+    t, omega = 1e10, 0.5
+    want = 1.0 / (math.pi * 2.0 * (1.0 - omega) * t)
+    got = analysis.infinite_path_probability(k, t, omega)
+    assert abs(got - want) <= analysis.INFINITE_PATH_TOL
+
+
 def test_infinite_path_trivial_and_normalized():
     assert abs(analysis.infinite_path_probability(0, 0.0, 0.5) - 1.0) < 1e-8
     total = sum(analysis.infinite_path_probability(k, 1.0, 0.5)
@@ -178,9 +231,9 @@ def test_infinite_path_trivial_and_normalized():
 
 def test_infinite_path_matches_finite_truncation():
     n = 201
-    center = 101
+    start = 100
     for k, t in ((0, 2.0), (3, 5.0)):
-        fin = analysis.path_probability_profile(n, center, t, 0.4)[center + k - 1]
+        fin = analysis.path_probability_profile(n, start, [t], 0.4)[0, start + k]
         inf = analysis.infinite_path_probability(k, t, 0.4)
         assert abs(fin - inf) < 1e-5
 
@@ -254,13 +307,32 @@ def test_series_probability_at_the_start_and_far_out():
 
 
 def test_moment_mu2_formula_on_path():
-    n, center = 121, 61
-    pos = np.arange(1, n + 1) - center
+    n, start = 121, 60
+    pos = np.arange(n) - start
     for om in (0.25, 0.75):
-        p = analysis.path_probability_profile(n, center, 8.0, om)
+        p = analysis.path_probability_profile(n, start, [8.0], om)[0]
         mu = analysis.second_moment(p / p.sum(), pos)
         ref = analysis.moment_mu2(om, 8.0)
         assert abs(mu - ref) / ref < 1e-3
+
+
+@pytest.mark.parametrize("omega, t, error", [
+    (math.nan, 1.0, ParameterRangeError),   # gave nan
+    (1.5, 1.0, ParameterRangeError),
+    (0.5, -1.0, TimeGridError),             # omega = 2, t = -1 gave -2
+    (0.5, math.nan, TimeGridError),
+    (0.5, 1e300, NumericalError),
+])
+def test_moment_mu2_rejects_bad_input(omega, t, error):
+    with pytest.raises(error):
+        analysis.moment_mu2(omega, t)
+
+
+@pytest.mark.parametrize("omega", [math.nan, -0.1, 1.5])
+def test_taylor_coefficient_rejects_omega_outside_unit_interval(omega):
+    """taylor_B(3, 1, nan) gave (nan, nan)."""
+    with pytest.raises(ParameterRangeError):
+        analysis.taylor_B(3, 1, omega)
 
 
 def test_classifier_lqsw_strongly_connected_relaxing():
@@ -352,6 +424,17 @@ def test_classifier_rejects_non_hermiticity_preserving_generator():
         analysis.classify_convergence(gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_classifier_rejects_bad_tolerance(tol):
+    """On a relaxing walk, NaN, -1 and 0 gave ConvergentNonRelaxing with
+    zero multiplicity 0, and inf gave zero multiplicity 16."""
+    g = graphs.DiGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
+    gen = gksl.build_generator(gksl.lqsw_spec(g, 0.5))
+    assert analysis.classify_convergence(gen).classification == "Relaxing"
+    with pytest.raises(ParameterRangeError, match="tol must be finite and positive"):
+        analysis.classify_convergence(gen, tol)
+
+
 def test_classifier_dimension_cap():
     gen = gksl.build_generator(
         gksl.gqsw_spec(graphs.to_digraph(graphs.path(51)), 0.5))
@@ -366,7 +449,7 @@ def test_structure_measures_lqsw_gap_below_one():
     g = graphs.DiGraph(6, frozenset((i, i + 1) for i in range(5)))
     for omega, expect_full in ((1.0, True), (0.5, False)):
         gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
-        rho = gksl.evolve(gen, gksl.pure_state(6, 0), 2000.0)
+        rho = gksl.evolve(gen, gksl.pure_state(6, 0), [2000.0])[0]
         p_sink = gksl.measure(rho)[-1]
         if expect_full:
             assert p_sink > 1 - 1e-6

@@ -66,6 +66,11 @@ DIGRAPHS = st.one_of(
               st.just(True)))
 KINDS = st.sampled_from(search.GRAPH_MATRIX_KINDS)
 TIMES = st.lists(NUMBERS, max_size=3).map(np.array)
+# grids that mostly pass numkernel.check_times, so the code behind it runs
+GRIDS = st.one_of(TIMES, st.lists(st.one_of(NUMBERS, st.floats(0.0, 1e3)), min_size=1,
+                                  max_size=8).map(sorted).map(np.array))
+SIZES = st.integers(-3, 12)
+LISTS = st.lists(st.one_of(NUMBERS, st.floats(0.0, 1.0)), max_size=9)
 MATRICES = st.integers(0, 4).flatmap(
     lambda n: st.lists(NUMBERS, min_size=n * n, max_size=n * n).map(
         lambda xs: np.array(xs).reshape(n, n)))
@@ -79,12 +84,42 @@ def _run_search(g, kind, w, gamma, times):
     return search.run_search(search.search_spectrum(g, kind), w, gamma, times)
 
 
+FIT_TIMES = [np.linspace(5.0, 100.0, 9), np.linspace(5.0, 100.0, 9)[::-1], np.zeros(9),
+             np.linspace(5.0, 100.0, 8), np.array([5.0] * 4 + [math.nan] + [9.0] * 4)]
+FIT_ALPHAS = [2.0 - 1.0 / FIT_TIMES[0], np.full(9, 1.5), np.ones(7),
+              np.array([1.0] * 8 + [math.inf]), np.array([math.nan] + [1.0] * 8),
+              np.array([1e300] + [1.0] * 8), np.array([1.0] * 8 + [-1e300])]
+
+
+def _gen_cl(omega, seed):
+    return graphs.gen_cl(len(omega), np.array(omega), seed)
+
+
 CALLS = {
     "series_probability": (analysis.series_probability, (INTEGERS, NUMBERS, WEIGHTS)),
     "infinite_path_probability": (analysis.infinite_path_probability,
                                   (INTEGERS, NUMBERS, WEIGHTS)),
     "path_probability_profile": (analysis.path_probability_profile,
-                                 (st.integers(-2, 8), INTEGERS, NUMBERS, WEIGHTS)),
+                                 (st.integers(-2, 8), INTEGERS, GRIDS, WEIGHTS)),
+    "second_moment": (analysis.second_moment,
+                      (st.one_of(LISTS, st.sampled_from([[1.0], [0.5, 0.5], [-1.0, 2.0]])),
+                       LISTS)),
+    "scaling_exponents": (analysis.scaling_exponents, (GRIDS, LISTS, st.integers(-1, 5))),
+    # a fixed set of series: on data far from the model the fit can spend
+    # its 20,000 residual evaluations, seconds per call, before it raises
+    "fit_limit_model": (analysis.fit_limit_model,
+                        (st.sampled_from(FIT_TIMES), st.sampled_from(FIT_ALPHAS))),
+    "moment_mu2": (analysis.moment_mu2, (WEIGHTS, NUMBERS)),
+    "taylor_B": (analysis.taylor_B, (st.integers(-3, 400), INTEGERS, WEIGHTS)),
+    "Graph": (graphs.Graph, (INTEGERS,)),
+    "DiGraph": (graphs.DiGraph, (INTEGERS,)),
+    "path": (graphs.path, (SIZES,)),
+    "complete": (graphs.complete, (SIZES,)),
+    "gen_er": (graphs.gen_er, (SIZES, WEIGHTS, st.integers(0, 99), st.booleans())),
+    "gen_cl": (_gen_cl, (LISTS, st.integers(0, 99))),
+    "classical_mfpt_mc": (search.classical_mfpt_mc,
+                          (GRAPHS, INTEGERS, st.integers(-1, 30), st.integers(0, 99),
+                           st.one_of(st.none(), st.integers(-5, 50)))),
     "lambert_bound": (search.lambert_bound, (st.one_of(NUMBERS, st.floats(1.0, 1e8)),)),
     "search_stats": (_search_stats, (GRAPHS, KINDS, INTEGERS)),
     "run_search": (_run_search, (GRAPHS, KINDS, INTEGERS, NUMBERS, TIMES)),

@@ -126,7 +126,7 @@ def test_generator_spectrum_left_half_plane():
 def test_lqsw_directed_p2_stationary():
     g = graphs.DiGraph(2, frozenset({(0, 1)}))
     gen = gksl.build_generator(gksl.lqsw_spec(g, 1.0))
-    rho = gksl.evolve(gen, gksl.pure_state(2, 0), 60.0)
+    rho = gksl.evolve(gen, gksl.pure_state(2, 0), [60.0])[0]
     assert np.abs(rho - np.diag([0.0, 1.0])).max() < 1e-9
 
 
@@ -137,7 +137,7 @@ def test_lqsw_omega1_matches_classical_rates():
     p0 = np.zeros(5)
     p0[2] = 1.0
     t = 1.3
-    rho = gksl.evolve(gen, np.diag(p0).astype(complex), t)
+    rho = gksl.evolve(gen, np.diag(p0).astype(complex), [t])[0]
     want = scipy.linalg.expm(-t * graphs.laplacian(g)) @ p0
     assert np.abs(gksl.measure(rho) - want).max() < 1e-9
 
@@ -145,19 +145,19 @@ def test_lqsw_omega1_matches_classical_rates():
 def test_evolve_t0_identity():
     rho = random_density(4, 8)
     gen = gksl.build_generator(gksl.WalkSpec(np.eye(4), (), 1.0, 0.0))
-    assert np.abs(gksl.evolve(gen, rho, 0.0) - rho).max() < 1e-12
+    assert np.abs(gksl.evolve(gen, rho, [0.0])[0] - rho).max() < 1e-12
 
 
 def test_evolve_rejects_bad_dimension():
     gen = gksl.build_generator(gksl.WalkSpec(np.eye(3), (), 1.0, 0.0))
     with pytest.raises(DimensionError):
-        gksl.evolve(gen, random_density(4, 0), 1.0)
+        gksl.evolve(gen, random_density(4, 0), [1.0])
 
 
 def test_moral_triangle_closed_form():
     gen = gksl.build_generator(gksl.gqsw_spec(graphs.moral_triangle(), 1.0))
-    for t in (0.5, 1.0, 3.0):
-        rho = gksl.evolve(gen, gksl.pure_state(3, 0), t)
+    times = [0.5, 1.0, 3.0]
+    for t, rho in zip(times, gksl.evolve(gen, gksl.pure_state(3, 0), times)):
         want = np.array([
             [0.25 * (np.exp(-t) + 1) ** 2, 0.25 * (np.exp(-2 * t) - 1), 0],
             [0.25 * (np.exp(-2 * t) - 1), 0.25 * (np.exp(-t) - 1) ** 2, 0],
@@ -173,7 +173,7 @@ def test_ctqw_pure_state_consistency():
     psi0[0] = 1.0
     t = 2.7
     psi = oracles.unitary_apply(graphs.adjacency(g), psi0, t)
-    rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), t)
+    rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), [t])[0]
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-9
 
 
@@ -181,8 +181,8 @@ def test_semigroup_property():
     g = graphs.to_digraph(graphs.star(4))
     gen = gksl.build_generator(gksl.gqsw_spec(g, 0.3))
     rho = random_density(4, 3)
-    one = gksl.evolve(gen, rho, 2.5)
-    two = gksl.evolve(gen, gksl.evolve(gen, rho, 1.0), 1.5)
+    one = gksl.evolve(gen, rho, [2.5])[0]
+    two = gksl.evolve(gen, gksl.evolve(gen, rho, [1.0])[0], [1.5])[0]
     assert np.abs(one - two).max() < 1e-8
 
 
@@ -214,7 +214,7 @@ def test_evolve_grid_matches_single_calls(model, times):
     rhos = gksl.evolve(gen, rho0, np.array(times))
     assert rhos.shape == (len(times), gen.dim, gen.dim)
     for rho, t in zip(rhos, times):
-        assert np.abs(rho - gksl.evolve(gen, rho0, t)).max() < 1e-10
+        assert np.abs(rho - gksl.evolve(gen, rho0, [t])[0]).max() < 1e-10
         assert abs(np.trace(rho) - 1.0) < 1e-10
 
 
@@ -229,10 +229,10 @@ def test_evolve_returns_unrenormalised_states():
     rhos = gksl.evolve(gen, rho0, times)
     assert np.array_equal(rhos, (form.basis @ raw.T).T.reshape(3, 5, 5))
     assert np.abs(rhos - oracles.evolve_complex(gen, rho0, times)).max() < 1e-13
-    one = numkernel.expm_apply(form.matrix, x0, 2.0)
-    rho = gksl.evolve(gen, rho0, 2.0)
-    assert np.array_equal(rho, (form.basis @ one).reshape(5, 5))
-    assert np.abs(rho - oracles.evolve_complex(gen, rho0, 2.0)).max() < 1e-13
+    one = numkernel.expm_apply(form.matrix, x0, [2.0])
+    rho = gksl.evolve(gen, rho0, [2.0])
+    assert np.array_equal(rho, (form.basis @ one.T).T.reshape(1, 5, 5))
+    assert np.abs(rho - oracles.evolve_complex(gen, rho0, [2.0])).max() < 1e-13
 
 
 @pytest.mark.parametrize("model", ["lqsw", "gqsw", "ngqsw"])
@@ -252,8 +252,8 @@ def test_evolve_matches_complex_oracle(model, times):
     nonmoral.demoralize(graphs.to_digraph(graphs.complete(4))), 1e-300)), 0, 7.0)
 def test_evolve_matches_complex_oracle_on_random_walks(gen, seed, t):
     rho0 = random_density(gen.dim, seed)
-    want = oracles.evolve_complex(gen, rho0, t)
-    got = gksl.evolve(gen, rho0, t)
+    want = oracles.evolve_complex(gen, rho0, [t])[0]
+    got = gksl.evolve(gen, rho0, [t])[0]
     assert np.array_equal(got, got.conj().T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -263,7 +263,7 @@ def test_evolve_rejects_non_hermitian_initial_state():
     rho0 = rho0.copy()
     rho0[0, 1] += 1e-6
     with pytest.raises(DensityInvariantViolated, match="not Hermitian"):
-        gksl.evolve(gen, rho0, 1.0)
+        gksl.evolve(gen, rho0, [1.0])
 
 
 def test_non_hermitian_hamiltonian_is_rejected():
@@ -276,12 +276,12 @@ def test_non_hermitian_hamiltonian_is_rejected():
     s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     gen = gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3)
     with pytest.raises(NumericalError, match="Hermiticity"):
-        gksl.evolve(gen, gksl.pure_state(3, 0), 1.0)
+        gksl.evolve(gen, gksl.pure_state(3, 0), [1.0])
 
 
 def test_evolve_rejects_bad_grids():
     gen, rho0 = _grid_fixture("gqsw")
-    for times in ([1.0, 1.0], [2.0, 1.0], [-1.0], [np.inf], []):
+    for times in ([1.0, 1.0], [2.0, 1.0], [-1.0], [np.inf], [], 1.0):
         with pytest.raises(TimeGridError):
             gksl.evolve(gen, rho0, np.array(times))
 
@@ -304,6 +304,17 @@ def test_check_density_rejects():
         gksl.check_density(np.diag([0.6, 0.6]))
     with pytest.raises(DensityInvariantViolated):
         gksl.check_density(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    # NaN fails every comparison, so each check is written to fail on it
+    for bad in (np.diag([np.nan, 1.0]), np.diag([0.5, 0.5]) + np.nan * np.eye(2)[::-1]):
+        with pytest.raises(DensityInvariantViolated):
+            gksl.check_density(bad)
+
+
+@pytest.mark.parametrize("n, k", [(3, -1), (3, 3), (3, 1.0), (0, 0)])
+def test_pure_state_rejects_a_label_off_the_graph(n, k):
+    """-1 would wrap round to the last vertex and 3 raised IndexError."""
+    with pytest.raises(ParameterRangeError, match="vertex must be an integer"):
+        gksl.pure_state(n, k)
 
 
 def test_gqsw_spectrum_formula_cross_check():
@@ -334,6 +345,6 @@ def test_gqsw_spectrum_has_stationary_directions():
 def test_trace_and_positivity_preserved(n, seed, t, omega):
     g = graphs.gen_er(n, 0.6, seed, directed=True)
     gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
-    rho = gksl.evolve(gen, random_density(n, seed), t)
+    rho = gksl.evolve(gen, random_density(n, seed), [t])[0]
     assert abs(np.trace(rho) - 1.0) < 1e-9
     assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-7

@@ -24,6 +24,29 @@ def test_digraph_rejects_bad_arcs():
                 cls(3, frozenset({pair}))
 
 
+@pytest.mark.parametrize("make", [graphs.Graph, graphs.DiGraph, graphs.path, graphs.complete,
+                                  graphs.star, lambda n: graphs.gen_er(n, 0.5, 1),
+                                  lambda n: graphs.gen_er(n, 0.5, 1, directed=True)])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_graph_sizes_are_integers_at_least_0(make, n):
+    """Graph(-1), path(-1), complete(-2) and gen_er(-1, ...) built graphs with
+    a negative n."""
+    with pytest.raises(DimensionError, match="graph size"):
+        make(n)
+    assert make(0).n == 0
+    if make in (graphs.Graph, graphs.DiGraph):
+        with pytest.raises(DimensionError, match="graph size"):
+            make(2.0)
+
+
+def test_check_vertex_is_the_one_vertex_rule():
+    for v in (0, 3, np.int64(2)):
+        graphs.check_vertex(v, 4)
+    for v, n in ((-1, 4), (4, 4), (1.0, 4), ("1", 4), (0, 0)):
+        with pytest.raises(ParameterRangeError, match="vertex must be an integer"):
+            graphs.check_vertex(v, n)
+
+
 def test_graph_normalizes_edge_order():
     g = graphs.Graph(3, frozenset({(2, 0)}))
     assert (0, 2) in g.edges
@@ -117,7 +140,7 @@ def test_gen_cl_overflow_guard():
 def test_gen_cl_rejects_bad_omega():
     with pytest.raises(DimensionError):
         graphs.gen_cl(10, np.ones(9), seed=0)
-    for bad in (-1.0, 10.0):
+    for bad in (-1.0, 10.0, np.nan):   # NaN returned an empty graph
         omega = np.ones(10)
         omega[3] = bad
         with pytest.raises(ParameterRangeError):

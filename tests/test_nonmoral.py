@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DimensionError, NonOrthogonalColumnsError, NumericalError,
-                               WrongTopologyError)
+                               ParameterRangeError, WrongTopologyError)
 
 
 def _indegrees(g):
@@ -59,6 +59,15 @@ def _assert_matches_arc_scan(g):
         assert np.array_equal(got.toarray(), want)
     for v in range(g.n):
         assert np.array_equal(nonmoral.block_mixed_state(dg, v), oracles.block_mixed_state(dg, v))
+
+
+@pytest.mark.parametrize("v", [-1, 4, 2.0])
+def test_block_mixed_state_rejects_a_label_off_the_graph(v):
+    """On the 4-vertex premature graph, -1 would wrap round to vertex 3 and 4
+    raised IndexError."""
+    dg = nonmoral.demoralize(graphs.premature_graph())
+    with pytest.raises(ParameterRangeError, match="vertex must be an integer"):
+        nonmoral.block_mixed_state(dg, v)
 
 
 @pytest.mark.parametrize("g", [
@@ -186,15 +195,16 @@ def test_ngqsw_moral_triangle_closed_form():
     gen = gksl.build_generator(gksl.WalkSpec(zero, (lb,), 1.0, 1.0))
     gen_rot = gksl.build_generator(
         gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0))
-    for t in (0.5, 2.0, 20.0):
-        rho = gksl.evolve(gen, gksl.pure_state(4, 0), t)
+    times = [0.5, 2.0, 20.0]
+    rhos, rhos_rot = (gksl.evolve(g_, gksl.pure_state(4, 0), times) for g_ in (gen, gen_rot))
+    for t, rho, rho_rot in zip(times, rhos, rhos_rot):
         v3 = np.zeros(4)
         v3[2] = v3[3] = 1.0
         want = np.exp(-2 * t) * np.diag([1.0, 0, 0, 0]) \
             + 0.5 * (1 - np.exp(-2 * t)) * np.outer(v3, v3)
         assert np.abs(rho - want).max() < 1e-9
-        for g_ in (gen, gen_rot):
-            p = nonmoral.natural_measure(gksl.evolve(g_, gksl.pure_state(4, 0), t), dg)
+        for r in (rho, rho_rot):
+            p = nonmoral.natural_measure(r, dg)
             assert p[1] < 1e-10
             assert abs(p[2] - (1 - np.exp(-2 * t))) < 1e-9
 
@@ -203,7 +213,7 @@ def test_premature_zero_rotation_stationary():
     dg = nonmoral.demoralize(graphs.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     gen = gksl.build_generator(gksl.WalkSpec(np.zeros((7, 7)), (lb,), 1.0, 1.0))
-    rho = gksl.evolve(gen, gksl.pure_state(7, 0), 200.0)
+    rho = gksl.evolve(gen, gksl.pure_state(7, 0), [200.0])[0]
     want = np.array([
         [5, 1, 1, 0, -5, -1, -1],
         [1, 1, 1, 0, -1, -1, -1],
@@ -221,7 +231,7 @@ def test_premature_standard_rotation_localizes():
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
     gen = gksl.build_generator(spec)
-    rho = gksl.evolve(gen, gksl.pure_state(7, 0), 500.0)
+    rho = gksl.evolve(gen, gksl.pure_state(7, 0), [500.0])[0]
     want = np.zeros((7, 7))
     want[3, 3] = 1.0
     assert np.abs(rho - want).max() < 1e-6
@@ -245,12 +255,12 @@ def test_symmetrized_segment_profiles():
     rho0 = nonmoral.block_mixed_state(dg, (n - 1) // 2)
 
     gen = gksl.build_generator(gksl.WalkSpec(hrot, lbs, 1.0, 1.0))
-    p = nonmoral.natural_measure(gksl.evolve(gen, rho0, 10.0), dg)
+    p = nonmoral.natural_measure(gksl.evolve(gen, rho0, [10.0])[0], dg)
     assert max(abs(p[k] - p[n - 1 - k]) for k in range(n)) < 1e-8
 
     single = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     gen1 = gksl.build_generator(gksl.WalkSpec(hrot, (single,), 1.0, 1.0))
-    p1 = nonmoral.natural_measure(gksl.evolve(gen1, rho0, 10.0), dg)
+    p1 = nonmoral.natural_measure(gksl.evolve(gen1, rho0, [10.0])[0], dg)
     assert max(abs(p1[k] - p1[n - 1 - k]) for k in range(n)) > 1e-3
 
 
@@ -283,6 +293,6 @@ def test_sink_block_state_is_stationary():
     gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
     rho = nonmoral.block_mixed_state(dg, 3)
     p0 = nonmoral.natural_measure(rho, dg)
-    for t in (1.0, 10.0):
-        pt = nonmoral.natural_measure(gksl.evolve(gen, rho, t), dg)
+    for rho_t in gksl.evolve(gen, rho, [1.0, 10.0]):
+        pt = nonmoral.natural_measure(rho_t, dg)
         assert np.abs(pt - p0).max() < 1e-9

@@ -86,9 +86,9 @@ def _expm_cases():
 def test_expm_apply_matches_dense_expm():
     for name, (m, v, t) in _expm_cases().items():
         want = scipy.linalg.expm(t * m) @ v
-        got = numkernel.expm_apply(m, v, t)
+        got = numkernel.expm_apply(m, v, [t])[0]
         assert np.abs(got - want).max() < 1e-9, name
-        got_sp = numkernel.expm_apply(sp.csr_matrix(m), v, t)
+        got_sp = numkernel.expm_apply(sp.csr_matrix(m), v, [t])[0]
         assert np.abs(got_sp - want).max() < 1e-9, name
         assert got.dtype == got_sp.dtype == np.result_type(m, v), name
 
@@ -120,13 +120,13 @@ def test_expm_apply_rejects_non_finite_input(where, value):
     if where == "sparse matrix":
         m = sp.csr_matrix(m)
     with pytest.raises(NumericalError, match="finite"):
-        numkernel.expm_apply(m, v, 1.0)
+        numkernel.expm_apply(m, v, [1.0])
 
 
 def test_expm_apply_raises_when_no_step_meets_the_estimate():
     m = sp.random(40, 40, density=0.2, random_state=4, format="csr") * 1e150
     with pytest.raises(NumericalError, match="no Krylov step"):
-        numkernel.expm_apply(m, np.ones(40), 1.0)
+        numkernel.expm_apply(m, np.ones(40), [1.0])
 
 
 def test_expm_apply_logs_one_debug_record(caplog):
@@ -185,9 +185,9 @@ def test_expm_apply_evolves_each_touched_block_alone(form, touched):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning from a cast of m
         grid = numkernel.expm_apply(form(m), v, times)
-        one = numkernel.expm_apply(form(m), v, times[-1])
-    assert grid.shape == (3, 15) and one.shape == (15,)
-    for row, t in zip([*grid, one], [*times, times[-1]]):
+        one = numkernel.expm_apply(form(m), v, times[-1:])
+    assert grid.shape == (3, 15) and one.shape == (1, 15)
+    for row, t in zip([*grid, *one], [*times, times[-1]]):
         for b, idx in enumerate(blocks):
             if b in touched:
                 want = scipy.linalg.expm(t * m[np.ix_(idx, idx)]) @ v[idx]
@@ -202,14 +202,14 @@ def test_expm_apply_zero_vector_gives_zeros(form):
     for m in (_interleaved_blocks()[0], connected):
         n = m.shape[0]
         v = np.zeros(n)
-        assert np.array_equal(numkernel.expm_apply(form(m), v, 2.0), np.zeros(n))
+        assert np.array_equal(numkernel.expm_apply(form(m), v, [2.0]), np.zeros((1, n)))
         assert np.array_equal(numkernel.expm_apply(form(m), v, [1.0, 2.0]), np.zeros((2, n)))
 
 
 def test_expm_apply_t_zero_copies():
     v = np.ones(4)
-    out = numkernel.expm_apply(np.eye(4), v, 0.0)
-    assert np.array_equal(out, v) and out is not v
+    out = numkernel.expm_apply(np.eye(4), v, [0.0])
+    assert np.array_equal(out, [v]) and not np.shares_memory(out, v)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -244,12 +244,16 @@ def test_expm_apply_grid_matches_dense_expm(times):
             assert np.abs(row - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_expm_apply_one_point_grid_is_scalar_form():
+def test_expm_apply_one_point_grid_has_one_row():
+    """There is no scalar form: a single time is the grid [t], and a bare
+    scalar is refused."""
     rng = np.random.default_rng(9)
     m, v = rng.standard_normal((5, 5)), rng.standard_normal(5)
     grid = numkernel.expm_apply(m, v, [1.3])
     assert grid.shape == (1, 5)
-    assert np.array_equal(grid[0], numkernel.expm_apply(m, v, 1.3))
+    assert np.abs(grid[0] - scipy.linalg.expm(1.3 * m) @ v).max() < 1e-10
+    with pytest.raises(TimeGridError):
+        numkernel.expm_apply(m, v, 1.3)
 
 
 @pytest.mark.parametrize("times", [
@@ -260,10 +264,20 @@ def test_expm_apply_one_point_grid_is_scalar_form():
     [0.0, np.nan],             # non-finite
     [],                        # empty
     [[0.0, 1.0]],              # not 1-D
+    1.0,                       # a scalar
 ])
 def test_expm_apply_rejects_bad_grids(times):
     with pytest.raises(TimeGridError):
         numkernel.expm_apply(np.eye(3), np.ones(3), np.array(times))
+
+
+def test_check_times_is_the_one_grid_rule():
+    assert numkernel.check_times([0, 1, 2.5]).dtype == np.float64
+    assert np.array_equal(numkernel.check_times((3.0,)), [3.0])
+    for bad in (2.0, [], [[0.0, 1.0]], [-1.0, 0.0], [0.0, np.nan], [0.0, np.inf],
+                [1.0, 1.0], [2.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(TimeGridError, match="strictly ascending"):
+            numkernel.check_times(bad)
 
 
 @pytest.mark.parametrize("start, step", [(30.0, 30.0), (0.0, 0.1), (1e6, 1e-6)])

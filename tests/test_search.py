@@ -367,7 +367,10 @@ def test_search_layer_edges_raise_typed_errors():
     for gamma in (math.nan, math.inf):
         with pytest.raises(ParameterRangeError):
             search.run_search(spec, 0, gamma, times)
-    for bad in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
+    # the grid rule of expm_apply: p(-t) = p(t) for a real H_G, so a
+    # negative grid would report mirror values
+    for bad in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2)), np.array(1.0),
+                np.array([-3.0, 0.0, 3.0]), np.array([0.0, 2.0, 1.0]), np.array([1.0, 1.0])):
         with pytest.raises(TimeGridError):
             search.run_search(spec, 0, 0.5, bad)
     for kind in search.GRAPH_MATRIX_KINDS:
@@ -379,9 +382,9 @@ def test_search_layer_edges_raise_typed_errors():
     for p0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterRangeError):
             search.lambert_bound(p0)
-    # x = (1 - p0) / (e p0) rounds to the branch point, where scipy gives NaN
-    with pytest.raises(NumericalError):
-        search.lambert_bound(1e300)
+    # x = (1 - p0) / (e p0) rounds to the branch point, where scipy gives NaN;
+    # the branch-point series gives (1 - p) / (1 + p) to first order
+    assert search.lambert_bound(1e300) == 1.0
     # the walks are undefined without an edge or at a vertex off the graph
     for g, w in ((graphs.Graph(1), 0), (graphs.Graph(2), 0)):
         with pytest.raises((IsolatedVertexError, DisconnectedGraphError)):
@@ -392,6 +395,10 @@ def test_search_layer_edges_raise_typed_errors():
         search.classical_mfpt_lower_bound(graphs.path(3), -1)
     with pytest.raises(ParameterRangeError):
         search.classical_mfpt_mc(graphs.path(3), 0, walks=0, seed=0)
+    # max_steps = 0 divided by zero and -5 reached numpy's ValueError
+    for max_steps in (0, -5, 2.5):
+        with pytest.raises(ParameterRangeError, match="max_steps"):
+            search.classical_mfpt_mc(graphs.path(3), 0, walks=10, seed=0, max_steps=max_steps)
     # the marked vertex is the whole principal eigenvector: every S_k is 0
     with pytest.raises(ZeroOverlapError):
         search.search_stats(search.SearchSpectrum.of(np.diag([1.0, 0.5])), 0)
@@ -435,6 +442,21 @@ def test_lambert_bound():
         x = (1 - p0) / (math.e * p0)
         want = oracles.lambert_w_bisect(x, 0) / oracles.lambert_w_bisect(x, -1)
         assert search.lambert_bound(p0) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_lambert_bound_matches_mpmath_across_the_series_switch():
+    """Against 50-digit mpmath: scipy's lambertw below LAMBERT_SERIES_P0, the
+    branch-point series from there to 1e16, where scipy's W-1 was off by
+    1.4e-5 relative at 1e10 and NaN at 1e16."""
+    mpmath = pytest.importorskip("mpmath")
+    p0s = np.concatenate([np.geomspace(1.0 + 1e-9, 1e16, 200),
+                          [search.LAMBERT_SERIES_P0 * (1 - 1e-15), search.LAMBERT_SERIES_P0]])
+    with mpmath.workdps(50):
+        for p0 in p0s:
+            x = (1 - mpmath.mpf(p0)) / (mpmath.e * mpmath.mpf(p0))
+            want = mpmath.lambertw(x, 0) / mpmath.lambertw(x, -1)
+            rel = float(abs((search.lambert_bound(float(p0)) - want) / want))
+            assert rel <= (4.4e-16 if p0 >= search.LAMBERT_SERIES_P0 else 2e-14), p0
 
 
 def test_complete_plus_leaf_eps_scaling():
