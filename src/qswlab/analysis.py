@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import gksl, graphs, numkernel
 from .exceptions import (
@@ -160,101 +159,6 @@ def path_probability_profile(n: int, start: int, times, omega: float) -> np.ndar
         raise NumericalError(f"path profile is not a distribution: min {p.min():.3e}, "
                              f"largest sum error {sum_err:.3e}")
     return p
-
-
-INFINITE_PATH_TOL = 1e-12
-INFINITE_PATH_AGREE = INFINITE_PATH_TOL / 100
-INFINITE_PATH_MAX_NODES = 2 ** 15
-
-
-def infinite_path_probability(k: int, t: float, omega: float) -> float:
-    """Occupation probability of site k (start at 0) on the infinite path,
-    to within INFINITE_PATH_TOL (absolute), or NumericalError.
-
-    The walk's generator averages the coherent walk over Gaussian noise:
-    p_k(t) = E[J_k(2(1-omega)t + u)^2] with u ~ N(0, 4 omega t). The mean is
-    taken by Gauss-Hermite quadrature, doubling the node count from 32 until
-    two successive estimates agree to INFINITE_PATH_AGREE, a hundredth of
-    the tolerance. Before the quadrature settles, the estimates scatter by
-    about the oscillating part of J_k^2, which at large t is close to the
-    tolerance itself: at (0, 1e10, 0.5) the estimates with 2^9 to 2^11
-    nodes agree to 8e-13 and all miss the settled 3.1831e-11 by about
-    3e-12. Of 1,185 unsettled estimates at t from 1e2 to 1e13, 23 agreed
-    with the one before to 1e-12 and none to 1e-14; settled ones agree to
-    rounding. NumericalError when no two agree within
-    INFINITE_PATH_MAX_NODES nodes."""
-    numkernel.check_times((t,))
-    gksl.check_omega(omega)
-    centre, sigma = 2.0 * (1.0 - omega) * t, 2.0 * math.sqrt(omega * t)
-    prev, nodes = math.nan, 32
-    while nodes <= INFINITE_PATH_MAX_NODES:
-        x, w = special.roots_hermite(nodes)
-        est = float(w @ special.jv(k, centre + math.sqrt(2.0) * sigma * x) ** 2) / math.sqrt(math.pi)
-        if abs(est - prev) <= INFINITE_PATH_AGREE:
-            return est
-        prev, nodes = est, 2 * nodes
-    raise NumericalError(f"Gauss-Hermite estimates did not settle within "
-                         f"{INFINITE_PATH_MAX_NODES} nodes")
-
-
-def taylor_B(n: int, k: int, omega: float) -> tuple[float, float]:
-    """Taylor coefficient of p_k(t), omega in [0, 1], and the same sum with
-    every term in modulus, the scale of its rounding error: B_{n,k} =
-    (-1)^(n+k) 2^(-n) sum_l (-1)^l C(n,2l) C(2n-2l,n-l) C(2n-2l,n-l+k) 4^l
-    omega^(n-2l) (1-omega)^(2l), zero for n < |k|. At omega = 1 only l = 0
-    is left, one rounding of an integer. NumericalError past the float range."""
-    gksl.check_omega(omega)
-    k = abs(k)
-    acc = size = 0.0
-    try:
-        for l in range(min(n // 2, n - k) + 1):  # empty for n < k
-            c = (math.comb(n, 2 * l) * math.comb(2 * n - 2 * l, n - l)
-                 * math.comb(2 * n - 2 * l, n - l + k))
-            # the powers of omega first: a zero one makes the term exactly 0
-            x = float(c) * (omega ** (n - 2 * l) * (1.0 - omega) ** (2 * l)) * 4.0 ** l
-            acc += -x if l % 2 else x
-            size += x
-    except OverflowError:
-        size = math.inf
-    if not math.isfinite(size):
-        raise NumericalError(f"Taylor coefficient B_{n},{k} is beyond the float range")
-    return (-1.0 if (n + k) % 2 else 1.0) * math.ldexp(acc, -n), math.ldexp(size, -n)
-
-
-SERIES_TOL = 1e-10
-SERIES_ROUNDING = 4.0
-SERIES_MAX_TERMS = 300
-
-
-def series_probability(k: int, t: float, omega: float) -> float:
-    """p_k(t) on the infinite path, sum_n B_{n,k}(omega) t^n / n!, when its
-    error estimate, SERIES_ROUNDING * eps times the series of moduli of both
-    alternating sums (over l in B_{n,k} and over n), is at most SERIES_TOL
-    (absolute); the error was at most 0.83 eps times those moduli against
-    120-digit sums at 302 points. Otherwise NumericalError, which double
-    precision forces past small t (about 1 at omega = 1, 2 at 0.5, 3 at 0.2).
-    The sum stops once 2 (a t)^(n+1) / (n+1)!, a = 4 (1 + omega), which
-    bounds the rest for n + 2 >= 2 a t, is below eps * max(moduli, SERIES_TOL).
-    t must pass numkernel.check_times as the grid (t,); omega must lie in
-    [0, 1]."""
-    numkernel.check_times((t,))
-    gksl.check_omega(omega)
-    eps = float(np.finfo(float).eps)
-    at = 4.0 * (1.0 + omega) * t
-    total = size = 0.0
-    tn = bound = 1.0  # t^n / n! and (a t)^n / n!
-    for n in range(SERIES_MAX_TERMS):
-        b, b_size = taylor_B(n, k, omega)
-        total += b * tn
-        size += b_size * tn
-        if not SERIES_ROUNDING * eps * size <= SERIES_TOL:  # a NaN estimate fails too
-            break
-        tn *= t / (n + 1)
-        bound *= at / (n + 1)
-        if n + 2 >= 2.0 * at and 2.0 * bound <= eps * max(size, SERIES_TOL):
-            return total
-    raise NumericalError(f"the Taylor series of p_{k}({t}) at omega = {omega} cannot reach "
-                         f"{SERIES_TOL:.0e} in double precision within {SERIES_MAX_TERMS} terms")
 
 
 def moment_mu2(omega: float, t: float) -> float:

@@ -35,8 +35,8 @@ class WrongTopologyError(QswlabError, ValueError):
 
 
 class DegenerateTopError(QswlabError, ValueError):
-    """Top eigenvalue is degenerate; shift-and-rescale and the search
-    spectral sums are undefined."""
+    """Top eigenvalue is degenerate; the search spectral sums are
+    undefined."""
 
 
 class ZeroOverlapError(QswlabError, ValueError):

@@ -1,8 +1,9 @@
 """GKSL evolution generators for continuous-time walks.
 
-Covers the coherent walk (CTQW), the classical walk (CTRW), local and
-global environment-interaction stochastic walks (LQSW, GQSW) and their
-omega-interpolations. Generators act on row-major vectorized density
+Covers the local and global environment-interaction stochastic walks
+(LQSW, GQSW) and their omega-interpolations, which are the coherent walk
+(CTQW) at omega = 0; the nonmoralizing walk of nonmoral goes through the
+same build_generator. Generators act on row-major vectorized density
 matrices and are stored sparse so that enlarged-space models stay
 tractable.
 """
@@ -43,14 +44,6 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if not w.min() >= -DRIFT_TOL:
         raise DensityInvariantViolated(f"negative eigenvalue {w.min()}")
-    return rho
-
-
-def pure_state(n: int, k: int) -> np.ndarray:
-    """|k><k| on n vertices; k must pass graphs.check_vertex."""
-    graphs.check_vertex(k, n)
-    rho = np.zeros((n, n), dtype=complex)
-    rho[k, k] = 1.0
     return rho
 
 
@@ -208,9 +201,3 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
         raise NumericalError(f"measurement probabilities are not a distribution: "
                              f"smallest {p.min()!r}, sum {total!r}")
     return p
-
-
-def measure(rho: np.ndarray) -> np.ndarray:
-    """Canonical-basis measurement probabilities, the real diagonal of rho;
-    see check_probabilities."""
-    return check_probabilities(np.diagonal(rho).real)

@@ -1,5 +1,5 @@
 """Graphs, digraphs, graph matrices, structural algorithms, samplers, and
-the named fixture graphs used throughout the test suite.
+the path, complete and star families that CLI graph specs name.
 
 Adjacency convention: <w|A|v> = 1 iff (v, w) is an arc (column indexes the
 source vertex, row the target).
@@ -20,7 +20,6 @@ from .exceptions import (
     MalformedGraphError,
     ParameterRangeError,
     ProbabilityOverflowError,
-    WrongTopologyError,
 )
 
 
@@ -114,8 +113,9 @@ def to_digraph(g: Graph) -> DiGraph:
 def arc_matrix(g) -> sp.csr_matrix:
     """Sparse arc matrix with [u, v] = 1 iff u -> v (both directions for a
     Graph). It is in canonical CSR form: row u lists u's out-neighbours in
-    ascending order, with no duplicates. The Monte Carlo hitting walk picks
-    neighbours by position in these rows, so its draws depend on that order."""
+    ascending order, with no duplicates. The order is part of the contract:
+    a random walk that picks a neighbour by its position in a row depends
+    on it."""
     pairs = np.array(list(g.arcs if isinstance(g, DiGraph) else g.edges),
                      dtype=np.int64).reshape(-1, 2)
     u, v = pairs.T
@@ -126,11 +126,6 @@ def arc_matrix(g) -> sp.csr_matrix:
 
 def is_connected(g: Graph) -> bool:
     return csgraph.connected_components(arc_matrix(g), return_labels=False) <= 1
-
-
-def is_strongly_connected(g: DiGraph) -> bool:
-    return csgraph.connected_components(arc_matrix(g), connection="strong",
-                                        return_labels=False) <= 1
 
 
 def giant_component(g: Graph) -> Graph:
@@ -152,11 +147,20 @@ def giant_component(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Random graph samplers (deterministic per seed)
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """The sampler's generator for seed, an integer >= 0, or
+    ParameterRangeError: numpy rejects a negative seed with a bare
+    ValueError."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterRangeError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def gen_er(n: int, p: float, seed: int, directed: bool = False):
     _check_size(n)
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError(f"p must lie in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if directed:
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
@@ -186,7 +190,7 @@ def gen_cl(n: int, omega: np.ndarray, seed: int) -> Graph:
     total = omega.sum()
     if total > 0 and omega.max() ** 2 > total:
         raise ProbabilityOverflowError("some pair probability omega_i*omega_j/||omega||_1 exceeds 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     if total == 0:
         return Graph(n, frozenset())
@@ -201,7 +205,7 @@ def gen_ba(n: int, m0: int, seed: int, directed: bool = False):
     m0 distinct existing targets with probability proportional to degree."""
     if not 1 <= m0 <= n:
         raise ParameterRangeError(f"require 1 <= m0 <= n, got m0={m0}, n={n}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     deg = np.zeros(n, dtype=np.int64)
     pairs = []
     for u in range(m0):
@@ -227,7 +231,7 @@ def gen_ba(n: int, m0: int, seed: int, directed: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Fixture graphs
+# Graph families of the CLI graph specs
 
 def path(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
@@ -240,42 +244,6 @@ def complete(n: int) -> Graph:
 def star(n: int) -> Graph:
     """Hub at vertex 0 connected to n-1 leaves."""
     return Graph(n, frozenset((0, v) for v in range(1, n)))
-
-
-def complete_plus_leaf(n: int) -> Graph:
-    """K_{n-1} on vertices 0..n-2 plus a leaf (vertex n-1) attached to 0."""
-    edges = set((u, v) for u in range(n - 1) for v in range(u + 1, n - 1))
-    edges.add((0, n - 1))
-    return Graph(n, frozenset(edges))
-
-
-def circulant_jump2(n: int) -> DiGraph:
-    """Bidirected ring plus an arc from i+2 to i at every vertex; n = 4k, k > 1."""
-    if n % 4 != 0 or n < 8:
-        raise WrongTopologyError(f"size must be 4k with k > 1, got {n}")
-    arcs = set()
-    for i in range(n):
-        arcs.add((i, (i + 1) % n))
-        arcs.add(((i + 1) % n, i))
-        arcs.add(((i + 2) % n, i))
-    return DiGraph(n, frozenset(arcs))
-
-
-def moral_triangle() -> DiGraph:
-    """Two parents v1, v2 sharing the child v3 (vertices 0, 1, 2)."""
-    return DiGraph(3, frozenset({(0, 2), (1, 2)}))
-
-
-def premature_graph() -> DiGraph:
-    """Undirected triangle v1 v2 v3 plus the arc v1 -> v4 (vertices 0..3)."""
-    arcs = {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 3)}
-    return DiGraph(4, frozenset(arcs))
-
-
-def ngqsw_period_graph() -> DiGraph:
-    """Undirected star v0 - {v1..v5} plus the edge v5 - v4, bidirected."""
-    edges = [(0, i) for i in range(1, 6)] + [(4, 5)]
-    return to_digraph(Graph(6, frozenset(edges)))
 
 
 # ---------------------------------------------------------------------------

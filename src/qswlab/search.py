@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import graphs, numkernel
 from .exceptions import (
     DegenerateTopError,
     DimensionError,
-    IsolatedVertexError,
     NumericalError,
     ParameterRangeError,
     ZeroOverlapError,
@@ -65,9 +63,8 @@ class SearchSpectrum:
 
     `values` are sorted descending and `vectors` holds the matching
     orthonormal eigenvectors as columns. The spectral sums assume the top
-    eigenvalue is 1, which `search_spectrum` guarantees; `of` takes any
-    Hermitian matrix as given. At least two vertices and a simple top
-    eigenvalue are required.
+    eigenvalue is 1, which `search_spectrum` guarantees. At least two
+    vertices and a simple top eigenvalue are required.
     """
 
     values: np.ndarray
@@ -75,12 +72,6 @@ class SearchSpectrum:
 
     def __post_init__(self):
         _require_simple_top(self.values)
-
-    @classmethod
-    def of(cls, h: np.ndarray) -> SearchSpectrum:
-        """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
-        values, vectors = numkernel.eig_hermitian(np.asarray(h))
-        return cls(values=values, vectors=vectors)
 
 
 def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
@@ -102,22 +93,6 @@ def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
     if kind == "adjacency":
         return SearchSpectrum(values=values / top, vectors=vectors)
     return SearchSpectrum(values=1.0 - values[::-1] / top, vectors=vectors[:, ::-1])
-
-
-def shift_rescale(h: np.ndarray) -> np.ndarray:
-    """Affine map to top eigenvalue 1 with |lambda_2| = |lambda_n|.
-
-    Balancing the second and bottom eigenvalues maximizes the worst-case
-    success bound over shifts; eigenvectors are untouched. h must be
-    Hermitian (numkernel.check_hermitian) with a simple top eigenvalue by
-    the rule of SearchSpectrum.
-    """
-    h = numkernel.check_hermitian(np.asarray(h))
-    w = np.linalg.eigvalsh(h)[::-1]
-    _require_simple_top(w)
-    lam1, lam2, lamn = w[0], w[1], w[-1]
-    a = -(lam2 + lamn) / 2.0
-    return (h + a * np.eye(h.shape[0])) / (lam1 + a)
 
 
 def _overlap_sums(spec: SearchSpectrum, w: int) -> tuple[float, float, float, float]:
@@ -215,85 +190,12 @@ def run_search(spec: SearchSpectrum, w: int, gamma: float, times) -> SearchRun:
 # ---------------------------------------------------------------------------
 # Classical baseline
 
-def _walk_degrees(g: graphs.Graph, w: int) -> np.ndarray:
-    """Vertex degrees, once w is a vertex and g is connected with an edge."""
-    graphs.check_vertex(w, g.n)
-    graphs.require_connected(g)
-    if not g.edges:
-        raise IsolatedVertexError("a random walk needs at least one edge")
-    return g.degrees()
-
-
 def classical_mfpt(g: graphs.Graph, w: int) -> float:
     """Mean first passage time to w of the discrete uniform walk started
     from the stationary distribution: (2|E|/deg(w)) * S1 over I minus the
     normalized Laplacian."""
     _, s1, _, _ = _overlap_sums(search_spectrum(g, "normalized_laplacian"), w)
     return 2.0 * len(g.edges) / g.degrees()[w] * s1
-
-
-def classical_mfpt_lower_bound(g: graphs.Graph, w: int) -> float:
-    return len(g.edges) / _walk_degrees(g, w)[w] - 0.5
-
-
-def _hitting_steps(indptr, indices, starts, target, max_steps, raw):
-    """Steps of a simple random walk from each start until it hits target.
-
-    Row v of the CSR arrays lists v's neighbours. raw supplies one
-    uniform(0,1) row per walk, and step k moves to neighbour
-    floor(raw[w, k] * deg). A walk still short of the target after
-    max_steps steps is censored and reported as -1; a walk that starts on
-    the target takes 0 steps. Every unfinished walk advances in lockstep.
-    """
-    n_walks = starts.shape[0]
-    pos = starts.copy()
-    steps = np.zeros(n_walks, dtype=np.int64)
-    active = pos != target
-    k = 0
-    while active.any() and k < max_steps:
-        idx = np.nonzero(active)[0]
-        v = pos[idx]
-        lo = indptr[v]
-        deg = indptr[v + 1] - lo
-        pos[idx] = indices[lo + (raw[idx, k] * deg).astype(np.int64)]
-        steps[idx] += 1
-        active[idx] = pos[idx] != target
-        k += 1
-    steps[active] = -1
-    return steps
-
-
-def classical_mfpt_mc(g: graphs.Graph, w: int, walks: int, seed: int,
-                      max_steps: int | None = None) -> float:
-    """Monte Carlo estimate: walks start from the stationary distribution
-    (degree / 2|E|); a start on w counts as 0 steps. Raises NumericalError
-    when a walk has not reached w after max_steps steps, since counting
-    the censored walks at any length would bias the mean. max_steps, when
-    given, must be an integer >= 1."""
-    deg = _walk_degrees(g, w).astype(float)
-    if walks < 1:
-        raise ParameterRangeError(f"need at least one walk, got {walks}")
-    if max_steps is not None and not (isinstance(max_steps, (int, np.integer))
-                                      and max_steps >= 1):
-        raise ParameterRangeError(f"max_steps must be an integer >= 1, got {max_steps!r}")
-    arcs = graphs.arc_matrix(g)
-    rng = np.random.default_rng(seed)
-    starts = rng.choice(g.n, size=walks, p=deg / deg.sum()).astype(np.int64)
-    if max_steps is None:
-        max_steps = max(100, int(100 * len(g.edges) / deg[w]))
-    chunk = max(1, int(2e7) // max_steps)
-    total = 0.0
-    censored = 0
-    for lo in range(0, walks, chunk):
-        batch = starts[lo:lo + chunk]
-        raw = rng.random((batch.size, max_steps))
-        steps = _hitting_steps(arcs.indptr, arcs.indices, batch, w, max_steps, raw)
-        censored += int(np.count_nonzero(steps < 0))
-        total += steps.sum()
-    if censored:
-        raise NumericalError(f"{censored} of {walks} walks did not reach vertex {w} "
-                             f"within max_steps = {max_steps}")
-    return total / walks
 
 
 # ---------------------------------------------------------------------------
@@ -323,5 +225,9 @@ def lambert_bound(p0: float) -> float:
         p = math.sqrt(2.0 / p0)
         w0, wm1 = (float(np.polyval(_BRANCH_POINT_SERIES[::-1], q)) for q in (p, -p))
         return w0 / wm1
+    # imported here, not at module level: only this branch uses
+    # scipy.special, and only the er_p0 sweep reaches it
+    from scipy.special import lambertw
+
     x = (1.0 - p0) / (math.e * p0)
     return float(lambertw(x, 0).real) / float(lambertw(x, -1).real)

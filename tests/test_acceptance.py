@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+import oracles
 from qswlab import analysis, gksl, graphs, nonmoral, numkernel, search
 
 
@@ -23,7 +24,7 @@ def test_acceptance_01_closed_form_evolution():
     for omega in (0.0, 0.3, 0.7, 1.0):
         gen = gksl.build_generator(gksl.gqsw_spec(dig, omega))
         times = [0.5, 2.0, 5.0]
-        rhos = gksl.evolve(gen, gksl.pure_state(n, 10), times)
+        rhos = gksl.evolve(gen, oracles.pure_state(n, 10), times)
         ref = analysis.path_probability_profile(n, 10, times, omega)
         for rho, p in zip(rhos, ref):
             worst = max(worst, np.abs(np.diagonal(rho).real - p).max())
@@ -72,13 +73,13 @@ def test_acceptance_03_scaling_exponents():
 
 
 def test_acceptance_04_moralization_removed():
-    g = graphs.moral_triangle()
+    g = oracles.moral_triangle()
     gen = gksl.build_generator(gksl.gqsw_spec(g, 1.0))
-    p2 = gksl.measure(gksl.evolve(gen, gksl.pure_state(3, 0), [20.0])[0])[1]
+    p2 = oracles.measure(gksl.evolve(gen, oracles.pure_state(3, 0), [20.0])[0])[1]
 
     dg = nonmoral.demoralize(g)
     gen_n = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
-    rhos = gksl.evolve(gen_n, gksl.pure_state(4, 0), np.arange(0.5, 20.5, 0.5))
+    rhos = gksl.evolve(gen_n, oracles.pure_state(4, 0), np.arange(0.5, 20.5, 0.5))
     worst = max(nonmoral.natural_measure(rho, dg)[1] for rho in rhos)
     ok = abs(p2 - 0.25) <= 1e-6 and worst <= 1e-10
     report("acceptance 04 moralization", ok,
@@ -86,12 +87,12 @@ def test_acceptance_04_moralization_removed():
 
 
 def test_acceptance_05_premature_localization():
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     zero = np.zeros((7, 7))
 
     gen0 = gksl.build_generator(gksl.WalkSpec(zero, (lb,), 1.0, 1.0))
-    rho0 = gksl.evolve(gen0, gksl.pure_state(7, 0), [200.0])[0]
+    rho0 = gksl.evolve(gen0, oracles.pure_state(7, 0), [200.0])[0]
     printed = np.array([
         [5, 1, 1, 0, -5, -1, -1], [1, 1, 1, 0, -1, -1, -1],
         [1, 1, 1, 0, -1, -1, -1], [0, 0, 0, 2, 0, 0, 0],
@@ -101,7 +102,7 @@ def test_acceptance_05_premature_localization():
 
     spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
     gen1 = gksl.build_generator(spec)
-    rho1 = gksl.evolve(gen1, gksl.pure_state(7, 0), [500.0])[0]
+    rho1 = gksl.evolve(gen1, oracles.pure_state(7, 0), [500.0])[0]
     target = np.zeros((7, 7))
     target[3, 3] = 1.0
     dev1 = np.abs(rho1 - target).max()
@@ -129,18 +130,18 @@ def test_acceptance_07_convergence_classifier():
     while trials < 20:
         g = graphs.gen_er(int(rng.integers(3, 9)), 0.5,
                           int(rng.integers(2**32)), directed=True)
-        if not graphs.is_strongly_connected(g):
+        if not oracles.is_strongly_connected(g):
             continue
         trials += 1
         gen = gksl.build_generator(gksl.lqsw_spec(g, 0.5))
         if analysis.classify_convergence(gen).classification == "Relaxing":
             relaxing += 1
 
-    gen_c = gksl.build_generator(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
+    gen_c = gksl.build_generator(gksl.gqsw_spec(oracles.circulant_jump2(8), 0.5))
     rep_c = analysis.classify_convergence(gen_c)
     dev_c = np.abs(numkernel.eig_general(gen_c.s) - 2 * (1 - 0.5) * 1j).min()
 
-    dg = nonmoral.demoralize(graphs.ngqsw_period_graph())
+    dg = nonmoral.demoralize(oracles.ngqsw_period_graph())
     gen_p = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5))
     rep_p = analysis.classify_convergence(gen_p)
     lam_p = numkernel.eig_general(gen_p.s)
@@ -159,7 +160,7 @@ def test_acceptance_08_complete_graph_search():
     probs, argmaxes = [], []
     for n in sizes:
         # the search starts from the principal eigenvector of K_n, the uniform state
-        a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
+        a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)))
         gamma = 1.0 / (n - 2)
         p = search.run_search(a, 0, gamma, np.array([math.pi * math.sqrt(n) / 2])).probs[0]
         probs.append(p)
@@ -173,13 +174,13 @@ def test_acceptance_08_complete_graph_search():
 
 def test_acceptance_09_star_graph():
     g = graphs.star(100)
-    h = search.shift_rescale(graphs.adjacency(g))
+    h = oracles.shift_rescale(graphs.adjacency(g))
     c = np.linalg.eigvalsh(h)[-2]
     ok_c = abs(c - 1.0 / 3.0) <= 1e-9
 
     worst = 1.0
     for n in (64, 256):
-        hp = search.SearchSpectrum.of(search.shift_rescale(graphs.adjacency(graphs.star(n))))
+        hp = oracles.spectrum_of(oracles.shift_rescale(graphs.adjacency(graphs.star(n))))
         st = search.search_stats(hp, 1)
         grid = np.linspace(0.0, 6.0 * st.predicted_t, 900)
         run = search.run_search(hp, 1, st.s1, grid)
@@ -198,9 +199,9 @@ def test_acceptance_10_classical_mfpt():
     bound_ok = True
     for g, w in cases:
         exact = search.classical_mfpt(g, w)
-        est = search.classical_mfpt_mc(g, w, walks=100000, seed=31)
+        est = oracles.classical_mfpt_mc(g, w, walks=100000, seed=31)
         worst_rel = max(worst_rel, abs(est - exact) / exact)
-        bound_ok &= exact >= search.classical_mfpt_lower_bound(g, w) - 1e-9
+        bound_ok &= exact >= oracles.classical_mfpt_lower_bound(g, w) - 1e-9
     rng = np.random.default_rng(8)
     checked = 0
     while checked < 30:
@@ -208,7 +209,7 @@ def test_acceptance_10_classical_mfpt():
         if not graphs.is_connected(g):
             continue
         w = int(rng.integers(g.n))
-        bound_ok &= search.classical_mfpt(g, w) >= search.classical_mfpt_lower_bound(g, w) - 1e-9
+        bound_ok &= search.classical_mfpt(g, w) >= oracles.classical_mfpt_lower_bound(g, w) - 1e-9
         checked += 1
     ok = worst_rel <= 0.05 and bound_ok
     report("acceptance 10 classical MFPT", ok,
@@ -257,7 +258,7 @@ def test_acceptance_13_taylor_series():
     for omega in (0.5, 1.0):
         for k in range(4):
             for t in (0.5, 1.0):
-                s = analysis.series_probability(k, t, omega)
-                q = analysis.infinite_path_probability(k, t, omega)
+                s = oracles.series_probability(k, t, omega)
+                q = oracles.infinite_path_probability(k, t, omega)
                 worst = max(worst, abs(s - q))
     report("acceptance 13 Taylor series", worst <= 1e-6, f"max dev {worst:.2e}")

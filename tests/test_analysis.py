@@ -125,7 +125,7 @@ def test_path_closed_form_omega0_is_ctqw():
 def test_path_closed_form_matches_evolve():
     n, t, omega = 21, 3.0, 0.6
     gen = gksl.build_generator(gksl.gqsw_spec(graphs.to_digraph(graphs.path(n)), omega))
-    p = gksl.measure(gksl.evolve(gen, gksl.pure_state(n, 10), [t])[0])
+    p = oracles.measure(gksl.evolve(gen, oracles.pure_state(n, 10), [t])[0])
     prof = analysis.path_probability_profile(n, 10, [t], omega)[0]
     assert np.abs(p - prof).max() < 1e-8
 
@@ -193,7 +193,7 @@ def _dblquad_infinite_path(k, t, omega):
                                          (1, 2.0, 0.0), (7, 20.0, 0.9)])
 def test_infinite_path_matches_dblquad(k, t, omega):
     want = _dblquad_infinite_path(k, t, omega)
-    assert abs(analysis.infinite_path_probability(k, t, omega) - want) < 1e-10
+    assert abs(oracles.infinite_path_probability(k, t, omega) - want) < 1e-10
 
 
 @pytest.mark.parametrize("t, omega, error", [(-1.0, 0.5, TimeGridError),
@@ -201,13 +201,13 @@ def test_infinite_path_matches_dblquad(k, t, omega):
                                               (1.0, 1.5, ParameterRangeError)])
 def test_infinite_path_rejects_bad_input(t, omega, error):
     with pytest.raises(error):
-        analysis.infinite_path_probability(0, t, omega)
+        oracles.infinite_path_probability(0, t, omega)
 
 
 def test_infinite_path_raises_when_nodes_do_not_settle(monkeypatch):
-    monkeypatch.setattr(analysis, "INFINITE_PATH_MAX_NODES", 64)
+    monkeypatch.setattr(oracles, "INFINITE_PATH_MAX_NODES", 64)
     with pytest.raises(NumericalError):
-        analysis.infinite_path_probability(3, 1000.0, 0.5)
+        oracles.infinite_path_probability(3, 1000.0, 0.5)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 10])
@@ -218,13 +218,13 @@ def test_infinite_path_is_within_tolerance_at_large_t(k):
     about 1e-20 here."""
     t, omega = 1e10, 0.5
     want = 1.0 / (math.pi * 2.0 * (1.0 - omega) * t)
-    got = analysis.infinite_path_probability(k, t, omega)
-    assert abs(got - want) <= analysis.INFINITE_PATH_TOL
+    got = oracles.infinite_path_probability(k, t, omega)
+    assert abs(got - want) <= oracles.INFINITE_PATH_TOL
 
 
 def test_infinite_path_trivial_and_normalized():
-    assert abs(analysis.infinite_path_probability(0, 0.0, 0.5) - 1.0) < 1e-8
-    total = sum(analysis.infinite_path_probability(k, 1.0, 0.5)
+    assert abs(oracles.infinite_path_probability(0, 0.0, 0.5) - 1.0) < 1e-8
+    total = sum(oracles.infinite_path_probability(k, 1.0, 0.5)
                 for k in range(-40, 41))
     assert abs(total - 1.0) < 1e-6
 
@@ -234,7 +234,7 @@ def test_infinite_path_matches_finite_truncation():
     start = 100
     for k, t in ((0, 2.0), (3, 5.0)):
         fin = analysis.path_probability_profile(n, start, [t], 0.4)[0, start + k]
-        inf = analysis.infinite_path_probability(k, t, 0.4)
+        inf = oracles.infinite_path_probability(k, t, 0.4)
         assert abs(fin - inf) < 1e-5
 
 
@@ -245,22 +245,22 @@ def test_taylor_coefficients_known_values():
     for n in range(41):
         for k in range(-n - 2, n + 3):
             if n < abs(k):
-                assert analysis.taylor_B(n, k, 1.0)[0] == 0.0
+                assert oracles.taylor_B(n, k, 1.0)[0] == 0.0
                 continue
             exact = Fraction((-1) ** (n + k) * math.comb(2 * n, n) * math.comb(2 * n, n + abs(k)),
                              2 ** n)
-            got, size = analysis.taylor_B(n, k, 1.0)
+            got, size = oracles.taylor_B(n, k, 1.0)
             assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (n, k)
             assert size == abs(got)   # one term: nothing cancels
-    assert analysis.taylor_B(1, 0, 1.0)[0] == -2.0
+    assert oracles.taylor_B(1, 0, 1.0)[0] == -2.0
     om = 0.37
-    assert analysis.taylor_B(1, 0, om)[0] == pytest.approx(-2 * om)
-    assert analysis.taylor_B(1, 1, om)[0] == pytest.approx(om)
+    assert oracles.taylor_B(1, 0, om)[0] == pytest.approx(-2 * om)
+    assert oracles.taylor_B(1, 1, om)[0] == pytest.approx(om)
     # second moment of the n=2 coefficients reproduces the ballistic term
-    s = sum(k * k * analysis.taylor_B(2, k, om)[0] for k in range(-2, 3))
+    s = sum(k * k * oracles.taylor_B(2, k, om)[0] for k in range(-2, 3))
     assert s == pytest.approx(4 * (1 - om) ** 2)
     # B_{2,0} = 9 omega^2 - 4 (1 - omega)^2 adds terms of opposite sign
-    b, size = analysis.taylor_B(2, 0, om)
+    b, size = oracles.taylor_B(2, 0, om)
     assert b == pytest.approx(9 * om**2 - 4 * (1 - om) ** 2)
     assert size == pytest.approx(9 * om**2 + 4 * (1 - om) ** 2)
 
@@ -273,13 +273,13 @@ def test_series_matches_quadrature():
         for t in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
             for k in range(4):
                 try:
-                    s = analysis.series_probability(k, t, om)
+                    s = oracles.series_probability(k, t, om)
                 except NumericalError:
                     assert t > 1.0, (k, t, om)
                     continue
                 assert t < 5.0, (k, t, om)
-                q = analysis.infinite_path_probability(k, t, om)
-                assert abs(s - q) <= analysis.SERIES_TOL, (k, t, om)
+                q = oracles.infinite_path_probability(k, t, om)
+                assert abs(s - q) <= oracles.SERIES_TOL, (k, t, om)
 
 
 @pytest.mark.parametrize("k, t, omega, error", [
@@ -295,15 +295,15 @@ def test_series_matches_quadrature():
 ])
 def test_series_probability_refuses(k, t, omega, error):
     with pytest.raises(error):
-        analysis.series_probability(k, t, omega)
+        oracles.series_probability(k, t, omega)
 
 
 def test_series_probability_at_the_start_and_far_out():
-    assert analysis.series_probability(0, 0.0, 0.5) == 1.0
-    assert analysis.series_probability(3, 0.0, 0.5) == 0.0
+    assert oracles.series_probability(0, 0.0, 0.5) == 1.0
+    assert oracles.series_probability(3, 0.0, 0.5) == 0.0
     # B_{n,k} = 0 for n < k: the sum is 0 to well within SERIES_TOL
-    assert analysis.series_probability(1000, 1.0, 0.5) == 0.0
-    assert analysis.series_probability(-2, 1.0, 0.3) == analysis.series_probability(2, 1.0, 0.3)
+    assert oracles.series_probability(1000, 1.0, 0.5) == 0.0
+    assert oracles.series_probability(-2, 1.0, 0.3) == oracles.series_probability(2, 1.0, 0.3)
 
 
 def test_moment_mu2_formula_on_path():
@@ -332,12 +332,12 @@ def test_moment_mu2_rejects_bad_input(omega, t, error):
 def test_taylor_coefficient_rejects_omega_outside_unit_interval(omega):
     """taylor_B(3, 1, nan) gave (nan, nan)."""
     with pytest.raises(ParameterRangeError):
-        analysis.taylor_B(3, 1, omega)
+        oracles.taylor_B(3, 1, omega)
 
 
 def test_classifier_lqsw_strongly_connected_relaxing():
     g = graphs.DiGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)}))
-    assert graphs.is_strongly_connected(g)
+    assert oracles.is_strongly_connected(g)
     gen = gksl.build_generator(gksl.lqsw_spec(g, 0.5))
     rep = analysis.classify_convergence(gen)
     assert rep.classification == "Relaxing"
@@ -353,7 +353,7 @@ def test_classifier_gqsw_undirected_not_relaxing():
 
 
 def test_classifier_circulant_periodic():
-    gen = gksl.build_generator(gksl.gqsw_spec(graphs.circulant_jump2(8), 0.5))
+    gen = gksl.build_generator(gksl.gqsw_spec(oracles.circulant_jump2(8), 0.5))
     rep = analysis.classify_convergence(gen)
     assert rep.classification == "PossiblyPeriodic"
     lam = numkernel.eig_general(gen.s)
@@ -449,8 +449,8 @@ def test_structure_measures_lqsw_gap_below_one():
     g = graphs.DiGraph(6, frozenset((i, i + 1) for i in range(5)))
     for omega, expect_full in ((1.0, True), (0.5, False)):
         gen = gksl.build_generator(gksl.lqsw_spec(g, omega))
-        rho = gksl.evolve(gen, gksl.pure_state(6, 0), [2000.0])[0]
-        p_sink = gksl.measure(rho)[-1]
+        rho = gksl.evolve(gen, oracles.pure_state(6, 0), [2000.0])[0]
+        p_sink = oracles.measure(rho)[-1]
         if expect_full:
             assert p_sink > 1 - 1e-6
         else:

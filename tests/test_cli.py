@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
+import oracles
 from qswlab import analysis, cli, gksl, graphs, nonmoral, numkernel, search
 from qswlab.exceptions import NumericalError
 
@@ -77,6 +78,20 @@ def test_graphgen_usage_errors(runner, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("model_args", [["er", "--p", "0.5"], ["ba", "--m0", "2"],
+                                        ["cl", "--a", "0.2", "--b", "0.3"]],
+                         ids=["er", "ba", "cl"])
+def test_graphgen_negative_seed_exits_2(runner, tmp_path, model_args):
+    """numpy refuses a negative seed with a bare ValueError, which exited 1."""
+    out = tmp_path / "x.json"
+    r = runner.invoke(cli.main, ["graphgen", "--model", *model_args, "--n", "10",
+                                 "--seed", "-1", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "seed must be an integer >= 0, got -1" in r.output
+    assert not out.exists()
+
+
 def test_propagate_gqsw(runner, tmp_path):
     csv_p, json_p = tmp_path / "p.csv", tmp_path / "p.json"
     r = runner.invoke(cli.main, [
@@ -104,7 +119,7 @@ def test_propagate_empty_grid_exits_2(runner, tmp_path):
 
 def test_converge_fixture_classifications(runner, tmp_path):
     g_file = tmp_path / "circ.json"
-    g_file.write_text(graphs.to_json(graphs.circulant_jump2(8)))
+    g_file.write_text(graphs.to_json(oracles.circulant_jump2(8)))
     out = tmp_path / "rep.json"
     r = runner.invoke(cli.main, ["converge", "--model", "gqsw",
                                  "--graph", f"file:{g_file}", "--out", str(out)])
@@ -657,5 +672,6 @@ def test_cli_imports_neither_networkx_nor_numba():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    """Only the limit-model fit needs scipy.optimize, so it imports it."""
-    assert _imported_by_cli({"scipy.optimize"}) == "[]"
+    """Only the limit-model fit needs scipy.optimize, and only the Lambert
+    bound below its series switch scipy.special, so each imports its own."""
+    assert _imported_by_cli({"scipy.optimize", "scipy.special"}) == "[]"

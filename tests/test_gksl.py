@@ -69,7 +69,7 @@ def _generator_fixtures():
     tri = graphs.DiGraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)}))
     yield pytest.param(gksl.lqsw_spec(tri, 0.4), id="LQSW")
     yield pytest.param(gksl.gqsw_spec(graphs.to_digraph(graphs.star(5)), 0.7), id="GQSW")
-    for g in (graphs.premature_graph(), graphs.to_digraph(graphs.path(5))):
+    for g in (oracles.premature_graph(), graphs.to_digraph(graphs.path(5))):
         yield pytest.param(nonmoral.ngqsw_spec(nonmoral.demoralize(g), 0.4), id="NGQSW")
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(5)))
     yield pytest.param(gksl.WalkSpec(nonmoral.standard_hamiltonian(dg),
@@ -126,7 +126,7 @@ def test_generator_spectrum_left_half_plane():
 def test_lqsw_directed_p2_stationary():
     g = graphs.DiGraph(2, frozenset({(0, 1)}))
     gen = gksl.build_generator(gksl.lqsw_spec(g, 1.0))
-    rho = gksl.evolve(gen, gksl.pure_state(2, 0), [60.0])[0]
+    rho = gksl.evolve(gen, oracles.pure_state(2, 0), [60.0])[0]
     assert np.abs(rho - np.diag([0.0, 1.0])).max() < 1e-9
 
 
@@ -139,7 +139,7 @@ def test_lqsw_omega1_matches_classical_rates():
     t = 1.3
     rho = gksl.evolve(gen, np.diag(p0).astype(complex), [t])[0]
     want = scipy.linalg.expm(-t * graphs.laplacian(g)) @ p0
-    assert np.abs(gksl.measure(rho) - want).max() < 1e-9
+    assert np.abs(oracles.measure(rho) - want).max() < 1e-9
 
 
 def test_evolve_t0_identity():
@@ -155,9 +155,9 @@ def test_evolve_rejects_bad_dimension():
 
 
 def test_moral_triangle_closed_form():
-    gen = gksl.build_generator(gksl.gqsw_spec(graphs.moral_triangle(), 1.0))
+    gen = gksl.build_generator(gksl.gqsw_spec(oracles.moral_triangle(), 1.0))
     times = [0.5, 1.0, 3.0]
-    for t, rho in zip(times, gksl.evolve(gen, gksl.pure_state(3, 0), times)):
+    for t, rho in zip(times, gksl.evolve(gen, oracles.pure_state(3, 0), times)):
         want = np.array([
             [0.25 * (np.exp(-t) + 1) ** 2, 0.25 * (np.exp(-2 * t) - 1), 0],
             [0.25 * (np.exp(-2 * t) - 1), 0.25 * (np.exp(-t) - 1) ** 2, 0],
@@ -192,7 +192,7 @@ def _grid_fixture(model):
         return gksl.build_generator(gksl.lqsw_spec(g, 0.4)), random_density(5, 3)
     if model == "gqsw":
         g = graphs.to_digraph(graphs.path(8))
-        return gksl.build_generator(gksl.gqsw_spec(g, 0.5)), gksl.pure_state(8, 3)
+        return gksl.build_generator(gksl.gqsw_spec(g, 0.5)), oracles.pure_state(8, 3)
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
     spec = nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg))
     return gksl.build_generator(spec), nonmoral.block_mixed_state(dg, 3)
@@ -276,7 +276,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
     s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     gen = gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3)
     with pytest.raises(NumericalError, match="Hermiticity"):
-        gksl.evolve(gen, gksl.pure_state(3, 0), [1.0])
+        gksl.evolve(gen, oracles.pure_state(3, 0), [1.0])
 
 
 def test_evolve_rejects_bad_grids():
@@ -287,8 +287,8 @@ def test_evolve_rejects_bad_grids():
 
 
 def test_measure_examples():
-    assert np.array_equal(gksl.measure(gksl.pure_state(4, 2)), np.eye(4)[2])
-    assert np.allclose(gksl.measure(np.eye(5, dtype=complex) / 5), 0.2)
+    assert np.array_equal(oracles.measure(oracles.pure_state(4, 2)), np.eye(4)[2])
+    assert np.allclose(oracles.measure(np.eye(5, dtype=complex) / 5), 0.2)
 
 
 @pytest.mark.parametrize("diag", [[0.5, 0.501, -1e-3], [0.3, 0.3, 0.3]])
@@ -296,7 +296,7 @@ def test_measure_rejects_non_distribution(diag):
     """A negative diagonal entry or a trace of 0.9 is an error, not clipped
     or renormalised away."""
     with pytest.raises(NumericalError):
-        gksl.measure(np.diag(diag).astype(complex))
+        oracles.measure(np.diag(diag).astype(complex))
 
 
 def test_check_density_rejects():
@@ -314,7 +314,7 @@ def test_check_density_rejects():
 def test_pure_state_rejects_a_label_off_the_graph(n, k):
     """-1 would wrap round to the last vertex and 3 raised IndexError."""
     with pytest.raises(ParameterRangeError, match="vertex must be an integer"):
-        gksl.pure_state(n, k)
+        oracles.pure_state(n, k)
 
 
 def test_gqsw_spectrum_formula_cross_check():

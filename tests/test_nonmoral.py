@@ -20,14 +20,14 @@ def test_demoralize_rejects_the_empty_digraph():
 
 
 def test_demoralize_moral_triangle():
-    dg = nonmoral.demoralize(graphs.moral_triangle())
+    dg = nonmoral.demoralize(oracles.moral_triangle())
     assert dg.block_sizes == (1, 1, 2)
     assert dg.dim == 4
 
 
 def test_demoralize_premature_order():
     """Copy-major basis: all 0th copies in vertex order, then 1st copies."""
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     assert dg.dim == 7
     assert dg.index == ((0, 4), (1, 5), (2, 6), (3,))
 
@@ -65,14 +65,14 @@ def _assert_matches_arc_scan(g):
 def test_block_mixed_state_rejects_a_label_off_the_graph(v):
     """On the 4-vertex premature graph, -1 would wrap round to vertex 3 and 4
     raised IndexError."""
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     with pytest.raises(ParameterRangeError, match="vertex must be an integer"):
         nonmoral.block_mixed_state(dg, v)
 
 
 @pytest.mark.parametrize("g", [
-    graphs.moral_triangle(), graphs.premature_graph(), graphs.ngqsw_period_graph(),
-    graphs.circulant_jump2(8), graphs.to_digraph(graphs.path(6)),
+    oracles.moral_triangle(), oracles.premature_graph(), oracles.ngqsw_period_graph(),
+    oracles.circulant_jump2(8), graphs.to_digraph(graphs.path(6)),
     graphs.to_digraph(graphs.star(5)), graphs.DiGraph(3),
 ], ids=["moral_triangle", "premature", "ngqsw_period", "circulant8", "path6", "star5",
         "no_arcs"])
@@ -96,7 +96,7 @@ def test_fourier_matrix():
 
 
 def test_lindblad_moral_triangle_display():
-    dg = nonmoral.demoralize(graphs.moral_triangle())
+    dg = nonmoral.demoralize(oracles.moral_triangle())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg)).toarray()
     want = np.zeros((4, 4))
     want[2, 0] = want[3, 0] = want[2, 1] = 1
@@ -105,7 +105,7 @@ def test_lindblad_moral_triangle_display():
 
 
 def test_lindblad_premature_display():
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg)).toarray()
     want = np.array([
         [0, 1, 1, 0, 0, 1, 1],
@@ -126,7 +126,7 @@ def test_lindblad_no_arcs_zero():
 
 
 def test_lindblad_rejects_non_orthogonal_columns():
-    dg = nonmoral.demoralize(graphs.moral_triangle())
+    dg = nonmoral.demoralize(oracles.moral_triangle())
 
     def bad(v):
         return np.ones((dg.block_sizes[v], _indegrees(dg.base)[v] or 1))
@@ -162,7 +162,7 @@ def test_lindblad_cross_vertex_blocks_vanish():
 
 
 def test_standard_hamiltonian_support():
-    g = graphs.moral_triangle()
+    g = oracles.moral_triangle()
     dg = nonmoral.demoralize(g)
     h = nonmoral.standard_hamiltonian(dg).toarray()
     # v1 and v2 are not adjacent in the underlying graph
@@ -188,7 +188,7 @@ def test_ngqsw_moral_triangle_closed_form():
     """Without a rotating Hamiltonian the state has an explicit closed form;
     the rotating Hamiltonian redistributes within the v3 block but never
     leaks probability back to the parent v2."""
-    g = graphs.moral_triangle()
+    g = oracles.moral_triangle()
     dg = nonmoral.demoralize(g)
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     zero = np.zeros((4, 4))
@@ -196,7 +196,7 @@ def test_ngqsw_moral_triangle_closed_form():
     gen_rot = gksl.build_generator(
         gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0))
     times = [0.5, 2.0, 20.0]
-    rhos, rhos_rot = (gksl.evolve(g_, gksl.pure_state(4, 0), times) for g_ in (gen, gen_rot))
+    rhos, rhos_rot = (gksl.evolve(g_, oracles.pure_state(4, 0), times) for g_ in (gen, gen_rot))
     for t, rho, rho_rot in zip(times, rhos, rhos_rot):
         v3 = np.zeros(4)
         v3[2] = v3[3] = 1.0
@@ -210,10 +210,10 @@ def test_ngqsw_moral_triangle_closed_form():
 
 
 def test_premature_zero_rotation_stationary():
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     gen = gksl.build_generator(gksl.WalkSpec(np.zeros((7, 7)), (lb,), 1.0, 1.0))
-    rho = gksl.evolve(gen, gksl.pure_state(7, 0), [200.0])[0]
+    rho = gksl.evolve(gen, oracles.pure_state(7, 0), [200.0])[0]
     want = np.array([
         [5, 1, 1, 0, -5, -1, -1],
         [1, 1, 1, 0, -1, -1, -1],
@@ -227,18 +227,18 @@ def test_premature_zero_rotation_stationary():
 
 
 def test_premature_standard_rotation_localizes():
-    dg = nonmoral.demoralize(graphs.premature_graph())
+    dg = nonmoral.demoralize(oracles.premature_graph())
     lb = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     spec = gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0)
     gen = gksl.build_generator(spec)
-    rho = gksl.evolve(gen, gksl.pure_state(7, 0), [500.0])[0]
+    rho = gksl.evolve(gen, oracles.pure_state(7, 0), [500.0])[0]
     want = np.zeros((7, 7))
     want[3, 3] = 1.0
     assert np.abs(rho - want).max() < 1e-6
 
 
 def test_periodicity_witness_spectrum():
-    dg = nonmoral.demoralize(graphs.ngqsw_period_graph())
+    dg = nonmoral.demoralize(oracles.ngqsw_period_graph())
     for omega in (0.25, 1.0):
         gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, omega))
         lam = numkernel.eig_general(gen.s)
@@ -271,7 +271,7 @@ def test_symmetrized_lindblads_reject_non_path():
 
 
 def test_natural_measure_block_indicator():
-    dg = nonmoral.demoralize(graphs.moral_triangle())
+    dg = nonmoral.demoralize(oracles.moral_triangle())
     rho = np.zeros((4, 4), dtype=complex)
     rho[3, 3] = 1.0
     assert np.allclose(nonmoral.natural_measure(rho, dg), [0, 0, 1])
@@ -281,14 +281,14 @@ def test_natural_measure_block_indicator():
 def test_natural_measure_rejects_non_distribution(diag):
     """A negative copy, even inside a block with a positive total, and a
     trace of 0.9 are errors, not clipped or renormalised away."""
-    dg = nonmoral.demoralize(graphs.moral_triangle())
+    dg = nonmoral.demoralize(oracles.moral_triangle())
     with pytest.raises(NumericalError):
         nonmoral.natural_measure(np.diag(diag).astype(complex), dg)
 
 
 def test_sink_block_state_is_stationary():
     """Mass parked on a sink vertex block keeps its natural distribution."""
-    g = graphs.premature_graph()
+    g = oracles.premature_graph()
     dg = nonmoral.demoralize(g)
     gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
     rho = nonmoral.block_mixed_state(dg, 3)

@@ -51,7 +51,7 @@ def test_search_spectrum_rejects_small_and_edgeless():
     with pytest.raises(DegenerateTopError):
         search.search_spectrum(graphs.Graph(3, frozenset()), "adjacency")
     with pytest.raises(DegenerateTopError):
-        search.SearchSpectrum.of(np.eye(3))
+        oracles.spectrum_of(np.eye(3))
 
 
 def test_laplacian_kind_top_eigenvector_uniform():
@@ -72,7 +72,7 @@ def test_normalized_laplacian_top_eigenvector_sqrt_degrees():
 
 def test_shift_rescale_balances_spectrum():
     g = graphs.star(100)
-    h = search.shift_rescale(graphs.adjacency(g))
+    h = oracles.shift_rescale(graphs.adjacency(g))
     w = np.linalg.eigvalsh(h)
     assert abs(w[-1] - 1.0) < 1e-10
     assert abs(abs(w[-2]) - abs(w[0])) < 1e-10
@@ -82,10 +82,10 @@ def test_shift_rescale_balances_spectrum():
 def test_shift_rescale_idempotent_and_degenerate():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6))
-    h = search.shift_rescale(m + m.T)
-    assert np.abs(search.shift_rescale(h) - h).max() < 1e-12
+    h = oracles.shift_rescale(m + m.T)
+    assert np.abs(oracles.shift_rescale(h) - h).max() < 1e-12
     with pytest.raises(DegenerateTopError):
-        search.shift_rescale(np.eye(4))
+        oracles.shift_rescale(np.eye(4))
 
 
 def test_shift_rescale_and_spectrum_share_the_simple_top_rule():
@@ -93,9 +93,9 @@ def test_shift_rescale_and_spectrum_share_the_simple_top_rule():
     TOL_TOP_GAP; neither the map nor the spectrum accepts it."""
     h = np.diag([1e6, 1e6 - 1e-7, -1e6])
     with pytest.raises(DegenerateTopError):
-        search.shift_rescale(h)
+        oracles.shift_rescale(h)
     with pytest.raises(DegenerateTopError):
-        search.SearchSpectrum.of(h)
+        oracles.spectrum_of(h)
 
 
 def test_search_spectrum_rejects_unknown_kind():
@@ -130,7 +130,7 @@ def test_search_stats_vertex_transitive_independent_of_w():
 
 def test_run_search_complete_graph():
     n = 64
-    a = search.SearchSpectrum.of(graphs.adjacency(graphs.complete(n)))
+    a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)))
     # the principal eigenvector of K_n is the uniform state
     good = search.run_search(a, 0, 1 / (n - 2), np.array([math.pi * math.sqrt(n) / 2]))
     assert good.probs[0] >= 0.9
@@ -209,8 +209,8 @@ SECULAR_CASES = {
     # star, complete and complete-plus-leaf have degenerate poles
     "star": (graphs.star(9), "adjacency", (0, 4)),
     "complete": (graphs.complete(8), "adjacency", (0, 5)),
-    "complete_plus_leaf": (graphs.complete_plus_leaf(12), "normalized_laplacian", (0, 5, 11)),
-    "complete_plus_leaf_laplacian": (graphs.complete_plus_leaf(10), "laplacian", (9,)),
+    "complete_plus_leaf": (oracles.complete_plus_leaf(12), "normalized_laplacian", (0, 5, 11)),
+    "complete_plus_leaf_laplacian": (oracles.complete_plus_leaf(10), "laplacian", (9,)),
     "path": (graphs.path(15), "laplacian", (0, 7)),
     "er": (graphs.giant_component(graphs.gen_er(80, 0.08, seed=41)), "laplacian", (0, 33)),
     "ba": (graphs.gen_ba(90, 3, seed=42), "normalized_laplacian", (1, 89)),
@@ -249,7 +249,7 @@ def test_run_search_secular_complex_hermitian():
     n = 30
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h_g = (a + a.conj().T) / 10.0
-    spec = search.SearchSpectrum.of(h_g)
+    spec = oracles.spectrum_of(h_g)
     assert np.iscomplexobj(spec.vectors)
     times = np.linspace(0.0, 25.0, 51)
     x = principal_state(spec)
@@ -290,7 +290,7 @@ def test_run_search_rejects_bad_probabilities(monkeypatch):
     with pytest.raises(NumericalError, match="amplitude at t = 0"):
         search.run_search(spec, 0, 1e20, times)
     # a start on the marked vertex keeps p = 1 and never exceeds it
-    diag = search.SearchSpectrum.of(np.diag([1.0, 0.5, 0.2, -0.3]))
+    diag = oracles.spectrum_of(np.diag([1.0, 0.5, 0.2, -0.3]))
     run = search.run_search(diag, 0, 1.0, times)
     assert run.probs.max() <= 1.0
     assert run.probs[0] == pytest.approx(1.0, abs=1e-12)
@@ -333,14 +333,14 @@ def test_classical_mfpt_closed_values():
 def test_classical_mfpt_vs_monte_carlo():
     for g, w in ((graphs.complete(5), 0), (graphs.star(12), 3)):
         exact = search.classical_mfpt(g, w)
-        est = search.classical_mfpt_mc(g, w, walks=40000, seed=17)
+        est = oracles.classical_mfpt_mc(g, w, walks=40000, seed=17)
         assert abs(est - exact) / exact < 0.05
 
 
 def test_classical_mfpt_mc_pinned_value():
     """The walks for a fixed seed are fixed: neighbour order and the draws."""
     g = graphs.giant_component(graphs.gen_er(80, 0.08, seed=41))
-    assert search.classical_mfpt_mc(g, 7, walks=3000, seed=11) == 261.85633333333334
+    assert oracles.classical_mfpt_mc(g, 7, walks=3000, seed=11) == 261.85633333333334
 
 
 def test_classical_mfpt_lower_bound_random_graphs():
@@ -351,7 +351,7 @@ def test_classical_mfpt_lower_bound_random_graphs():
         if not graphs.is_connected(g):
             continue
         w = int(rng.integers(g.n))
-        assert search.classical_mfpt(g, w) >= search.classical_mfpt_lower_bound(g, w) - 1e-9
+        assert search.classical_mfpt(g, w) >= oracles.classical_mfpt_lower_bound(g, w) - 1e-9
         checked += 1
 
 
@@ -378,7 +378,7 @@ def test_search_layer_edges_raise_typed_errors():
             search.search_spectrum(graphs.Graph(0), kind)
     for h in (np.zeros((0, 0)), np.ones((1, 1)), np.ones((2, 3))):
         with pytest.raises(DimensionError):
-            search.shift_rescale(h)
+            oracles.shift_rescale(h)
     for p0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterRangeError):
             search.lambert_bound(p0)
@@ -388,31 +388,31 @@ def test_search_layer_edges_raise_typed_errors():
     # the walks are undefined without an edge or at a vertex off the graph
     for g, w in ((graphs.Graph(1), 0), (graphs.Graph(2), 0)):
         with pytest.raises((IsolatedVertexError, DisconnectedGraphError)):
-            search.classical_mfpt_mc(g, w, walks=10, seed=0)
+            oracles.classical_mfpt_mc(g, w, walks=10, seed=0)
         with pytest.raises((IsolatedVertexError, DisconnectedGraphError)):
-            search.classical_mfpt_lower_bound(g, w)
+            oracles.classical_mfpt_lower_bound(g, w)
     with pytest.raises(ParameterRangeError):
-        search.classical_mfpt_lower_bound(graphs.path(3), -1)
+        oracles.classical_mfpt_lower_bound(graphs.path(3), -1)
     with pytest.raises(ParameterRangeError):
-        search.classical_mfpt_mc(graphs.path(3), 0, walks=0, seed=0)
+        oracles.classical_mfpt_mc(graphs.path(3), 0, walks=0, seed=0)
     # max_steps = 0 divided by zero and -5 reached numpy's ValueError
     for max_steps in (0, -5, 2.5):
         with pytest.raises(ParameterRangeError, match="max_steps"):
-            search.classical_mfpt_mc(graphs.path(3), 0, walks=10, seed=0, max_steps=max_steps)
+            oracles.classical_mfpt_mc(graphs.path(3), 0, walks=10, seed=0, max_steps=max_steps)
     # the marked vertex is the whole principal eigenvector: every S_k is 0
     with pytest.raises(ZeroOverlapError):
-        search.search_stats(search.SearchSpectrum.of(np.diag([1.0, 0.5])), 0)
+        search.search_stats(oracles.spectrum_of(np.diag([1.0, 0.5])), 0)
 
 
 def test_classical_mfpt_mc_rejects_censored_walks():
     # on a path of 8 no walk from the far half reaches vertex 0 in 3 steps
     g = graphs.path(8)
     with pytest.raises(NumericalError, match="did not reach"):
-        search.classical_mfpt_mc(g, 0, walks=200, seed=3, max_steps=3)
+        oracles.classical_mfpt_mc(g, 0, walks=200, seed=3, max_steps=3)
     arcs = graphs.arc_matrix(g)
     starts = np.array([0, 1, 7], dtype=np.int64)
     raw = np.zeros((3, 3))   # every step goes to the lower neighbour
-    for kernel in (oracles.hitting_steps_loop, search._hitting_steps):
+    for kernel in (oracles.hitting_steps_loop, oracles._hitting_steps):
         steps = kernel(arcs.indptr, arcs.indices, starts, 0, 3, raw)
         assert steps.tolist() == [0, 1, -1]
 
@@ -426,7 +426,7 @@ def test_kernel_backends_agree():
     starts = rng.integers(0, g.n, size=500).astype(np.int64)
     raw = rng.random((500, 2000))
     args = (arcs.indptr, arcs.indices, starts, 0, 2000, raw)
-    a = search._hitting_steps(*args)
+    a = oracles._hitting_steps(*args)
     b = oracles.hitting_steps_loop(*args)
     assert np.array_equal(a, b)
 
@@ -463,7 +463,7 @@ def test_complete_plus_leaf_eps_scaling():
     """Leaf overlap falls like 1/n^2, interior overlap like 1/n."""
     eps_leaf, eps_int = [], []
     for n in (40, 80, 160):
-        g = graphs.complete_plus_leaf(n)
+        g = oracles.complete_plus_leaf(n)
         h = search.search_spectrum(g, "normalized_laplacian")
         eps_leaf.append(search.search_stats(h, n - 1).eps)
         eps_int.append(search.search_stats(h, 2).eps)
