@@ -21,6 +21,7 @@ from .exceptions import (
     DimensionError,
     NumericalError,
     ParameterRangeError,
+    SymmetryError,
 )
 
 HERM_TOL = 1e-10
@@ -49,10 +50,15 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvolutionGenerator:
-    """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0))."""
+    """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0)).
+
+    symmetry is None or the involution perm of the n basis states that
+    build_generator has checked to be a symmetry of the walk's operators,
+    so that S commutes with P x P for P|x> = |perm[x]>."""
 
     s: sp.csr_matrix
     dim: int  # state dimension n; S is n^2 x n^2
+    symmetry: np.ndarray | None = None
 
     @functools.cached_property
     def real(self) -> numkernel.RealForm:
@@ -60,17 +66,55 @@ class EvolutionGenerator:
         use and kept: evolve and analysis.classify_convergence work on it."""
         return numkernel.real_form(self.s, self.dim)
 
+    @functools.cached_property
+    def sector(self) -> numkernel.RealForm:
+        """The real form restricted to the states that the symmetry fixes
+        (numkernel.reflection_sector), formed on first use and kept; evolve
+        uses it for a start state that the symmetry fixes."""
+        return self.real.restrict(numkernel.reflection_sector(self.symmetry, self.dim))
+
 
 @dataclass(frozen=True)
 class WalkSpec:
     """Hamiltonian, Lindblad family and weights that define one walk, for
     every model from CTQW to the nonmoralizing walk; the operators are
-    scipy sparse matrices."""
+    scipy sparse matrices. symmetry, when given, is an involution perm of
+    the basis states (numkernel.check_involution) that the walk declares
+    as a symmetry: build_generator checks it with is_symmetry and refuses
+    the spec if it fails."""
 
     hamiltonian: sp.csr_matrix
     lindblads: tuple
     ham_weight: float
     diss_weight: float
+    symmetry: np.ndarray | None = None
+
+
+def _entries(m, perm: np.ndarray) -> tuple:
+    """The shape and the sorted nonzero triples of P m P^T, for
+    P|x> = |perm[x]> and m sparse or dense, with -0.0 parts made 0.0, so
+    that equal matrices give equal keys."""
+    c = sp.coo_matrix(m, dtype=complex, copy=True)
+    c.sum_duplicates()
+    c.eliminate_zeros()
+    rows, cols = perm[c.row], perm[c.col]
+    order = np.lexsort((cols, rows))
+    return c.shape, rows[order].tobytes(), cols[order].tobytes(), (c.data[order] + 0.0).tobytes()
+
+
+def is_symmetry(perm, hamiltonian, lindblads) -> bool:
+    """True when P|x> = |perm[x]> maps the walk onto itself exactly, with no
+    tolerance: P H P^T == H, and conjugation by P permutes the Lindblad
+    family, so that the GKSL generator commutes with P x P. perm must pass
+    numkernel.check_involution for the dimension of H."""
+    ops = [sp.coo_matrix(m) for m in (hamiltonian, *lindblads)]
+    n = ops[0].shape[0]
+    if any(m.shape != (n, n) for m in ops):
+        raise DimensionError("the Hamiltonian and the Lindblads must be square and of one size")
+    perm = numkernel.check_involution(perm, n)
+    same = np.arange(n)
+    (h, ph), *pairs = [(_entries(m, same), _entries(m, perm)) for m in ops]
+    return h == ph and sorted(l for l, _ in pairs) == sorted(pl for _, pl in pairs)
 
 
 def _from_entries(entries, shape) -> sp.csr_matrix:
@@ -97,7 +141,12 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
 
     Before anything n^2 x n^2 is assembled, nnz(S) is bounded by
     2n nnz(H) + sum_L nnz(L)^2 + 2n nnz(K), and DimensionError is raised
-    when that bound exceeds GENERATOR_NNZ_CAP."""
+    when that bound exceeds GENERATOR_NNZ_CAP.
+
+    A spec's symmetry is checked on the n x n operators by is_symmetry and
+    kept on the generator; SymmetryError is raised when it fails, and
+    DimensionError or ParameterRangeError when it is not an involution of
+    the n states."""
     ham_weight, diss_weight = spec.ham_weight, spec.diss_weight
     for name, weight in (("ham_weight", ham_weight), ("diss_weight", diss_weight)):
         if not (np.isfinite(weight) and weight >= 0):
@@ -107,6 +156,12 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     lindblads = [sp.coo_matrix(l, dtype=complex) for l in spec.lindblads] if diss_weight > 0 else []
     if any(l.shape != (n, n) for l in lindblads):
         raise DimensionError("Lindblad dimension mismatch")
+    symmetry = spec.symmetry
+    if symmetry is not None:
+        symmetry = numkernel.check_involution(symmetry, n)
+        if not is_symmetry(symmetry, h, spec.lindblads):
+            raise SymmetryError("the declared permutation does not map the Hamiltonian "
+                                "and the Lindblad family onto themselves")
     bound = 2 * n * h.nnz + sum(l.nnz ** 2 for l in lindblads)
     g = ham_weight * (-1j) * h
     if lindblads:
@@ -134,7 +189,7 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
             flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
             s = s + flushed
     s.eliminate_zeros()
-    return EvolutionGenerator(s=s, dim=n)
+    return EvolutionGenerator(s=s, dim=n, symmetry=symmetry)
 
 
 def _arc_lindblads(g: graphs.DiGraph) -> tuple:
@@ -171,14 +226,20 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
     The evolution runs in real arithmetic: the coordinates x = T^H vec(rho0)
     in the Hermitian basis T go through exp(R t) with the real R = T^H S T
     of gen.real, and each state is rebuilt as vec(rho) = T x straight into
-    the returned array, so it is Hermitian by construction. rho0 must be
-    Hermitian to HERM_TOL, or DensityInvariantViolated is raised. Every
-    returned state must pass check_density at DRIFT_TOL; no state is
-    symmetrised or renormalised."""
+    the returned array, so it is Hermitian by construction. When gen
+    carries a symmetry P and P rho0 P^T == rho0 exactly, every state stays
+    in the sector that P fixes, and the same steps run on gen.sector: the
+    coordinates W^T x through W^T R W, each state rebuilt with T W, on
+    about half as many coordinates. rho0 must be Hermitian to HERM_TOL, or
+    DensityInvariantViolated is raised. Every returned state must pass
+    check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
-    form = gen.real
+    perm = gen.symmetry
+    rho = v.reshape(gen.dim, gen.dim)
+    fixed = perm is not None and np.array_equal(rho[np.ix_(perm, perm)], rho)
+    form = gen.sector if fixed else gen.real
     x = form.basis.conj().T @ v
     if np.abs(x.imag).max() > HERM_TOL:
         raise DensityInvariantViolated("initial state is not Hermitian")

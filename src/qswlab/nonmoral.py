@@ -135,26 +135,46 @@ def standard_rotating_hamiltonian(dg: DemoralizedGraph) -> sp.csr_matrix:
 def ngqsw_spec(dg: DemoralizedGraph, omega: float, lindblads=None) -> gksl.WalkSpec:
     """Coherent part (1-omega) H + omega H_rot with the standard and rotating
     Hamiltonians; dissipator weight omega over the given Lindblads, by
-    default the single Fourier-family Lindblad."""
+    default the single Fourier-family Lindblad.
+
+    On a bidirected path whose copy blocks read the same from both ends, as
+    graphs.path numbers it, the spec carries the path reflection
+    index[v][k] -> index[n-1-v][k] as its symmetry when gksl.is_symmetry
+    finds it exact for these operators: it is for
+    symmetrized_path_lindblads, whose two Lindblads it swaps, and it is
+    not for the Fourier Lindblad, which drifts to one side."""
     gksl.check_omega(omega)
     if lindblads is None:
         lindblads = (build_nonmoral_lindblad(dg, fourier_family(dg)),)
+    lindblads = tuple(lindblads)
     h = (1.0 - omega) * standard_hamiltonian(dg) + omega * standard_rotating_hamiltonian(dg)
-    return gksl.WalkSpec(h, tuple(lindblads), 1.0, omega)
+    reflection = _path_reflection(dg)
+    if reflection is not None and not gksl.is_symmetry(reflection, h, lindblads):
+        reflection = None
+    return gksl.WalkSpec(h, lindblads, 1.0, omega, reflection)
+
+
+def _is_bidirected_path(g: graphs.DiGraph) -> bool:
+    und = graphs.underlying(g)
+    return (g.n >= 2 and sorted(und.degrees()) == [1, 1] + [2] * (g.n - 2)
+            and graphs.is_connected(und) and len(g.arcs) == 2 * len(und.edges))
+
+
+def _path_reflection(dg: DemoralizedGraph):
+    """index[v][k] -> index[n-1-v][k] as a permutation of the enlarged
+    basis, when the base graph is a bidirected path and the block sizes
+    read the same from both ends; None otherwise."""
+    if not (_is_bidirected_path(dg.base) and dg.block_sizes == dg.block_sizes[::-1]):
+        return None
+    perm = np.empty(dg.dim, dtype=np.int64)
+    perm[np.concatenate(dg.index)] = np.concatenate(dg.index[::-1])
+    return perm
 
 
 def symmetrized_path_lindblads(dg: DemoralizedGraph) -> tuple:
     """Two Lindblads whose joint action propagates symmetrically on a
     bidirected path; a single Fourier Lindblad drifts to one side."""
-    g = dg.base
-    und = graphs.underlying(g)
-    degs = und.degrees()
-    is_path = (
-        sorted(degs) == [1, 1] + [2] * (g.n - 2)
-        and graphs.is_connected(und)
-        and len(g.arcs) == 2 * len(und.edges)
-    )
-    if g.n < 2 or not is_path:
+    if not _is_bidirected_path(dg.base):
         raise WrongTopologyError("base graph must be a bidirected path")
     l1 = np.array([[1, 1], [1, -1]], dtype=complex)
     l2 = np.array([[1, 1], [-1, 1]], dtype=complex)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DensityInvariantViolated, DimensionError, NumericalError,
-                               ParameterRangeError, TimeGridError)
+                               ParameterRangeError, SymmetryError, TimeGridError)
 
 
 def random_density(n, seed):
@@ -277,6 +277,82 @@ def test_non_hermitian_hamiltonian_is_rejected():
     gen = gksl.EvolutionGenerator(s=sp.csr_matrix(s), dim=3)
     with pytest.raises(NumericalError, match="Hermiticity"):
         gksl.evolve(gen, oracles.pure_state(3, 0), [1.0])
+
+
+def _path_walk(length, omega, lindblads="symmetrized"):
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
+    lbs = nonmoral.symmetrized_path_lindblads(dg) if lindblads == "symmetrized" else None
+    return dg, nonmoral.ngqsw_spec(dg, omega, lbs)
+
+
+@pytest.mark.parametrize("length", [7, 31, 61])
+@pytest.mark.parametrize("omega", [0.3, 0.5, 0.8])
+def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(length, omega):
+    """From the centre of an odd path, evolve runs on the sector that the
+    path reflection fixes, and every state agrees to 1e-13 with the
+    evolution of the same S without the symmetry."""
+    dg, spec = _path_walk(length, omega)
+    gen = gksl.build_generator(spec)
+    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
+    rho0 = nonmoral.block_mixed_state(dg, (length - 1) // 2)
+    times = np.arange(5.0, 31.0, 5.0)
+    got = gksl.evolve(gen, rho0, times)
+    assert "sector" in vars(gen)
+    assert np.abs(got - gksl.evolve(plain, rho0, times)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("length, start, lindblads", [
+    (60, 29, "symmetrized"),   # even: no vertex is the centre
+    (31, 10, "symmetrized"),   # off-centre start
+    (31, 15, "fourier"),       # the Fourier Lindblad carries no symmetry
+])
+def test_evolve_runs_unreduced_when_the_start_is_not_fixed(length, start, lindblads):
+    """The sector is never formed, and the states are exactly those of the
+    same S without the symmetry."""
+    dg, spec = _path_walk(length, 0.5, lindblads)
+    gen = gksl.build_generator(spec)
+    assert (gen.symmetry is None) == (lindblads == "fourier")
+    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
+    rho0 = nonmoral.block_mixed_state(dg, start)
+    times = np.arange(5.0, 31.0, 5.0)
+    got = gksl.evolve(gen, rho0, times)
+    assert "sector" not in vars(gen)
+    assert np.array_equal(got, gksl.evolve(plain, rho0, times))
+
+
+def test_build_generator_keeps_a_checked_symmetry():
+    _, spec = _path_walk(7, 0.5)
+    gen = gksl.build_generator(spec)
+    assert np.array_equal(gen.symmetry, spec.symmetry)
+    assert not gen.symmetry.flags.writeable
+
+
+@pytest.mark.parametrize("symmetry, error", [
+    ("reflection", SymmetryError),          # on the Fourier spec
+    ("zeros", ParameterRangeError),         # not a permutation
+    ("short", DimensionError),              # one entry too few
+])
+def test_build_generator_refuses_a_false_symmetry(symmetry, error):
+    _, symmetric = _path_walk(7, 0.5)
+    _, fourier = _path_walk(7, 0.5, "fourier")
+    perm = {"reflection": symmetric.symmetry,
+            "zeros": np.zeros_like(symmetric.symmetry),
+            "short": symmetric.symmetry[:-1]}[symmetry]
+    with pytest.raises(error):
+        gksl.build_generator(dataclasses.replace(fourier, symmetry=perm))
+
+
+def test_is_symmetry_needs_exact_operators():
+    """A perturbation of one Hamiltonian entry by 1e-15 breaks the check."""
+    _, spec = _path_walk(7, 0.5)
+    assert gksl.is_symmetry(spec.symmetry, spec.hamiltonian, spec.lindblads)
+    h = spec.hamiltonian.toarray()
+    h[0, 1] += 1e-15
+    h[1, 0] += 1e-15
+    assert not gksl.is_symmetry(spec.symmetry, h, spec.lindblads)
+    assert not gksl.is_symmetry(spec.symmetry, spec.hamiltonian, spec.lindblads[:1])
+    with pytest.raises(DimensionError):
+        gksl.is_symmetry(spec.symmetry, spec.hamiltonian, (np.eye(3),))
 
 
 def test_evolve_rejects_bad_grids():

@@ -264,6 +264,45 @@ def test_symmetrized_segment_profiles():
     assert max(abs(p1[k] - p1[n - 1 - k]) for k in range(n)) > 1e-3
 
 
+@pytest.mark.parametrize("length", [7, 61])
+def test_path_reflection_is_exact(length):
+    """P maps H = (1 - w) H_std + w H_rot onto itself and swaps the two
+    symmetrized Lindblads, with no rounding at all."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
+    l1, l2 = nonmoral.symmetrized_path_lindblads(dg)
+    spec = nonmoral.ngqsw_spec(dg, 0.3, (l1, l2))
+    perm = spec.symmetry
+    assert np.array_equal(perm[[dg.index[v][-1] for v in range(length)]],
+                          [dg.index[length - 1 - v][-1] for v in range(length)])
+
+    def conj(m):
+        p = np.eye(dg.dim)[:, perm]
+        return p @ m.toarray() @ p.T
+
+    assert np.array_equal(conj(spec.hamiltonian), spec.hamiltonian.toarray())
+    assert np.array_equal(conj(l1), l2.toarray())
+    assert np.array_equal(conj(l2), l1.toarray())
+
+
+def test_ngqsw_spec_attaches_no_reflection_that_fails():
+    """No symmetry for the Fourier Lindblad on a path (P L P^T - L has
+    entries of size 2), for a graph that is not a path, or for a path
+    numbered out of order."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
+    (fourier,) = nonmoral.ngqsw_spec(dg, 0.5).lindblads
+    perm = nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)).symmetry
+    assert np.abs(fourier[perm][:, perm] - fourier).max() == 2
+    assert nonmoral.ngqsw_spec(dg, 0.5).symmetry is None
+    star = nonmoral.demoralize(graphs.to_digraph(graphs.star(5)))
+    assert nonmoral.ngqsw_spec(star, 0.5).symmetry is None
+    # the path 0-2-1-3-4: mirror-symmetric block sizes, but v -> 4 - v is no automorphism
+    shuffled = nonmoral.demoralize(graphs.to_digraph(
+        graphs.Graph(5, frozenset({(0, 2), (1, 2), (1, 3), (3, 4)}))))
+    assert shuffled.block_sizes == shuffled.block_sizes[::-1]
+    spec = nonmoral.ngqsw_spec(shuffled, 0.5, nonmoral.symmetrized_path_lindblads(shuffled))
+    assert spec.symmetry is None
+
+
 def test_symmetrized_lindblads_reject_non_path():
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.star(5)))
     with pytest.raises(WrongTopologyError):
