@@ -76,14 +76,9 @@ def _write_text(path, text):
         raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_json(path, payload, config, seed):
-    doc = {
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "wallclock_sec": payload.pop("_wallclock", None),
-    }
-    doc.update(payload)
+def _write_json(path, payload, config, seed, wallclock):
+    doc = {"config": config, "seed": seed, "version": __version__, "wallclock_sec": wallclock,
+           **payload}
     try:
         text = json.dumps(doc, indent=1, default=float, allow_nan=False)
     except ValueError as exc:
@@ -207,8 +202,7 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     if batch < 2 or times.size < batch:
         raise click.UsageError(f"need --batch >= 2 and at least --batch time points, "
                                f"got batch {batch} and {times.size} points")
-    if not 0.0 <= omega <= 1.0:
-        raise click.UsageError("--omega must lie in [0, 1]")
+    gksl.check_omega(omega)
     if length < 2:
         raise click.UsageError("--length must be at least 2")
     n = length
@@ -228,7 +222,7 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
         else:
             rows.append([t, mu2[i], "", ""])
     _write_csv(out_csv, ["t", "mu2", "alpha_mid", "alpha"], rows)
-    payload = {"final_alpha": float(trace.alphas[-1]), "_wallclock": time.time() - t0}
+    payload = {"final_alpha": float(trace.alphas[-1])}
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
     if trace.alphas.size >= 8:
@@ -238,7 +232,7 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     config = {"command": "propagate", "model": model, "omega": omega,
               "length": length, "t_start": t_start, "t_stop": t_stop,
               "t_step": t_step, "batch": batch}
-    _write_json(out_json, payload, config, seed=None)
+    _write_json(out_json, payload, config, None, time.time() - t0)
 
 
 @main.command("converge")
@@ -269,11 +263,10 @@ def cmd_converge(model, graph_spec, omega, tol, out):
         "second_smallest_abs": report.second_smallest_abs,
         "imaginary_count": report.imaginary_count,
         "tol": report.tol,
-        "_wallclock": time.time() - t0,
     }
     config = {"command": "converge", "model": model, "graph": graph_spec,
               "omega": omega, "tol": tol}
-    _write_json(out, payload, config, seed=None)
+    _write_json(out, payload, config, None, time.time() - t0)
 
 
 @main.command("search")
@@ -314,7 +307,7 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         times = _time_grid(t_start, t_stop, t_step)
     # config.gamma keeps the --gamma given, null for a rule
     rate = gamma if gamma is not None else (
-        stats.s1 if gamma_rule == "s1" else search.caption_gamma(spec, w))
+        stats.s1 if gamma_rule == "s1" else stats.caption_gamma)
     run = search.run_search(spec, w, rate, times)
     _write_csv(out_csv, ["t", "p"], list(zip(times, run.probs)))
     payload = {
@@ -325,12 +318,11 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         },
         "argmax_t": run.argmax_t,
         "p_max": run.p_max,
-        "_wallclock": time.time() - t0,
     }
     config = {"command": "search", "graph": graph_spec, "kind": kind,
               "marked": marked, "gamma_rule": gamma_rule, "gamma": gamma,
               "t_start": t_start, "t_stop": t_stop, "t_step": t_step}
-    _write_json(out_json, payload, config, seed=None)
+    _write_json(out_json, payload, config, None, time.time() - t0)
 
 
 def _sweep_er_p0(outdir, seed, samples, p0_list, n, marked_per_graph):
@@ -349,8 +341,8 @@ def _sweep_er_p0(outdir, seed, samples, p0_list, n, marked_per_graph):
             marked = rng.choice(gc.n, size=min(marked_per_graph, gc.n),
                                 replace=False)
             for w in marked.tolist():
-                run = search.run_search(spec, w, search.caption_gamma(spec, w),
-                                        np.array([t_meas]))
+                gamma = search.search_stats(spec, w).caption_gamma
+                run = search.run_search(spec, w, gamma, np.array([t_meas]))
                 probs.append(run.probs[0])
         bound = search.lambert_bound(p0) if p0 > 1 else 0.0
         rows.append([p0, n, float(np.min(probs)), float(np.mean(probs)), bound])
@@ -437,8 +429,7 @@ def cmd_sweep(config_path):
     except OSError as exc:
         raise click.UsageError(f"cannot create output directory {outdir}: {exc.strerror or exc}")
     run(outdir, seed, samples)
-    _write_json(os.path.join(outdir, "sweep.json"),
-                {"_wallclock": time.time() - t0}, cfg, seed)
+    _write_json(os.path.join(outdir, "sweep.json"), {}, cfg, seed, time.time() - t0)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .exceptions import (
     SymmetryError,
 )
 
-HERM_TOL = 1e-10
 DRIFT_TOL = 1e-7
 # About 0.9 GB peak RSS while S and its real form are assembled: the
 # length-301 ngqsw path has a bound of 1.65e7 and peaked at 749 MB.
@@ -65,13 +64,6 @@ class EvolutionGenerator:
         """S in the Hermitian basis (numkernel.real_form), formed on first
         use and kept: evolve and analysis.classify_convergence work on it."""
         return numkernel.real_form(self.s, self.dim)
-
-    @functools.cached_property
-    def sector(self) -> numkernel.RealForm:
-        """The real form restricted to the states that the symmetry fixes
-        (numkernel.reflection_sector), formed on first use and kept; evolve
-        uses it for a start state that the symmetry fixes."""
-        return self.real.restrict(numkernel.reflection_sector(self.symmetry, self.dim))
 
 
 @dataclass(frozen=True)
@@ -228,25 +220,28 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
     of gen.real, and each state is rebuilt as vec(rho) = T x straight into
     the returned array, so it is Hermitian by construction. When gen
     carries a symmetry P and P rho0 P^T == rho0 exactly, every state stays
-    in the sector that P fixes, and the same steps run on gen.sector: the
-    coordinates W^T x through W^T R W, each state rebuilt with T W, on
-    about half as many coordinates. rho0 must be Hermitian to HERM_TOL, or
-    DensityInvariantViolated is raised. Every returned state must pass
+    in the sector that P fixes, and the same steps run on it: the
+    coordinates W^T x through W^T R W, each state rebuilt with T W, for the
+    W of numkernel.reflection_sector, on about half as many coordinates.
+    rho0 must be Hermitian to the rounding rule of numkernel.check_hermitian,
+    or DensityInvariantViolated is raised. Every returned state must pass
     check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
     perm = gen.symmetry
     rho = v.reshape(gen.dim, gen.dim)
-    fixed = perm is not None and np.array_equal(rho[np.ix_(perm, perm)], rho)
-    form = gen.sector if fixed else gen.real
-    x = form.basis.conj().T @ v
-    if np.abs(x.imag).max() > HERM_TOL:
+    matrix, basis = gen.real.matrix, gen.real.basis
+    if perm is not None and np.array_equal(rho[np.ix_(perm, perm)], rho):
+        w = numkernel.reflection_sector(perm, gen.dim)
+        matrix, basis = (w.T.tocsr() @ matrix @ w).tocsr(), (basis @ w).tocsr()
+    x = basis.conj().T @ v
+    if numkernel._beyond_rounding(np.abs(x.imag).max(), x):
         raise DensityInvariantViolated("initial state is not Hermitian")
-    xs = numkernel.expm_apply(form.matrix, x.real, times)
+    xs = numkernel.expm_apply(matrix, x.real, times)
     rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
     for rho, xk in zip(rhos, xs):
-        rho[...] = (form.basis @ xk).reshape(gen.dim, gen.dim)
+        rho[...] = (basis @ xk).reshape(gen.dim, gen.dim)
         check_density(rho)
     return rhos
 

@@ -30,6 +30,13 @@ from .exceptions import DimensionError, NumericalError, ParameterRangeError, Tim
 TOL_HERM = 1e-12
 
 
+def _beyond_rounding(dev: float, entries) -> bool:
+    """True when a deviation from Hermiticity dev exceeds TOL_HERM times
+    max(1, largest |entry|) of the array entries: the one rounding rule of
+    check_hermitian, real_form and gksl.evolve."""
+    return dev > TOL_HERM * max(1.0, float(np.abs(entries).max(initial=0.0)))
+
+
 def vec(b: np.ndarray) -> np.ndarray:
     """Row-major vectorization: vec(|x><y|) = |x> kron |y>."""
     return np.asarray(b).reshape(-1)
@@ -49,9 +56,8 @@ def check_hermitian(h):
 
     if not np.all(np.isfinite(stored(h))):
         raise NumericalError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(stored(h)).max(initial=0.0)))
     dev = float(np.abs(stored(h - h.conj().T)).max(initial=0.0))
-    if dev > TOL_HERM * scale:
+    if _beyond_rounding(dev, stored(h)):
         raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return h
 
@@ -222,42 +228,28 @@ def reflection_sector(perm, n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, keep.size))
 
 
-HERMITIAN_BASIS_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class RealForm:
     """A superoperator S on n x n matrices in the Hermitian basis T:
     `matrix` is the real CSR matrix R = T^H S T, `basis` is T and `leak`
-    is the largest |Im| entry of T^H S T that was dropped. A form restricted
-    to a subspace has W^T R W and T W in their place, and the same leak."""
+    is the largest |Im| entry of T^H S T that was dropped."""
 
     matrix: scipy.sparse.csr_matrix
     basis: scipy.sparse.csr_matrix
     leak: float
-
-    def restrict(self, w) -> RealForm:
-        """The form on the span of the real orthonormal columns of w
-        (rows in the coordinates of `basis`): W^T R W and T W. Evolving
-        W^T x with W^T R W gives W^T exp(R t) x exactly when R maps that
-        span into itself and x lies in it."""
-        w = scipy.sparse.csr_matrix(w)
-        return RealForm(matrix=(w.T.tocsr() @ self.matrix @ w).tocsr(),
-                        basis=(self.basis @ w).tocsr(), leak=self.leak)
 
 
 def real_form(s, n: int) -> RealForm:
     """R = T^H S T for the sparse n^2 x n^2 superoperator S, with T from
     hermitian_basis(n). S preserves Hermiticity exactly when R is real;
     NumericalError is raised when an imaginary entry of T^H S T exceeds
-    HERMITIAN_BASIS_TOL times max(1, largest |entry|)."""
+    TOL_HERM times max(1, largest |entry|)."""
     if s.shape != (n * n, n * n):
         raise DimensionError(f"superoperator shape {s.shape} does not act on {n} x {n} matrices")
     basis = hermitian_basis(n)
     r = (basis.conj().T @ scipy.sparse.csr_matrix(s) @ basis).tocsr()
-    scale = max(1.0, float(np.abs(r.data).max(initial=0.0)))
     leak = float(np.abs(r.data.imag).max(initial=0.0))
-    if leak > HERMITIAN_BASIS_TOL * scale:
+    if _beyond_rounding(leak, r.data):
         raise NumericalError(
             f"superoperator does not preserve Hermiticity: its real-basis form has "
             f"imaginary entries up to {leak:.3e}")

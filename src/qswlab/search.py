@@ -114,6 +114,7 @@ class SearchStats:
     gap: float
     condition_holds: bool
     predicted_t: float
+    caption_gamma: float   # the spectral-average rate S1 / (1 - eps)
 
 
 def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
@@ -128,14 +129,8 @@ def search_stats(spec: SearchSpectrum, w: int) -> SearchStats:
     gap = float(spec.values[0] - spec.values[1])
     cond = math.sqrt(eps) < SEARCH_CONDITION_CONST * min(s1 * s2 / s3, gap * math.sqrt(s2))
     predicted_t = (1.0 / math.sqrt(eps)) * math.sqrt(s2) / s1
-    return SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap,
-                       condition_holds=cond, predicted_t=predicted_t)
-
-
-def caption_gamma(spec: SearchSpectrum, w: int) -> float:
-    """Transition rate S1 / (1 - eps), the spectral-average variant."""
-    st = search_stats(spec, w)
-    return st.s1 / (1.0 - st.eps)
+    return SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap, condition_holds=cond,
+                       predicted_t=predicted_t, caption_gamma=s1 / (1.0 - eps))
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def test_acceptance_11_er_p0_sweep():
             hg = search.search_spectrum(gc, "laplacian")
             t = math.pi * math.sqrt(gc.n) / 2.0
             for w in rng.choice(gc.n, 5, replace=False):
-                gamma = search.caption_gamma(hg, int(w))
+                gamma = search.search_stats(hg, int(w)).caption_gamma
                 probs.append(search.run_search(hg, int(w), gamma, np.array([t])).probs[0])
         results.append((p0, float(np.mean(probs)), search.lambert_bound(p0)))
     ok = all(mean >= bound - 0.05 for _, mean, bound in results)

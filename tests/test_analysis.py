@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 from scipy.sparse.csgraph import connected_components
 

@@ -393,10 +393,12 @@ def test_search_domain_errors_exit_2(runner, tmp_path, edges, n, marked, message
 def test_write_json_rejects_non_finite(tmp_path):
     out = tmp_path / "r.json"
     with pytest.raises(NumericalError):
-        cli._write_json(out, {"x": math.inf}, {}, seed=None)
+        cli._write_json(out, {"x": math.inf}, {}, None, 0.25)
     assert not out.exists()
-    cli._write_json(out, {"x": 1.5}, {}, seed=None)
-    assert json.loads(out.read_text())["x"] == 1.5
+    cli._write_json(out, {"x": 1.5}, {}, None, 0.25)
+    assert list(json.loads(out.read_text()).items()) == [
+        ("config", {}), ("seed", None), ("version", cli.__version__), ("wallclock_sec", 0.25),
+        ("x", 1.5)]
 
 
 def test_search_non_finite_report_exits_3(runner, tmp_path, monkeypatch):
@@ -570,6 +572,43 @@ def test_propagate_ngqsw_one_expm_call(runner, tmp_path, monkeypatch):
     m, times = calls[0]
     assert np.array_equal(times, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
     assert m.dtype == np.float64
+
+
+def test_propagate_ngqsw_reports_the_leak_of_the_full_real_form(runner, tmp_path, monkeypatch):
+    """An odd length starts at the centre, so expm_apply gets the sector
+    matrix; the report's hermiticity_leak is still gen.real.leak of the
+    walk, the leak of the whole real form."""
+    n = 9
+    sizes = []
+    real = numkernel.expm_apply
+    monkeypatch.setattr(numkernel, "expm_apply",
+                        lambda m, v, t: sizes.append(m.shape[0]) or real(m, v, t))
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", n, ("2", "12", "2")))
+    assert r.exit_code == 0, r.output
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
+    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
+    assert sizes == [numkernel.reflection_sector(gen.symmetry, gen.dim).shape[1]]
+    assert sizes[0] < gen.dim ** 2
+    diagnostics = json.loads((tmp_path / "p.json").read_text())["diagnostics"]
+    assert diagnostics["hermiticity_leak"] == gen.real.leak
+
+
+@pytest.mark.parametrize("args", [
+    ["propagate", "--model", "gqsw", "--length", "9", "--out-csv", "p.csv", "--out-json", "p.json"],
+    ["propagate", "--model", "ngqsw", "--length", "9", "--out-csv", "p.csv", "--out-json", "p.json"],
+    ["converge", "--model", "lqsw", "--graph", "path:3", "--out", "c.json"],
+])
+def test_omega_outside_the_unit_interval_exits_2_with_the_check_omega_message(
+        runner, tmp_path, monkeypatch, args):
+    """propagate and converge refuse omega = 2 through gksl.check_omega,
+    with its message, before any file is written."""
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(cli.main, args + ["--omega", "2"])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert "error: omega must lie in [0, 1], got 2.0" in r.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_propagate_gqsw_one_profile_call(runner, tmp_path, monkeypatch):

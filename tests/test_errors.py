@@ -196,3 +196,38 @@ def test_every_public_definition_is_reached_from_the_package():
     unreferenced = {key for key, stmt in public.items()
                     if not any(key[1] in names for other, names in uses if other is not stmt)}
     assert unreferenced == UNREFERENCED
+
+
+# No module of the package or the tests keeps a top-level import it does not
+# use. `import a.b` counts as used when some dotted name a.b... appears;
+# a name listed in __all__ counts as used.
+
+def _dotted(node):
+    """'a.b.c' for the expression a.b.c, or None when it is not a dotted name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text())
+    used = {d for n in ast.walk(tree) if (d := _dotted(n))}
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in stmt.targets)):
+            used |= {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name
+                if not any(u == name or u.startswith(name + ".") for u in used):
+                    yield f"{path.parent.name}/{path.name}:{stmt.lineno}: {name}"
+
+
+def test_no_unused_top_level_imports():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert [u for path in MODULES + tests for u in _unused_imports(path)] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -285,19 +286,36 @@ def _path_walk(length, omega, lindblads="symmetrized"):
     return dg, nonmoral.ngqsw_spec(dg, omega, lbs)
 
 
+def _evolve_logged(caplog, gen, rho0, times):
+    """evolve's states, and the coordinate count n of the matrix that its
+    one expm_apply call was given, read from that call's DEBUG record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
+        got = gksl.evolve(gen, rho0, times)
+    (record,) = caplog.records
+    return got, record.args[-1]   # the last argument is n
+
+
 @pytest.mark.parametrize("length", [7, 31, 61])
 @pytest.mark.parametrize("omega", [0.3, 0.5, 0.8])
-def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(length, omega):
+def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(caplog, length,
+                                                                          omega):
     """From the centre of an odd path, evolve runs on the sector that the
     path reflection fixes, and every state agrees to 1e-13 with the
-    evolution of the same S without the symmetry."""
+    evolution of the same S without the symmetry. An involution with f
+    fixed points of d states fixes (d^2 + f^2)/2 dimensions of the d x d
+    Hermitian matrices, the trace of rho -> P rho P^T being f^2: 7,202 of
+    14,400 at length 61."""
     dg, spec = _path_walk(length, omega)
     gen = gksl.build_generator(spec)
     plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
     rho0 = nonmoral.block_mixed_state(dg, (length - 1) // 2)
     times = np.arange(5.0, 31.0, 5.0)
-    got = gksl.evolve(gen, rho0, times)
-    assert "sector" in vars(gen)
+    got, n = _evolve_logged(caplog, gen, rho0, times)
+    fixed = int(np.sum(gen.symmetry == np.arange(gen.dim)))
+    assert n == (gen.dim ** 2 + fixed ** 2) // 2 < gen.dim ** 2
+    if length == 61:
+        assert (n, gen.dim ** 2) == (7202, 14400)
     assert np.abs(got - gksl.evolve(plain, rho0, times)).max() <= 1e-13
 
 
@@ -306,17 +324,17 @@ def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(length,
     (31, 10, "symmetrized"),   # off-centre start
     (31, 15, "fourier"),       # the Fourier Lindblad carries no symmetry
 ])
-def test_evolve_runs_unreduced_when_the_start_is_not_fixed(length, start, lindblads):
-    """The sector is never formed, and the states are exactly those of the
-    same S without the symmetry."""
+def test_evolve_runs_unreduced_when_the_start_is_not_fixed(caplog, length, start, lindblads):
+    """expm_apply runs on all dim^2 coordinates, and the states are exactly
+    those of the same S without the symmetry."""
     dg, spec = _path_walk(length, 0.5, lindblads)
     gen = gksl.build_generator(spec)
     assert (gen.symmetry is None) == (lindblads == "fourier")
     plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
     rho0 = nonmoral.block_mixed_state(dg, start)
     times = np.arange(5.0, 31.0, 5.0)
-    got = gksl.evolve(gen, rho0, times)
-    assert "sector" not in vars(gen)
+    got, n = _evolve_logged(caplog, gen, rho0, times)
+    assert n == gen.dim ** 2
     assert np.array_equal(got, gksl.evolve(plain, rho0, times))
 
 

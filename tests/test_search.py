@@ -187,7 +187,7 @@ def gamma_of(spec, w, rule):
     if rule == "s1":
         return search.search_stats(spec, w).s1
     if rule == "caption":
-        return search.caption_gamma(spec, w)
+        return search.search_stats(spec, w).caption_gamma
     return rule
 
 
@@ -312,15 +312,16 @@ def test_search_stats_rejects_zero_overlap():
     spec = search.search_spectrum(g, "adjacency")
     with pytest.raises(ZeroOverlapError):
         search.search_stats(spec, 4)
-    with pytest.raises(ZeroOverlapError):
-        search.caption_gamma(spec, 4)
     assert search.search_stats(spec, 1).eps == pytest.approx(0.5)
 
 
 def test_caption_gamma_value():
+    """On K_10, A/9 has eigenvalues 1 and -1/9, and eps = 1/10, so
+    S1 = (9/10) / (10/9) = 0.81 and the caption rate S1 / (1 - eps) = 0.9."""
     hg = search.search_spectrum(graphs.complete(10), "adjacency")
     st = search.search_stats(hg, 0)
-    assert abs(search.caption_gamma(hg, 0) - st.s1 / (1 - st.eps)) < 1e-12
+    assert st.caption_gamma == st.s1 / (1 - st.eps)
+    assert abs(st.caption_gamma - 0.9) < 1e-12
 
 
 def test_classical_mfpt_closed_values():
