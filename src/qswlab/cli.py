@@ -76,6 +76,14 @@ def _write_text(path, text):
         raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _report_config():
+    """The running command's name and the values of its declared options,
+    output paths left out, in declaration order."""
+    ctx = click.get_current_context()
+    return {"command": ctx.info_name, **{p.name: ctx.params[p.name] for p in ctx.command.params
+                                         if not isinstance(p.type, click.Path)}}
+
+
 def _write_json(path, payload, config, seed, wallclock):
     doc = {"config": config, "seed": seed, "version": __version__, "wallclock_sec": wallclock,
            **payload}
@@ -229,23 +237,20 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
         fit = analysis.fit_limit_model(trace.alpha_times, trace.alphas)
         payload["fit"] = {"p": fit.params, "residual": fit.residual,
                           "degenerate": fit.degenerate}
-    config = {"command": "propagate", "model": model, "omega": omega,
-              "length": length, "t_start": t_start, "t_stop": t_stop,
-              "t_step": t_step, "batch": batch}
-    _write_json(out_json, payload, config, None, time.time() - t0)
+    _write_json(out_json, payload, _report_config(), None, time.time() - t0)
 
 
 @main.command("converge")
 @click.option("--model", type=click.Choice(["lqsw", "gqsw", "ngqsw"]), required=True)
-@click.option("--graph", "graph_spec", required=True)
+@click.option("--graph", required=True)
 @click.option("--omega", type=float, default=0.5, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @numerical_guard
-def cmd_converge(model, graph_spec, omega, tol, out):
+def cmd_converge(model, graph, omega, tol, out):
     """Classify the generator spectrum of a walk on the given graph."""
     t0 = time.time()
-    g = parse_graph_spec(graph_spec)
+    g = parse_graph_spec(graph)
     dig = g if isinstance(g, graphs.DiGraph) else graphs.to_digraph(g)
     # the size check runs before any operator is built
     if model == "ngqsw":
@@ -264,13 +269,11 @@ def cmd_converge(model, graph_spec, omega, tol, out):
         "imaginary_count": report.imaginary_count,
         "tol": report.tol,
     }
-    config = {"command": "converge", "model": model, "graph": graph_spec,
-              "omega": omega, "tol": tol}
-    _write_json(out, payload, config, None, time.time() - t0)
+    _write_json(out, payload, _report_config(), None, time.time() - t0)
 
 
 @main.command("search")
-@click.option("--graph", "graph_spec", required=True)
+@click.option("--graph", required=True)
 @click.option("--kind", type=click.Choice(list(search.GRAPH_MATRIX_KINDS)),
               default="adjacency", show_default=True)
 @click.option("--marked", type=int, required=True, help="1-based vertex")
@@ -284,12 +287,12 @@ def cmd_converge(model, graph_spec, omega, tol, out):
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
 @numerical_guard
-def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
+def cmd_search(graph, kind, marked, gamma_rule, gamma, t_start, t_stop,
                t_step, out_csv, out_json):
     """Success-probability scan of the spatial search; auto grid when no
     time options are given."""
     t0 = time.time()
-    g = parse_graph_spec(graph_spec)
+    g = parse_graph_spec(graph)
     if isinstance(g, graphs.DiGraph):
         raise click.UsageError("search requires an undirected graph")
     if not 1 <= marked <= g.n:
@@ -319,10 +322,7 @@ def cmd_search(graph_spec, kind, marked, gamma_rule, gamma, t_start, t_stop,
         "argmax_t": run.argmax_t,
         "p_max": run.p_max,
     }
-    config = {"command": "search", "graph": graph_spec, "kind": kind,
-              "marked": marked, "gamma_rule": gamma_rule, "gamma": gamma,
-              "t_start": t_start, "t_stop": t_stop, "t_step": t_step}
-    _write_json(out_json, payload, config, None, time.time() - t0)
+    _write_json(out_json, payload, _report_config(), None, time.time() - t0)
 
 
 def _sweep_er_p0(outdir, seed, samples, p0_list, n, marked_per_graph):

@@ -66,10 +66,5 @@ class MalformedGraphError(QswlabError, ValueError):
     reads."""
 
 
-class SymmetryError(QswlabError, ValueError):
-    """A permutation declared as a symmetry of a walk does not map its
-    Hamiltonian and Lindblad family onto themselves."""
-
-
-class DensityInvariantViolated(QswlabError, RuntimeError):
+class DensityInvariantViolated(NumericalError):
     """Evolved state drifted beyond density-matrix tolerances."""

@@ -21,7 +21,6 @@ from .exceptions import (
     DimensionError,
     NumericalError,
     ParameterRangeError,
-    SymmetryError,
 )
 
 DRIFT_TOL = 1e-7
@@ -52,8 +51,8 @@ class EvolutionGenerator:
     """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0)).
 
     symmetry is None or the involution perm of the n basis states that
-    build_generator has checked to be a symmetry of the walk's operators,
-    so that S commutes with P x P for P|x> = |perm[x]>."""
+    build_generator has found, with is_symmetry, to be a symmetry of the
+    walk's operators, so that S commutes with P x P for P|x> = |perm[x]>."""
 
     s: sp.csr_matrix
     dim: int  # state dimension n; S is n^2 x n^2
@@ -70,10 +69,9 @@ class EvolutionGenerator:
 class WalkSpec:
     """Hamiltonian, Lindblad family and weights that define one walk, for
     every model from CTQW to the nonmoralizing walk; the operators are
-    scipy sparse matrices. symmetry, when given, is an involution perm of
-    the basis states (numkernel.check_involution) that the walk declares
-    as a symmetry: build_generator checks it with is_symmetry and refuses
-    the spec if it fails."""
+    scipy sparse matrices. symmetry, when given, is a candidate symmetry:
+    an involution perm of the basis states (numkernel.check_involution)
+    that build_generator keeps only if is_symmetry holds for it."""
 
     hamiltonian: sp.csr_matrix
     lindblads: tuple
@@ -135,10 +133,11 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     2n nnz(H) + sum_L nnz(L)^2 + 2n nnz(K), and DimensionError is raised
     when that bound exceeds GENERATOR_NNZ_CAP.
 
-    A spec's symmetry is checked on the n x n operators by is_symmetry and
-    kept on the generator; SymmetryError is raised when it fails, and
-    DimensionError or ParameterRangeError when it is not an involution of
-    the n states."""
+    A spec's candidate symmetry is judged here and nowhere else: it is kept
+    on the generator when is_symmetry holds for it on the n x n operators,
+    and dropped otherwise, which costs only the sector of evolve.
+    DimensionError or ParameterRangeError is raised when it is not an
+    involution of the n states."""
     ham_weight, diss_weight = spec.ham_weight, spec.diss_weight
     for name, weight in (("ham_weight", ham_weight), ("diss_weight", diss_weight)):
         if not (np.isfinite(weight) and weight >= 0):
@@ -152,8 +151,7 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     if symmetry is not None:
         symmetry = numkernel.check_involution(symmetry, n)
         if not is_symmetry(symmetry, h, spec.lindblads):
-            raise SymmetryError("the declared permutation does not map the Hamiltonian "
-                                "and the Lindblad family onto themselves")
+            symmetry = None
     bound = 2 * n * h.nnz + sum(l.nnz ** 2 for l in lindblads)
     g = ham_weight * (-1j) * h
     if lindblads:

@@ -137,21 +137,18 @@ def ngqsw_spec(dg: DemoralizedGraph, omega: float, lindblads=None) -> gksl.WalkS
     Hamiltonians; dissipator weight omega over the given Lindblads, by
     default the single Fourier-family Lindblad.
 
-    On a bidirected path whose copy blocks read the same from both ends, as
-    graphs.path numbers it, the spec carries the path reflection
-    index[v][k] -> index[n-1-v][k] as its symmetry when gksl.is_symmetry
-    finds it exact for these operators: it is for
-    symmetrized_path_lindblads, whose two Lindblads it swaps, and it is
-    not for the Fourier Lindblad, which drifts to one side."""
+    When the copy blocks read the same from both ends, the spec carries the
+    reflection index[v][k] -> index[n-1-v][k] as its candidate symmetry,
+    which gksl.build_generator keeps only if it is exact for these
+    operators: it is on a path numbered in order, as graphs.path numbers
+    it, with symmetrized_path_lindblads, whose two Lindblads it swaps, and
+    it is not for the Fourier Lindblad, which drifts to one side."""
     gksl.check_omega(omega)
     if lindblads is None:
         lindblads = (build_nonmoral_lindblad(dg, fourier_family(dg)),)
     lindblads = tuple(lindblads)
     h = (1.0 - omega) * standard_hamiltonian(dg) + omega * standard_rotating_hamiltonian(dg)
-    reflection = _path_reflection(dg)
-    if reflection is not None and not gksl.is_symmetry(reflection, h, lindblads):
-        reflection = None
-    return gksl.WalkSpec(h, lindblads, 1.0, omega, reflection)
+    return gksl.WalkSpec(h, lindblads, 1.0, omega, _reflection(dg))
 
 
 def _is_bidirected_path(g: graphs.DiGraph) -> bool:
@@ -160,11 +157,11 @@ def _is_bidirected_path(g: graphs.DiGraph) -> bool:
             and graphs.is_connected(und) and len(g.arcs) == 2 * len(und.edges))
 
 
-def _path_reflection(dg: DemoralizedGraph):
+def _reflection(dg: DemoralizedGraph):
     """index[v][k] -> index[n-1-v][k] as a permutation of the enlarged
-    basis, when the base graph is a bidirected path and the block sizes
-    read the same from both ends; None otherwise."""
-    if not (_is_bidirected_path(dg.base) and dg.block_sizes == dg.block_sizes[::-1]):
+    basis, when the block sizes read the same from both ends; None
+    otherwise."""
+    if dg.block_sizes != dg.block_sizes[::-1]:
         return None
     perm = np.empty(dg.dim, dtype=np.int64)
     perm[np.concatenate(dg.index)] = np.concatenate(dg.index[::-1])

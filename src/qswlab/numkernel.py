@@ -63,10 +63,9 @@ def check_hermitian(h):
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues descending and orthonormal eigenvectors as columns."""
-    h = check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    """Eigenvalues ascending and orthonormal eigenvectors as columns, as
+    np.linalg.eigh returns them."""
+    return np.linalg.eigh(check_hermitian(h))
 
 
 def _lapack_routine(name: str, nargs: int):

@@ -85,14 +85,14 @@ def search_spectrum(g: graphs.Graph, kind: str) -> SearchSpectrum:
     if g.n < 2:
         raise DimensionError(f"search needs at least 2 vertices, got {g.n}")
     values, vectors = numkernel.eig_hermitian(_base_matrix(g, kind))
-    top = float(values[0])
+    top = float(values[-1])
     if kind == "normalized_laplacian" or top <= 0.0:
         # L_norm needs no scale; the zero matrix of an edgeless graph keeps
         # scale 1 and is then rejected for its degenerate top eigenvalue
         top = 1.0
     if kind == "adjacency":
-        return SearchSpectrum(values=values / top, vectors=vectors)
-    return SearchSpectrum(values=1.0 - values[::-1] / top, vectors=vectors[:, ::-1])
+        return SearchSpectrum(values=values[::-1] / top, vectors=vectors[:, ::-1])
+    return SearchSpectrum(values=1.0 - values / top, vectors=vectors)
 
 
 def _overlap_sums(spec: SearchSpectrum, w: int) -> tuple[float, float, float, float]:

@@ -351,7 +351,7 @@ def series_probability(k: int, t: float, omega: float) -> float:
 def spectrum_of(h: np.ndarray) -> search.SearchSpectrum:
     """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
     values, vectors = numkernel.eig_hermitian(np.asarray(h))
-    return search.SearchSpectrum(values=values, vectors=vectors)
+    return search.SearchSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def shift_rescale(h: np.ndarray) -> np.ndarray:

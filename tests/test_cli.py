@@ -1,9 +1,11 @@
 import csv
 import ctypes
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -572,6 +574,64 @@ def test_propagate_ngqsw_one_expm_call(runner, tmp_path, monkeypatch):
     m, times = calls[0]
     assert np.array_equal(times, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
     assert m.dtype == np.float64
+
+
+def test_propagate_ngqsw_judges_the_reflection_once(runner, tmp_path, monkeypatch):
+    """build_generator is the one place that runs is_symmetry on the
+    spec's candidate."""
+    calls = []
+    real = gksl.is_symmetry
+    monkeypatch.setattr(gksl, "is_symmetry", lambda *a: calls.append(a) or real(*a))
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 7, ("1", "5", "1")))
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1
+
+
+def test_propagate_ngqsw_drifted_state_exits_3(runner, tmp_path, monkeypatch):
+    """A state that fails check_density is a numerical failure."""
+    monkeypatch.setattr(gksl, "DRIFT_TOL", -1.0)
+    r = runner.invoke(cli.main, _propagate_args(tmp_path, "ngqsw", 7, ("1", "5", "1")))
+    assert r.exit_code == 3, r.output
+    assert "numerical failure:" in r.output and "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "9", "--t-start", "1",
+      "--t-stop", "5", "--t-step", "1", "--batch", "3"],
+     ["model", "omega", "length", "t_start", "t_stop", "t_step", "batch"]),
+    (["converge", "--model", "gqsw", "--graph", "path:4", "--omega", "0.5", "--tol", "1e-9"],
+     ["model", "graph", "omega", "tol"]),
+    (["search", "--graph", "complete:8", "--kind", "laplacian", "--marked", "1",
+      "--gamma-rule", "caption", "--gamma", "0.5", "--t-start", "0", "--t-stop", "2",
+      "--t-step", "1"],
+     ["graph", "kind", "marked", "gamma_rule", "gamma", "t_start", "t_stop", "t_step"]),
+])
+def test_report_config_lists_the_options_in_declaration_order(runner, tmp_path, args, keys):
+    """The config is the command and its non-output options, in the order
+    the command declares them, whatever order the command line gives."""
+    command, options = args[0], list(zip(args[1::2], args[2::2]))
+    outputs = (["--out", str(tmp_path / "r.json")] if command == "converge" else
+               ["--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+    for order in (options, options[::-1]):
+        r = runner.invoke(cli.main, [command, *outputs, *(x for pair in order for x in pair)])
+        assert r.exit_code == 0, r.output
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert list(config) == ["command", *keys]
+        assert config["command"] == command
+
+
+def test_console_script_target_runs():
+    """The [project.scripts] entry of pyproject.toml names a callable that
+    answers --help."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("no pyproject.toml next to the tests")
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qswlab"]
+    module, _, name = target.partition(":")
+    r = CliRunner().invoke(getattr(importlib.import_module(module), name), ["--help"])
+    assert r.exit_code == 0, r.output
+    assert "propagate" in r.output
 
 
 def test_propagate_ngqsw_reports_the_leak_of_the_full_real_form(runner, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from qswlab import gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DensityInvariantViolated, DimensionError, NumericalError,
-                               ParameterRangeError, SymmetryError, TimeGridError)
+                               ParameterRangeError, TimeGridError)
 
 
 def random_density(n, seed):
@@ -346,18 +346,29 @@ def test_build_generator_keeps_a_checked_symmetry():
 
 
 @pytest.mark.parametrize("symmetry, error", [
-    ("reflection", SymmetryError),          # on the Fourier spec
     ("zeros", ParameterRangeError),         # not a permutation
     ("short", DimensionError),              # one entry too few
 ])
 def test_build_generator_refuses_a_false_symmetry(symmetry, error):
-    _, symmetric = _path_walk(7, 0.5)
     _, fourier = _path_walk(7, 0.5, "fourier")
-    perm = {"reflection": symmetric.symmetry,
-            "zeros": np.zeros_like(symmetric.symmetry),
-            "short": symmetric.symmetry[:-1]}[symmetry]
+    perm = {"zeros": np.zeros_like(fourier.symmetry),
+            "short": fourier.symmetry[:-1]}[symmetry]
     with pytest.raises(error):
         gksl.build_generator(dataclasses.replace(fourier, symmetry=perm))
+
+
+def test_build_generator_drops_a_candidate_that_fails():
+    """The reflection is a well-formed involution but no symmetry of the
+    Fourier walk: the generator carries none, and evolve gives exactly the
+    states of the same S built without a candidate."""
+    dg, fourier = _path_walk(7, 0.5, "fourier")
+    assert fourier.symmetry is not None
+    gen = gksl.build_generator(fourier)
+    assert gen.symmetry is None
+    rho0 = nonmoral.block_mixed_state(dg, 3)
+    times = np.arange(1.0, 4.0)
+    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
+    assert np.array_equal(gksl.evolve(gen, rho0, times), gksl.evolve(plain, rho0, times))
 
 
 def test_is_symmetry_needs_exact_operators():

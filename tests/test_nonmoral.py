@@ -284,15 +284,17 @@ def test_path_reflection_is_exact(length):
     assert np.array_equal(conj(l2), l1.toarray())
 
 
-def test_ngqsw_spec_attaches_no_reflection_that_fails():
-    """No symmetry for the Fourier Lindblad on a path (P L P^T - L has
-    entries of size 2), for a graph that is not a path, or for a path
-    numbered out of order."""
+def test_generator_keeps_no_reflection_that_fails():
+    """The spec proposes the reflection whenever the block sizes are
+    mirror-symmetric, and the generator drops it for the Fourier Lindblad
+    on a path (P L P^T - L has entries of size 2) and for a path numbered
+    out of order. The star's block sizes are not mirror-symmetric, so its
+    spec proposes none."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
-    (fourier,) = nonmoral.ngqsw_spec(dg, 0.5).lindblads
-    perm = nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)).symmetry
+    spec = nonmoral.ngqsw_spec(dg, 0.5)
+    (fourier,), perm = spec.lindblads, spec.symmetry
     assert np.abs(fourier[perm][:, perm] - fourier).max() == 2
-    assert nonmoral.ngqsw_spec(dg, 0.5).symmetry is None
+    assert gksl.build_generator(spec).symmetry is None
     star = nonmoral.demoralize(graphs.to_digraph(graphs.star(5)))
     assert nonmoral.ngqsw_spec(star, 0.5).symmetry is None
     # the path 0-2-1-3-4: mirror-symmetric block sizes, but v -> 4 - v is no automorphism
@@ -300,7 +302,8 @@ def test_ngqsw_spec_attaches_no_reflection_that_fails():
         graphs.Graph(5, frozenset({(0, 2), (1, 2), (1, 3), (3, 4)}))))
     assert shuffled.block_sizes == shuffled.block_sizes[::-1]
     spec = nonmoral.ngqsw_spec(shuffled, 0.5, nonmoral.symmetrized_path_lindblads(shuffled))
-    assert spec.symmetry is None
+    assert spec.symmetry is not None
+    assert gksl.build_generator(spec).symmetry is None
 
 
 def test_symmetrized_lindblads_reject_non_path():
