@@ -222,7 +222,7 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
     coordinates W^T x through W^T R W, each state rebuilt with T W, for the
     W of numkernel.reflection_sector, on about half as many coordinates.
     rho0 must be Hermitian to the rounding rule of numkernel.check_hermitian,
-    or DensityInvariantViolated is raised. Every returned state must pass
+    or ParameterRangeError is raised. Every returned state must pass
     check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
@@ -235,7 +235,7 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
         matrix, basis = (w.T.tocsr() @ matrix @ w).tocsr(), (basis @ w).tocsr()
     x = basis.conj().T @ v
     if numkernel._beyond_rounding(np.abs(x.imag).max(), x):
-        raise DensityInvariantViolated("initial state is not Hermitian")
+        raise ParameterRangeError("initial state is not Hermitian")
     xs = numkernel.expm_apply(matrix, x.real, times)
     rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
     for rho, xk in zip(rhos, xs):

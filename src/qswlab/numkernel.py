@@ -274,7 +274,6 @@ def check_times(times) -> np.ndarray:
 KRYLOV_DIM = 30
 EXPM_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-12  # h_{j+1,j} <= this times ||m||_1: the space is invariant
-_REFINE_TRIALS = 4       # geometric bisections after the first passing halving
 
 _log = logging.getLogger(__name__)
 
@@ -308,9 +307,11 @@ class _Arnoldi:
         """Advance x by one Krylov space: returns exp(tau m) x and tau <= rem.
 
         tau is rem when the space is invariant or the estimate of the whole
-        interval is at most budget * rem; otherwise the largest tau found by
-        halving and then geometric bisection whose estimate is at most
-        budget * tau. NumericalError when the halving passes below floor."""
+        interval is at most budget * rem. Otherwise each trial whose estimate
+        err exceeds budget * tau shrinks tau by Expokit's error model,
+        s = 0.9 (budget * tau / err)^(1/k), or halves it when s is not in
+        (0, 1), until an estimate passes. NumericalError when tau falls
+        below floor."""
         m = self.m
         w = m @ x
         self.matvecs += 1
@@ -342,31 +343,19 @@ class _Arnoldi:
         avnorm = float(np.linalg.norm(m @ basis[k]))
         self.matvecs += 1
 
-        def trial(tau):
+        tau = rem
+        while True:
             f = scipy.linalg.expm(tau * hess)
             err = _expokit_error(f, k, beta, avnorm)
-            if not err <= self.budget * tau:  # a NaN estimate fails too
-                self.rejected += 1
-                return None
-            return f, err
-
-        tau, hi = rem, None
-        found = trial(tau)
-        while found is None:
-            tau, hi = tau / 2, tau
+            if err <= self.budget * tau:
+                break
+            self.rejected += 1
+            # Expokit's shrink; NaN or infinite estimates give no s in (0, 1)
+            shrink = 0.9 * (self.budget * tau / err) ** (1 / k)
+            tau = tau * shrink if 0 < shrink < 1 else tau / 2
             if tau < floor:
                 raise NumericalError(
                     f"no Krylov step of at least {floor:.3e} meets the error estimate")
-            found = trial(tau)
-        if hi is not None:
-            for _ in range(_REFINE_TRIALS):
-                mid = math.sqrt(tau * hi)
-                better = trial(mid)
-                if better is None:
-                    hi = mid
-                else:
-                    tau, found = mid, better
-        f, err = found
         self.largest_error = max(self.largest_error, err)
         return (beta * f[:k + 1, 0]) @ basis, tau
 
@@ -396,11 +385,14 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     is carried from grid time to grid time by a restarted Arnoldi
     integrator (Saad 1992; Sidje's Expokit 1998): each step builds one
     Krylov space of dimension min(KRYLOV_DIM, n) by classical Gram-Schmidt
-    with a second pass, and uses it for the largest step tau whose Expokit
+    with a second pass, and uses it for a step tau whose Expokit
     estimate (phi1/phi2 on the (KRYLOV_DIM + 2)-augmented Hessenberg) is at
     most EXPM_RTOL * ||v|| * tau / t_last. That is the whole remaining interval
-    to the next grid time when it passes; otherwise it is found by halving
-    and geometric bisection over small dense expm evaluations. A space that
+    to the next grid time when it passes; otherwise each failed trial, one
+    small dense expm with estimate err, multiplies tau by Expokit's
+    s = 0.9 (EXPM_RTOL * ||v|| * tau / (t_last * err))^(1/k) for the Krylov
+    dimension k, or by 1/2 when s is not in (0, 1), until a trial passes;
+    no tau is carried to the next step. A space that
     is invariant (h_{j+1,j} <= 1e-12 ||m||_1, or all of C^n) is exact and
     takes the rest of the interval, and a state with m @ x exactly 0 is
     returned unchanged. Real input stays real.

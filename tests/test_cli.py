@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -632,6 +634,26 @@ def test_console_script_target_runs():
     r = CliRunner().invoke(getattr(importlib.import_module(module), name), ["--help"])
     assert r.exit_code == 0, r.output
     assert "propagate" in r.output
+
+
+def test_readme_example_commands_exit_0(runner, tmp_path, monkeypatch):
+    """Every qswlab line of README's sh blocks, continuations joined, run in
+    one fresh directory in order, after a small er_p0 sweep.json is
+    written there, exits 0."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    if not readme.exists():
+        pytest.skip("no README.md next to the tests")
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text().replace("\\\n", " "), re.S)
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("qswlab ")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"kind": "er_p0", "n": 20, "p0": [2.0], "samples": 1, "marked_per_graph": 1,
+         "seed": 1, "outdir": "sweep"}))
+    for args in commands:
+        r = runner.invoke(cli.main, args)
+        assert r.exit_code == 0, (args, r.output)
 
 
 def test_propagate_ngqsw_reports_the_leak_of_the_full_real_form(runner, tmp_path, monkeypatch):

@@ -97,6 +97,20 @@ def test_build_generator_matches_per_lindblad_assembly(spec):
     assert got.nnz <= want.nnz
 
 
+def test_build_generator_folds_large_jump_terms_one_lindblad_at_a_time(monkeypatch):
+    """Each of the two symmetrized Lindblads of the length-61 walk has 472
+    entries, and its 472^2 jump terms outnumber the entries of S before
+    them, so each is folded into S on its own: one buffer of both raised
+    the peak memory of the build by about 10 MB."""
+    folds = []
+    real = gksl._from_entries
+    monkeypatch.setattr(gksl, "_from_entries", lambda entries, shape: folds.append(
+        (shape, [rows.size for rows, _, _ in entries])) or real(entries, shape))
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(61)))
+    gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
+    assert [sizes for shape, sizes in folds if shape == (14400, 14400)] == [[472 ** 2]] * 2
+
+
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])
 @pytest.mark.parametrize("field", ["ham_weight", "diss_weight"])
 def test_build_generator_rejects_bad_weights(field, weight):
@@ -263,8 +277,9 @@ def test_evolve_rejects_non_hermitian_initial_state():
     gen, rho0 = _grid_fixture("lqsw")
     rho0 = rho0.copy()
     rho0[0, 1] += 1e-6
-    with pytest.raises(DensityInvariantViolated, match="not Hermitian"):
+    with pytest.raises(ParameterRangeError, match="not Hermitian") as info:
         gksl.evolve(gen, rho0, [1.0])
+    assert not isinstance(info.value, NumericalError)
 
 
 def test_non_hermitian_hamiltonian_is_rejected():

@@ -129,6 +129,37 @@ def test_expm_apply_raises_when_no_step_meets_the_estimate():
         numkernel.expm_apply(m, np.ones(40), [1.0])
 
 
+def test_expm_apply_halves_when_the_estimate_is_nan(monkeypatch):
+    """A NaN estimate gives no Expokit shrink factor, so each failed trial
+    halves tau: from 1 down to 2^-52 = eps, 53 trials, and then the step
+    falls below its floor eps * 1 and raises instead of looping."""
+    calls = []
+
+    def nan_error(*args):
+        calls.append(args)
+        assert len(calls) <= 1000, "the step loops on a NaN estimate"
+        return float("nan")
+
+    monkeypatch.setattr(numkernel, "_expokit_error", nan_error)
+    m, v, _ = _expm_cases()["sparse n=80"]
+    with pytest.raises(NumericalError, match="no Krylov step"):
+        numkernel.expm_apply(sp.csr_matrix(m), v, [1.0])
+    assert len(calls) == 53
+
+
+def test_expm_apply_shrinks_rejected_steps_in_few_trials(monkeypatch):
+    """The length-61 ngqsw walk over t = 30, 60, ..., 600 takes at most 500
+    small dense expm trials, where halving plus four geometric bisections
+    took 657."""
+    calls = []
+    real = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or real(a))
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(61)))
+    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
+    gksl.evolve(gen, nonmoral.block_mixed_state(dg, 30), np.arange(30.0, 601.0, 30.0))
+    assert 0 < len(calls) <= 500
+
+
 def test_expm_apply_logs_one_debug_record(caplog):
     m, v, _ = _expm_cases()["sparse n=80"]
     with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
