@@ -161,20 +161,6 @@ def path_probability_profile(n: int, start: int, times, omega: float) -> np.ndar
     return p
 
 
-def moment_mu2(omega: float, t: float) -> float:
-    """mu2(t) = 2 omega t + 2 (1 - omega)^2 t^2, the second moment of the
-    interpolated global walk on the infinite path, for omega in [0, 1] and
-    t that passes numkernel.check_times as the grid (t,); NumericalError
-    past the float range."""
-    gksl.check_omega(omega)
-    numkernel.check_times((t,))
-    t = float(t)
-    mu2 = 2.0 * omega * t + 2.0 * (1.0 - omega) ** 2 * t * t
-    if not math.isfinite(mu2):
-        raise NumericalError(f"mu2({t}) is beyond the float range")
-    return mu2
-
-
 # ---------------------------------------------------------------------------
 # Convergence classification
 

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 from scipy.linalg import cython_lapack
 
 from .exceptions import DimensionError, NumericalError, ParameterRangeError, TimeGridError
@@ -273,7 +272,6 @@ def check_times(times) -> np.ndarray:
 
 KRYLOV_DIM = 30
 EXPM_RTOL = 1e-13
-_BREAKDOWN_RTOL = 1e-12  # h_{j+1,j} <= this times ||m||_1: the space is invariant
 
 _log = logging.getLogger(__name__)
 
@@ -296,22 +294,25 @@ class _Arnoldi:
     the counts its DEBUG record reports."""
 
     m: object
-    budget: float     # error allowed per unit time
-    breakdown: float  # h_{j+1,j} at or below this: the space is invariant
+    allowance: float  # EXPM_RTOL * ||v||
+    t_last: float
     matvecs: int = 0
     steps: int = 0
     rejected: int = 0
     largest_error: float = 0.0
 
-    def step(self, x: np.ndarray, rem: float, floor: float) -> tuple[np.ndarray, float]:
+    def step(self, x: np.ndarray, rem: float) -> tuple[np.ndarray, float]:
         """Advance x by one Krylov space: returns exp(tau m) x and tau <= rem.
 
-        tau is rem when the space is invariant or the estimate of the whole
-        interval is at most budget * rem. Otherwise each trial whose estimate
-        err exceeds budget * tau shrinks tau by Expokit's error model,
-        s = 0.9 (budget * tau / err)^(1/k), or halves it when s is not in
-        (0, 1), until an estimate passes. NumericalError when tau falls
-        below floor."""
+        The one accuracy rule: a step of length tau may add an error of
+        allowance * (tau / t_last). tau is rem when the space is invariant
+        (all of C^n, or beta * h_{j+1,j} * t_last <= allowance for
+        beta = ||x||, since stopping there errs by about beta * h_{j+1,j} * tau)
+        or when the Expokit estimate err for rem passes. Otherwise each failed
+        trial shrinks tau by Expokit's s = 0.9 (allowance * (tau / t_last) /
+        err)^(1/k), or halves it when s is not in (0, 1). NumericalError when
+        tau falls below ulp(t_last), the shortest step that always advances,
+        or when beta is 0 or not finite."""
         m = self.m
         w = m @ x
         self.matvecs += 1
@@ -319,6 +320,8 @@ class _Arnoldi:
             return x, rem
         self.steps += 1
         beta = float(np.linalg.norm(x))
+        if not 0 < beta < math.inf:
+            raise NumericalError(f"the Krylov state's norm {beta:.3e} is outside the float range")
         n = x.size
         k = min(KRYLOV_DIM, n)
         basis = np.empty((k + 1, n), dtype=x.dtype)
@@ -334,7 +337,7 @@ class _Arnoldi:
                 w -= c @ basis[:j + 1]
                 hess[:j + 1, j] += c
             s = float(np.linalg.norm(w))
-            if s <= self.breakdown or j + 1 == n:
+            if beta * s * self.t_last <= self.allowance or j + 1 == n:
                 f = scipy.linalg.expm(rem * hess[:j + 1, :j + 1])
                 return (beta * f[:, 0]) @ basis[:j + 1], rem
             hess[j + 1, j] = s
@@ -347,15 +350,16 @@ class _Arnoldi:
         while True:
             f = scipy.linalg.expm(tau * hess)
             err = _expokit_error(f, k, beta, avnorm)
-            if err <= self.budget * tau:
+            allowed = self.allowance * (tau / self.t_last)
+            if err <= allowed:
                 break
             self.rejected += 1
             # Expokit's shrink; NaN or infinite estimates give no s in (0, 1)
-            shrink = 0.9 * (self.budget * tau / err) ** (1 / k)
+            shrink = 0.9 * (allowed / err) ** (1 / k)
             tau = tau * shrink if 0 < shrink < 1 else tau / 2
-            if tau < floor:
-                raise NumericalError(
-                    f"no Krylov step of at least {floor:.3e} meets the error estimate")
+            if tau < math.ulp(self.t_last):
+                raise NumericalError(f"no Krylov step of at least {math.ulp(self.t_last):.3e} "
+                                     "meets the error estimate")
         self.largest_error = max(self.largest_error, err)
         return (beta * f[:k + 1, 0]) @ basis, tau
 
@@ -385,17 +389,21 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     is carried from grid time to grid time by a restarted Arnoldi
     integrator (Saad 1992; Sidje's Expokit 1998): each step builds one
     Krylov space of dimension min(KRYLOV_DIM, n) by classical Gram-Schmidt
-    with a second pass, and uses it for a step tau whose Expokit
-    estimate (phi1/phi2 on the (KRYLOV_DIM + 2)-augmented Hessenberg) is at
-    most EXPM_RTOL * ||v|| * tau / t_last. That is the whole remaining interval
-    to the next grid time when it passes; otherwise each failed trial, one
-    small dense expm with estimate err, multiplies tau by Expokit's
-    s = 0.9 (EXPM_RTOL * ||v|| * tau / (t_last * err))^(1/k) for the Krylov
+    with a second pass. One accuracy rule decides every step: an error
+    of at most EXPM_RTOL * ||v|| over [0, t_last], of which a step of length
+    tau may use EXPM_RTOL * ||v|| * (tau / t_last). A step takes the whole
+    remaining interval to the next grid time when its Expokit estimate
+    (phi1/phi2 on the (KRYLOV_DIM + 2)-augmented Hessenberg) for it passes;
+    otherwise each failed trial, one small dense expm with estimate err,
+    multiplies tau by Expokit's
+    s = 0.9 (EXPM_RTOL * ||v|| * (tau / t_last) / err)^(1/k) for the Krylov
     dimension k, or by 1/2 when s is not in (0, 1), until a trial passes;
-    no tau is carried to the next step. A space that
-    is invariant (h_{j+1,j} <= 1e-12 ||m||_1, or all of C^n) is exact and
-    takes the rest of the interval, and a state with m @ x exactly 0 is
-    returned unchanged. Real input stays real.
+    no tau is carried to the next step. A space is invariant, exact for the
+    rest of the interval, when it is all of C^n or when
+    beta * h_{j+1,j} * t_last <= EXPM_RTOL * ||v|| for the step's start norm
+    beta, since the error of stopping there grows like beta * h_{j+1,j} * tau.
+    A state with m @ x exactly 0 is returned unchanged. Real input stays
+    real.
 
     The integrator runs on m and v restricted to the weak components of the
     pattern of m (its nonzeros, taken as an undirected graph) that the
@@ -404,8 +412,10 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     components. A v that is exactly 0 evolves nothing and gives zeros. When
     v touches every component, m is used as it is, without a copy.
 
-    Raises NumericalError when m or v is not finite or when no step meets
-    the estimate. One DEBUG record per call gives the matvec count, the
+    Raises NumericalError when m or v is not finite, when no step of at
+    least one ulp of t_last meets the estimate, or when the state leaves the
+    float range: a norm that overflows or underflows to 0, or a non-finite
+    result. One DEBUG record per call gives the matvec count, the
     Krylov steps, the rejected step trials, the largest accepted error
     estimate and how many of the n coordinates were evolved.
     """
@@ -424,18 +434,18 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     else:
         m = m[keep][:, keep]
         x = x[keep]
-    # a v that is exactly 0 keeps no coordinate when m has several components
-    norm1 = scipy.sparse.linalg.norm(m, 1) if x.size else 0.0
-    budget = EXPM_RTOL * float(np.linalg.norm(x)) / times[-1] if times[-1] else 0.0
-    arnoldi = _Arnoldi(m, budget, _BREAKDOWN_RTOL * norm1)
     out = np.zeros((times.size, n), dtype=x.dtype)
     now = 0.0
-    for i, target in enumerate(times):
-        while now < target:
-            # a step of at least eps * target always advances now
-            x, tau = arnoldi.step(x, target - now, np.finfo(float).eps * target)
-            now = target if tau == target - now else now + tau
-        out[i, keep] = x
+    # an overflow shows as a non-finite norm or state, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        arnoldi = _Arnoldi(m, EXPM_RTOL * float(np.linalg.norm(x)), times[-1])
+        for i, target in enumerate(times):
+            while now < target:
+                x, tau = arnoldi.step(x, target - now)
+                now = target if tau == target - now else now + tau
+            out[i, keep] = x
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("exp(t m) v leaves the float range on the grid")
     _log.debug("expm_apply: %d matvecs, %d Krylov steps, %d rejected step trials, "
                "largest accepted error estimate %.3e, %d of %d coordinates evolved",
                arnoldi.matvecs, arnoldi.steps, arnoldi.rejected, arnoldi.largest_error,

@@ -41,7 +41,7 @@ def test_acceptance_02_moment_law():
         profiles = analysis.path_probability_profile(n, start, times, omega)
         for t, p in zip(times, profiles):
             mu = analysis.second_moment(p / p.sum(), pos)
-            ref = analysis.moment_mu2(omega, t)
+            ref = oracles.moment_mu2(omega, t)
             worst = max(worst, abs(mu - ref) / ref)
     report("acceptance 02 moment law", worst <= 1e-3, f"max rel err {worst:.2e}")
 

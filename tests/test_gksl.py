@@ -334,6 +334,24 @@ def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(caplog,
     assert np.abs(got - gksl.evolve(plain, rho0, times)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("length", [2, 3])
+def test_evolve_of_short_centred_path_walks_matches_dense_expm(length):
+    """Centred ngqsw walks on paths of length 2 and 3 stay within
+    1e-13 ||rho0||_F of a dense expm(t S), in the Frobenius norm, over
+    t = 1...40. Their Krylov spaces become invariant to rounding within a
+    few vectors, and taking such a space as exact must cost no more than
+    the error allowance over the grid, whatever the step."""
+    dg, spec = _path_walk(length, 0.5)
+    gen = gksl.build_generator(spec)
+    rho0 = nonmoral.block_mixed_state(dg, (length - 1) // 2)
+    times = np.arange(1.0, 41.0)
+    got = gksl.evolve(gen, rho0, times)
+    s = gen.s.toarray()
+    for t, rho in zip(times, got):
+        ref = (scipy.linalg.expm(t * s) @ numkernel.vec(rho0)).reshape(rho.shape)
+        assert np.linalg.norm(rho - ref) <= 1e-13 * np.linalg.norm(rho0), t
+
+
 @pytest.mark.parametrize("length, start, lindblads", [
     (60, 29, "symmetrized"),   # even: no vertex is the centre
     (31, 10, "symmetrized"),   # off-centre start

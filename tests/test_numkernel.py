@@ -123,6 +123,23 @@ def test_expm_apply_rejects_non_finite_input(where, value):
         numkernel.expm_apply(m, v, [1.0])
 
 
+@pytest.mark.parametrize("m, v, t", [
+    ([[1000.0]], [1.0], 10.0),                     # exp(10^4) overflows
+    ([[0.0, -1.0], [1.0, 0.0]], [1e300, 0.0], 1.0),  # ||v||^2 overflows
+], ids=["exp", "norm"])
+def test_expm_apply_raises_when_the_state_leaves_the_float_range(m, v, t):
+    with pytest.raises(NumericalError, match="float range"):
+        numkernel.expm_apply(np.array(m), np.array(v), [t])
+
+
+def test_expm_apply_takes_a_subnormal_grid():
+    """t_last = 5e-324 sizes every step by tau / t_last, a ratio that cannot
+    overflow, with no RuntimeWarning under the suite's warnings-as-errors."""
+    for name, (m, v, _) in _expm_cases().items():
+        got = numkernel.expm_apply(m, v, [5e-324])[0]
+        assert np.allclose(got, v, rtol=1e-15, atol=0.0), name
+
+
 def test_expm_apply_raises_when_no_step_meets_the_estimate():
     m = sp.random(40, 40, density=0.2, random_state=4, format="csr") * 1e150
     with pytest.raises(NumericalError, match="no Krylov step"):
@@ -132,7 +149,7 @@ def test_expm_apply_raises_when_no_step_meets_the_estimate():
 def test_expm_apply_halves_when_the_estimate_is_nan(monkeypatch):
     """A NaN estimate gives no Expokit shrink factor, so each failed trial
     halves tau: from 1 down to 2^-52 = eps, 53 trials, and then the step
-    falls below its floor eps * 1 and raises instead of looping."""
+    falls below its floor ulp(1) = eps and raises instead of looping."""
     calls = []
 
     def nan_error(*args):
