@@ -76,49 +76,6 @@ def scaling_exponents(times, values, batch: int) -> PropagationTrace:
     return PropagationTrace(alpha_times=mids, alphas=alphas)
 
 
-@dataclass(frozen=True)
-class LimitFit:
-    params: tuple            # (p1, p2, p3, p4)
-    residual: float
-    degenerate: bool         # p4 collapsed toward 0; p1 not extrapolable
-
-
-def fit_limit_model(times, alphas) -> LimitFit:
-    """Least-squares fit of f(t) = p1 - p2/(t - p3)^p4 with p4 > 0 to at
-    least 8 finite points; NumericalError unless it converges to finite
-    parameters."""
-    # imported here, not at module level: only this fit uses scipy.optimize,
-    # and importing it takes about 65 ms (2-vCPU AMD EPYC)
-    from scipy import optimize
-
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(alphas, dtype=float)
-    if t.ndim != 1 or y.shape != t.shape or t.size < 8:
-        raise DimensionError("need at least 8 matching points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise NumericalError("the limit model needs finite times and exponents")
-    tmin = t.min()
-
-    def resid(p):
-        p1, p2, p3, p4 = p
-        return p1 - p2 / np.power(t - p3, p4) - y
-
-    x0 = np.array([y[-1], max(abs(y[0] - y[-1]), 1e-3), 0.0, 1.0])
-    lower = [-np.inf, -np.inf, -np.inf, 1e-8]
-    upper = [np.inf, np.inf, tmin - 1e-9, np.inf]
-    x0[2] = min(x0[2], tmin - 1.0)
-    with np.errstate(all="ignore"):
-        try:
-            sol = optimize.least_squares(resid, x0, bounds=(lower, upper), max_nfev=20000)
-        except ValueError as exc:   # such as residuals beyond the float range
-            raise NumericalError(f"limit-model fit failed: {exc}") from exc
-        residual = float(np.linalg.norm(sol.fun))
-    p = tuple(float(v) for v in sol.x)
-    if not (sol.success and all(map(math.isfinite, p + (residual,)))):
-        raise NumericalError("limit-model fit did not converge")
-    return LimitFit(params=p, residual=residual, degenerate=p[3] < 1e-6)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for the interpolated global walk on paths
 

@@ -113,6 +113,9 @@ def numerical_guard(f):
         except QswlabError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"error: not enough memory: {exc}", err=True)
+            sys.exit(2)
     return wrapper
 
 
@@ -233,10 +236,6 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
     payload = {"final_alpha": float(trace.alphas[-1])}
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
-    if trace.alphas.size >= 8:
-        fit = analysis.fit_limit_model(trace.alpha_times, trace.alphas)
-        payload["fit"] = {"p": fit.params, "residual": fit.residual,
-                          "degenerate": fit.degenerate}
     _write_json(out_json, payload, _report_config(), None, time.time() - t0)
 
 

@@ -276,6 +276,12 @@ EXPM_RTOL = 1e-13
 _log = logging.getLogger(__name__)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 by BLAS nrm2, which scales, so it overflows or underflows only
+    where ||x|| itself does; 0.0 for an empty x, which nrm2 refuses."""
+    return float(scipy.linalg.get_blas_funcs("nrm2", (x,))(x)) if x.size else 0.0
+
+
 def _expokit_error(f: np.ndarray, k: int, beta: float, avnorm: float) -> float:
     """Sidje's a-posteriori estimate of the local error of the corrected
     Krylov step, read from f = expm(tau * Hbar) on the augmented Hessenberg."""
@@ -319,7 +325,7 @@ class _Arnoldi:
         if not w.any():
             return x, rem
         self.steps += 1
-        beta = float(np.linalg.norm(x))
+        beta = _norm(x)
         if not 0 < beta < math.inf:
             raise NumericalError(f"the Krylov state's norm {beta:.3e} is outside the float range")
         n = x.size
@@ -336,14 +342,14 @@ class _Arnoldi:
                 c = basis[:j + 1].conj() @ w
                 w -= c @ basis[:j + 1]
                 hess[:j + 1, j] += c
-            s = float(np.linalg.norm(w))
+            s = _norm(w)
             if beta * s * self.t_last <= self.allowance or j + 1 == n:
                 f = scipy.linalg.expm(rem * hess[:j + 1, :j + 1])
                 return (beta * f[:, 0]) @ basis[:j + 1], rem
             hess[j + 1, j] = s
             basis[j + 1] = w / s
         hess[k + 1, k] = 1.0
-        avnorm = float(np.linalg.norm(m @ basis[k]))
+        avnorm = _norm(m @ basis[k])
         self.matvecs += 1
 
         tau = rem
@@ -414,10 +420,11 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
 
     Raises NumericalError when m or v is not finite, when no step of at
     least one ulp of t_last meets the estimate, or when the state leaves the
-    float range: a norm that overflows or underflows to 0, or a non-finite
-    result. One DEBUG record per call gives the matvec count, the
-    Krylov steps, the rejected step trials, the largest accepted error
-    estimate and how many of the n coordinates were evolved.
+    float range: a norm beyond the largest float (norms come from BLAS nrm2,
+    which scales), or a non-finite result. One DEBUG record per call gives
+    the matvec count, the Krylov steps, the rejected step trials, the
+    largest accepted error estimate and how many of the n coordinates
+    were evolved.
     """
     m = scipy.sparse.csr_matrix(m)
     v = np.asarray(v)
@@ -438,7 +445,7 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     now = 0.0
     # an overflow shows as a non-finite norm or state, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        arnoldi = _Arnoldi(m, EXPM_RTOL * float(np.linalg.norm(x)), times[-1])
+        arnoldi = _Arnoldi(m, EXPM_RTOL * _norm(x), times[-1])
         for i, target in enumerate(times):
             while now < target:
                 x, tau = arnoldi.step(x, target - now)

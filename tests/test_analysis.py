@@ -74,38 +74,6 @@ def test_scaling_exponents_rejects_short_input(times, values, batch):
         analysis.scaling_exponents(times, values, batch=batch)
 
 
-def test_fit_limit_model_recovers_synthetic():
-    rng = np.random.default_rng(0)
-    t = np.linspace(5, 200, 40)
-    y = 2.0 - 1.0 / (t - 0.0) ** 1.0 + 1e-6 * rng.standard_normal(40)
-    fit = analysis.fit_limit_model(t, y)
-    assert abs(fit.params[0] - 2.0) < 1e-3
-    assert not fit.degenerate
-
-
-def test_fit_limit_model_constant_series():
-    t = np.linspace(5, 100, 20)
-    fit = analysis.fit_limit_model(t, np.full(20, 1.5))
-    assert abs(fit.params[0] - 1.5) < 1e-6 or fit.degenerate
-
-
-def test_fit_limit_model_rejects_too_few_points():
-    with pytest.raises(DimensionError):
-        analysis.fit_limit_model(np.arange(1.0, 8.0), np.ones(7))
-    with pytest.raises(DimensionError):
-        analysis.fit_limit_model(np.arange(1.0, 11.0), np.ones(9))
-
-
-@pytest.mark.parametrize("where", ["times", "alphas"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_fit_limit_model_rejects_non_finite_points(where, value):
-    """A NaN alpha reached scipy's ValueError about the initial guess."""
-    t, y = np.linspace(5, 100, 10), np.full(10, 1.5)
-    (t if where == "times" else y)[3] = value
-    with pytest.raises(NumericalError, match="finite"):
-        analysis.fit_limit_model(t, y)
-
-
 def test_path_closed_form_t0_delta():
     for k in (0, 2, 6):
         want = 1.0 if k == 2 else 0.0

@@ -113,6 +113,24 @@ def test_propagate_gqsw(runner, tmp_path):
     assert "diagnostics" not in doc   # the closed form evolves no density matrix
 
 
+@pytest.mark.parametrize("args", [
+    ["graphgen", "--model", "er", "--n", "10000000", "--p", "0.1", "--directed",
+     "--out", "g.json"],
+    ["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "10000000",
+     "--out-csv", "p.csv", "--out-json", "p.json"],
+], ids=["graphgen", "propagate"])
+def test_input_too_large_to_allocate_exits_2(runner, tmp_path, monkeypatch, args):
+    """Each run asks for an n x n array of 8-byte entries, n = 10^7: 728 TiB,
+    beyond the 128 TiB a 64-bit Linux process can address, so the allocation
+    fails at once whatever the memory policy."""
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(cli.main, args)
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "error: not enough memory: " in r.output and "Traceback" not in r.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_propagate_empty_grid_exits_2(runner, tmp_path):
     r = runner.invoke(cli.main, [
         "propagate", "--model", "gqsw", "--omega", "0.5",
@@ -776,12 +794,14 @@ def test_propagate_refuses_a_generator_too_large_to_assemble(runner, tmp_path, m
     assert f"above the cap {gksl.GENERATOR_NNZ_CAP:.3g}" in r.output
 
 
-def _imported_by_cli(modules):
-    """Those of modules that `import qswlab.cli` loads in a fresh interpreter."""
+def _imported_by_cli(modules, args=()):
+    """Those of modules that `import qswlab.cli`, and then the command line
+    args if any are given, load in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import qswlab.cli, sys; print(sorted({set(modules)!r} & set(sys.modules)))"
+    run = f"qswlab.cli.main({list(args)!r}, standalone_mode=False); " if args else ""
+    code = f"import qswlab.cli, sys; {run}print(sorted({set(modules)!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     return out.stdout.strip()
@@ -793,6 +813,16 @@ def test_cli_imports_neither_networkx_nor_numba():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    """Only the limit-model fit needs scipy.optimize, and only the Lambert
-    bound below its series switch scipy.special, so each imports its own."""
+    """The package needs no scipy.optimize, and only the Lambert bound below
+    its series switch needs scipy.special, which it imports itself."""
     assert _imported_by_cli({"scipy.optimize", "scipy.special"}) == "[]"
+
+
+def test_propagate_leaves_out_scipy_optimize(tmp_path):
+    """The default gqsw run (t = 30...1590, 49 slope windows) reports the
+    exponents it measures and fits no model to them."""
+    args = ["propagate", "--model", "gqsw", "--omega", "0.5",
+            "--out-csv", str(tmp_path / "p.csv"), "--out-json", str(tmp_path / "p.json")]
+    assert _imported_by_cli({"scipy.optimize"}, args) == "[]"
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert "fit" not in doc and math.isfinite(doc["final_alpha"])

@@ -124,12 +124,21 @@ def test_expm_apply_rejects_non_finite_input(where, value):
 
 
 @pytest.mark.parametrize("m, v, t", [
-    ([[1000.0]], [1.0], 10.0),                     # exp(10^4) overflows
-    ([[0.0, -1.0], [1.0, 0.0]], [1e300, 0.0], 1.0),  # ||v||^2 overflows
+    ([[1000.0]], [1.0], 10.0),                           # exp(10^4) overflows
+    ([[0.0, -1.0], [1.0, 0.0]], [1.5e308, 1.5e308], 1.0),  # ||v|| overflows
 ], ids=["exp", "norm"])
 def test_expm_apply_raises_when_the_state_leaves_the_float_range(m, v, t):
     with pytest.raises(NumericalError, match="float range"):
         numkernel.expm_apply(np.array(m), np.array(v), [t])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-170], ids=["overflow", "underflow"])
+def test_expm_apply_rotates_a_vector_whose_squares_leave_the_float_range(scale):
+    """||v||^2 of these vectors overflows or underflows to 0, but ||v||
+    is a float, so the rotation by 1 radian returns (cos 1, sin 1) v0."""
+    got = numkernel.expm_apply(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([scale, 0.0]),
+                               [1.0])[0]
+    assert np.allclose(got, scale * np.array([np.cos(1.0), np.sin(1.0)]), rtol=1e-15, atol=0.0)
 
 
 def test_expm_apply_takes_a_subnormal_grid():
