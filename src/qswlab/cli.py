@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -175,17 +176,16 @@ def _time_grid(t_start, t_stop, t_step):
 
 def _ngqsw_path_profiles(n, start, omega, times):
     """Natural-measurement profiles of the symmetrized walk on a path from
-    the vertex start, the
-    largest trace drift over the evolved states, and the Hermiticity leak
-    of the generator: the largest imaginary entry dropped from its real
-    form (the states are Hermitian by construction)."""
+    the vertex start, the largest trace drift over the evolved states, and
+    the Hermiticity leak of the generator: the largest imaginary entry
+    dropped from its real form (the states are Hermitian by construction)."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     spec = nonmoral.ngqsw_spec(dg, omega, nonmoral.symmetrized_path_lindblads(dg))
     gen = gksl.build_generator(spec)
     rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, start), times)
-    profiles = np.array([nonmoral.natural_measure(rho, dg) for rho in rhos])
+    profiles = nonmoral.natural_measure(rhos, dg)
     drift = {
-        "max_trace_drift": max(abs(np.trace(rho) - 1.0) for rho in rhos),
+        "max_trace_drift": np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max(),
         "hermiticity_leak": gen.real.leak,
     }
     return profiles, drift
@@ -224,14 +224,9 @@ def cmd_propagate(model, omega, length, t_start, t_stop, t_step, batch,
         profiles = analysis.path_probability_profile(n, start, times, omega)
     else:
         profiles, diagnostics = _ngqsw_path_profiles(n, start, omega, times)
-    mu2 = np.array([analysis.second_moment(p, positions) for p in profiles])
+    mu2 = analysis.second_moment(profiles, positions)
     trace = analysis.scaling_exponents(times, mu2, batch)
-    rows = []
-    for i, t in enumerate(times):
-        if i < trace.alphas.size:
-            rows.append([t, mu2[i], trace.alpha_times[i], trace.alphas[i]])
-        else:
-            rows.append([t, mu2[i], "", ""])
+    rows = itertools.zip_longest(times, mu2, trace.alpha_times, trace.alphas, fillvalue="")
     _write_csv(out_csv, ["t", "mu2", "alpha_mid", "alpha"], rows)
     payload = {"final_alpha": float(trace.alphas[-1])}
     if diagnostics is not None:

@@ -19,7 +19,6 @@ from . import graphs, numkernel
 from .exceptions import (
     DensityInvariantViolated,
     DimensionError,
-    NumericalError,
     ParameterRangeError,
 )
 
@@ -242,16 +241,3 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
         rho[...] = (basis @ xk).reshape(gen.dim, gen.dim)
         check_density(rho)
     return rhos
-
-
-def check_probabilities(p: np.ndarray) -> np.ndarray:
-    """Return p unchanged if it is a probability vector to within DRIFT_TOL,
-    the tolerance `evolve` enforces: no entry below -DRIFT_TOL and a sum
-    within DRIFT_TOL of 1. Otherwise raise NumericalError; nothing is
-    clipped or renormalised."""
-    total = p.sum()
-    # written so that NaN fails too
-    if not (p.min() >= -DRIFT_TOL and abs(total - 1.0) <= DRIFT_TOL):
-        raise NumericalError(f"measurement probabilities are not a distribution: "
-                             f"smallest {p.min()!r}, sum {total!r}")
-    return p

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gksl, graphs
-from .exceptions import DimensionError, NonOrthogonalColumnsError, WrongTopologyError
+from .exceptions import DimensionError, NonOrthogonalColumnsError, NumericalError, WrongTopologyError
 
 ORTHO_TOL = 1e-12
 
@@ -186,13 +186,23 @@ def symmetrized_path_lindblads(dg: DemoralizedGraph) -> tuple:
     )
 
 
-def natural_measure(rho: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
-    """Probability per base vertex: sum of canonical probabilities over its
-    block; see gksl.check_probabilities."""
-    if rho.shape != (dg.dim, dg.dim):
-        raise DimensionError("state dimension does not match enlarged space")
-    diag = gksl.check_probabilities(np.diagonal(rho).real)
-    return dg.copies.T @ diag
+def natural_measure(rhos: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
+    """Probability per base vertex, the sum of the canonical probabilities
+    over its block, for each state of a (T, dim, dim) stack such as
+    gksl.evolve returns: one row per state. Each diagonal must be a
+    distribution to gksl.DRIFT_TOL, the tolerance evolve enforces: no entry
+    below -DRIFT_TOL and a sum within DRIFT_TOL of 1. Otherwise
+    NumericalError is raised; nothing is clipped or renormalised."""
+    rhos = np.asarray(rhos)
+    if rhos.shape[1:] != (dg.dim, dg.dim):
+        raise DimensionError("need a stack of states of the enlarged space's dimension")
+    diag = np.diagonal(rhos, axis1=1, axis2=2).real
+    low, total = diag.min(axis=1), diag.sum(axis=1)
+    # written so that NaN fails too
+    if not np.all((low >= -gksl.DRIFT_TOL) & (np.abs(total - 1.0) <= gksl.DRIFT_TOL)):
+        raise NumericalError(f"measurement probabilities are not a distribution: smallest "
+                             f"{low.min()!r}, sums {total.min()!r} to {total.max()!r}")
+    return np.ascontiguousarray(diag @ dg.copies)  # rows sum as contiguous profiles
 
 
 def block_mixed_state(dg: DemoralizedGraph, v: int) -> np.ndarray:

@@ -370,22 +370,6 @@ class _Arnoldi:
         return (beta * f[:k + 1, 0]) @ basis, tau
 
 
-def _touched_coordinates(m, v: np.ndarray):
-    """The coordinates of the weak components of m's nonzero pattern that
-    v's support touches, ascending, or None when that is every coordinate.
-
-    m is block diagonal over those components, so exp(t m) v is exactly 0
-    outside them. The pattern is m != 0: csgraph would cast a complex m's
-    values to real and lose purely imaginary couplings."""
-    count, label = scipy.sparse.csgraph.connected_components(m != 0, directed=False)
-    if count == 1:
-        return None
-    touched = np.zeros(count, dtype=bool)
-    touched[label[np.flatnonzero(v)]] = True
-    keep = touched[label]
-    return None if keep.all() else np.flatnonzero(keep)
-
-
 def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     """exp(t*m) @ v at each time t of a grid, one row per time, for a vector
     v and a square m, dense or sparse, which is converted to CSR once; exact
@@ -415,8 +399,7 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     pattern of m (its nonzeros, taken as an undirected graph) that the
     support of v touches; every other entry of the result is exactly 0, as
     it is in exact arithmetic, since m is block diagonal over those
-    components. A v that is exactly 0 evolves nothing and gives zeros. When
-    v touches every component, m is used as it is, without a copy.
+    components. A v that is exactly 0 evolves nothing and gives zeros.
 
     Raises NumericalError when m or v is not finite, when no step of at
     least one ulp of t_last meets the estimate, or when the state leaves the
@@ -435,12 +418,13 @@ def expm_apply(m, v: np.ndarray, times) -> np.ndarray:
     if not (np.all(np.isfinite(m.data)) and np.all(np.isfinite(v))):
         raise NumericalError("expm_apply needs a finite matrix and vector")
     x = v.astype(np.result_type(m.dtype, v.dtype, float))
-    keep = _touched_coordinates(m, x)
-    if keep is None:
-        keep = slice(None)
-    else:
-        m = m[keep][:, keep]
-        x = x[keep]
+    # m is block diagonal over the weak components of its pattern, m != 0 (csgraph
+    # would cast a complex m to real and lose purely imaginary couplings)
+    count, label = scipy.sparse.csgraph.connected_components(m != 0, directed=False)
+    touched = np.zeros(count, dtype=bool)
+    touched[label[np.flatnonzero(x)]] = True
+    keep = np.flatnonzero(touched[label])
+    m, x = m[keep][:, keep], x[keep]
     out = np.zeros((times.size, n), dtype=x.dtype)
     now = 0.0
     # an overflow shows as a non-finite norm or state, which raises

@@ -242,9 +242,16 @@ def pure_state(n: int, k: int) -> np.ndarray:
 
 
 def measure(rho: np.ndarray) -> np.ndarray:
-    """Canonical-basis measurement probabilities, the real diagonal of rho;
-    see check_probabilities."""
-    return gksl.check_probabilities(np.diagonal(rho).real)
+    """Canonical-basis measurement probabilities, the real diagonal of rho,
+    if they form a distribution to gksl.DRIFT_TOL, the tolerance `evolve`
+    enforces: no entry below -DRIFT_TOL and a sum within DRIFT_TOL of 1.
+    Otherwise NumericalError is raised; nothing is clipped or renormalised."""
+    p = np.diagonal(rho).real
+    # written so that NaN fails too
+    if not (p.min() >= -gksl.DRIFT_TOL and abs(p.sum() - 1.0) <= gksl.DRIFT_TOL):
+        raise NumericalError(f"measurement probabilities are not a distribution: "
+                             f"smallest {p.min()!r}, sum {p.sum()!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -113,21 +113,36 @@ def test_propagate_gqsw(runner, tmp_path):
     assert "diagnostics" not in doc   # the closed form evolves no density matrix
 
 
-@pytest.mark.parametrize("args", [
-    ["graphgen", "--model", "er", "--n", "10000000", "--p", "0.1", "--directed",
-     "--out", "g.json"],
-    ["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "10000000",
-     "--out-csv", "p.csv", "--out-json", "p.json"],
+@pytest.mark.parametrize("args, message", [
+    (["graphgen", "--model", "er", "--n", "10000000", "--p", "0.1", "--directed",
+      "--out", "g.json"], "error: not enough memory: "),
+    (["propagate", "--model", "gqsw", "--omega", "0.5", "--length", "10000000",
+      "--out-csv", "p.csv", "--out-json", "p.json"],
+     f"is above the cap {analysis.PROFILE_LENGTH_CAP}"),
 ], ids=["graphgen", "propagate"])
-def test_input_too_large_to_allocate_exits_2(runner, tmp_path, monkeypatch, args):
-    """Each run asks for an n x n array of 8-byte entries, n = 10^7: 728 TiB,
-    beyond the 128 TiB a 64-bit Linux process can address, so the allocation
-    fails at once whatever the memory policy."""
+def test_input_too_large_to_allocate_exits_2(runner, tmp_path, monkeypatch, args, message):
+    """Each run would need an n x n array of 8-byte entries, n = 10^7: 728 TiB,
+    beyond the 128 TiB a 64-bit Linux process can address. graphgen asks
+    for it, and the allocation fails at once whatever the memory policy;
+    propagate refuses the length at analysis.PROFILE_LENGTH_CAP first."""
     monkeypatch.chdir(tmp_path)
     r = runner.invoke(cli.main, args)
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit), r.exception
-    assert "error: not enough memory: " in r.output and "Traceback" not in r.output
+    assert message in r.output and "Traceback" not in r.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_propagate_gqsw_above_the_length_cap_exits_2(runner, tmp_path, monkeypatch):
+    """One vertex past the cap is refused before any n x n array exists;
+    the run at the cap itself, about 0.93 GB, is left out."""
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(cli.main, [
+        "propagate", "--model", "gqsw", "--omega", "0.5", "--length", "4001",
+        "--t-start", "1", "--t-stop", "2", "--t-step", "1", "--batch", "2",
+        "--out-csv", "p.csv", "--out-json", "p.json"])
+    assert r.exit_code == 2, r.output
+    assert "error: path length 4001 is above the cap 4000" in r.output
     assert not any(tmp_path.iterdir())
 
 

@@ -1,10 +1,13 @@
 """Every exception the package raises is a QswlabError, which the CLI maps to
 its documented exit code (2 for usage or domain errors, 3 for numerical
-failure), or a click.UsageError, which exits 2. The last test checks that
-the package holds only code that it reaches itself."""
+failure), or a click.UsageError, which exits 2. The last tests check that
+the package holds only code that it reaches itself, and that every function
+the benchmark's per-layer metrics name is still there."""
 import ast
 import dataclasses
 import importlib
+import inspect
+import json
 import math
 from pathlib import Path
 
@@ -123,8 +126,8 @@ CALLS = {
     "path_probability_profile": (analysis.path_probability_profile,
                                  (st.integers(-2, 8), INTEGERS, GRIDS, WEIGHTS)),
     "second_moment": (analysis.second_moment,
-                      (st.one_of(LISTS, st.sampled_from([[1.0], [0.5, 0.5], [-1.0, 2.0]])),
-                       LISTS)),
+                      (st.one_of(LISTS, st.sampled_from([[1.0], [0.5, 0.5], [-1.0, 2.0]]))
+                       .map(lambda p: [p]), LISTS)),
     "scaling_exponents": (analysis.scaling_exponents, (GRIDS, LISTS, st.integers(-1, 5))),
     "Graph": (graphs.Graph, (INTEGERS,)),
     "DiGraph": (graphs.DiGraph, (INTEGERS,)),
@@ -243,3 +246,25 @@ def _unused_imports(path: Path):
 def test_no_unused_top_level_imports():
     tests = sorted(Path(__file__).parent.glob("*.py"))
     assert [u for path in MODULES + tests for u in _unused_imports(path)] == []
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's tracer wraps the public functions of six modules, and a
+# traced run fails ("metrics not measured") on a per-layer metric
+# <module>.<function>.<metric> whose function is gone.
+
+TRACED = ("graphs", "numkernel", "gksl", "nonmoral", "analysis", "search")
+
+
+def test_benchmark_per_layer_metrics_name_public_functions():
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    named = {tuple(parts[:2]) for parts in (m["name"].split(".") for m in spec["per_layer"])
+             if len(parts) == 3 and parts[0] in TRACED}
+    assert named
+    missing = []
+    for module, function in sorted(named):
+        obj = getattr(importlib.import_module(f"qswlab.{module}"), function, None)
+        if (function.startswith("_") or not inspect.isfunction(obj)
+                or obj.__module__ != f"qswlab.{module}"):
+            missing.append(f"{module}.{function}")
+    assert missing == []

@@ -197,16 +197,16 @@ def test_ngqsw_moral_triangle_closed_form():
         gksl.WalkSpec(nonmoral.standard_rotating_hamiltonian(dg), (lb,), 1.0, 1.0))
     times = [0.5, 2.0, 20.0]
     rhos, rhos_rot = (gksl.evolve(g_, oracles.pure_state(4, 0), times) for g_ in (gen, gen_rot))
-    for t, rho, rho_rot in zip(times, rhos, rhos_rot):
+    for t, rho in zip(times, rhos):
         v3 = np.zeros(4)
         v3[2] = v3[3] = 1.0
         want = np.exp(-2 * t) * np.diag([1.0, 0, 0, 0]) \
             + 0.5 * (1 - np.exp(-2 * t)) * np.outer(v3, v3)
         assert np.abs(rho - want).max() < 1e-9
-        for r in (rho, rho_rot):
-            p = nonmoral.natural_measure(r, dg)
-            assert p[1] < 1e-10
-            assert abs(p[2] - (1 - np.exp(-2 * t))) < 1e-9
+    for r in (rhos, rhos_rot):
+        p = nonmoral.natural_measure(r, dg)
+        assert np.all(p[:, 1] < 1e-10)
+        assert np.abs(p[:, 2] - (1 - np.exp(-2 * np.array(times)))).max() < 1e-9
 
 
 def test_premature_zero_rotation_stationary():
@@ -255,12 +255,12 @@ def test_symmetrized_segment_profiles():
     rho0 = nonmoral.block_mixed_state(dg, (n - 1) // 2)
 
     gen = gksl.build_generator(gksl.WalkSpec(hrot, lbs, 1.0, 1.0))
-    p = nonmoral.natural_measure(gksl.evolve(gen, rho0, [10.0])[0], dg)
+    p = nonmoral.natural_measure(gksl.evolve(gen, rho0, [10.0]), dg)[0]
     assert max(abs(p[k] - p[n - 1 - k]) for k in range(n)) < 1e-8
 
     single = nonmoral.build_nonmoral_lindblad(dg, nonmoral.fourier_family(dg))
     gen1 = gksl.build_generator(gksl.WalkSpec(hrot, (single,), 1.0, 1.0))
-    p1 = nonmoral.natural_measure(gksl.evolve(gen1, rho0, [10.0])[0], dg)
+    p1 = nonmoral.natural_measure(gksl.evolve(gen1, rho0, [10.0]), dg)[0]
     assert max(abs(p1[k] - p1[n - 1 - k]) for k in range(n)) > 1e-3
 
 
@@ -316,7 +316,10 @@ def test_natural_measure_block_indicator():
     dg = nonmoral.demoralize(oracles.moral_triangle())
     rho = np.zeros((4, 4), dtype=complex)
     rho[3, 3] = 1.0
-    assert np.allclose(nonmoral.natural_measure(rho, dg), [0, 0, 1])
+    assert np.allclose(nonmoral.natural_measure([np.eye(4) / 4, rho], dg),
+                       [[0.25, 0.25, 0.5], [0, 0, 1]])
+    with pytest.raises(DimensionError):   # a state, not a stack of them
+        nonmoral.natural_measure(rho, dg)
 
 
 @pytest.mark.parametrize("diag", [[0.0, 0.0, 1.001, -1e-3], [0.3, 0.3, 0.15, 0.15]])
@@ -324,8 +327,8 @@ def test_natural_measure_rejects_non_distribution(diag):
     """A negative copy, even inside a block with a positive total, and a
     trace of 0.9 are errors, not clipped or renormalised away."""
     dg = nonmoral.demoralize(oracles.moral_triangle())
-    with pytest.raises(NumericalError):
-        nonmoral.natural_measure(np.diag(diag).astype(complex), dg)
+    with pytest.raises(NumericalError):   # one state off is enough
+        nonmoral.natural_measure([np.eye(4) / 4, np.diag(diag)], dg)
 
 
 def test_sink_block_state_is_stationary():
@@ -334,7 +337,6 @@ def test_sink_block_state_is_stationary():
     dg = nonmoral.demoralize(g)
     gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 1.0))
     rho = nonmoral.block_mixed_state(dg, 3)
-    p0 = nonmoral.natural_measure(rho, dg)
-    for rho_t in gksl.evolve(gen, rho, [1.0, 10.0]):
-        pt = nonmoral.natural_measure(rho_t, dg)
-        assert np.abs(pt - p0).max() < 1e-9
+    p0 = nonmoral.natural_measure([rho], dg)
+    pt = nonmoral.natural_measure(gksl.evolve(gen, rho, [1.0, 10.0]), dg)
+    assert np.abs(pt - p0).max() < 1e-9
