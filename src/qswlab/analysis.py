@@ -63,7 +63,7 @@ def scaling_exponents(times, values, batch: int) -> PropagationTrace:
     if t[0] <= 0 or np.any(f <= 0):
         k = int(np.argmax((t <= 0) | (f <= 0)))
         raise NonPositiveDataError(f"log-log slopes need positive data, got "
-                                   f"{f[k]!r} at t = {t[k]!r}")
+                                   f"{float(f[k])} at t = {float(t[k])}")
     # all windows at once; both logs are centred, as centring log t alone loses digits
     x, y = (np.lib.stride_tricks.sliding_window_view(np.log(a), batch) for a in (t, f))
     x, y = x - x.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True)

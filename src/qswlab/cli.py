@@ -177,12 +177,27 @@ def _time_grid(t_start, t_stop, t_step):
 def _ngqsw_path_profiles(n, start, omega, times):
     """Natural-measurement profiles of the symmetrized walk on a path from
     the vertex start, the largest trace drift over the evolved states, and
-    the Hermiticity leak of the generator: the largest imaginary entry
-    dropped from its real form (the states are Hermitian by construction)."""
+    the Hermiticity leak of the evolved generator: the largest imaginary
+    entry dropped from its real form (the states are Hermitian by
+    construction). A centred start (odd n) evolves in the reflection's
+    basis U, where expm_apply evolves only the start's parity class, and
+    each state is rotated back in place. An even n is not rotated: the
+    reflection would mix the path's two sublattices, which the walk keeps
+    apart."""
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(n)))
     spec = nonmoral.ngqsw_spec(dg, omega, nonmoral.symmetrized_path_lindblads(dg))
+    rho0 = nonmoral.block_mixed_state(dg, start)
+    u = nonmoral.reflection_basis(dg) if 2 * start == n - 1 else None
+    if u is not None:
+        spec = gksl.WalkSpec(u @ spec.hamiltonian @ u.T,
+                             tuple(u @ l @ u.T for l in spec.lindblads),
+                             spec.ham_weight, spec.diss_weight)
+        rho0 = u @ rho0 @ u.T
     gen = gksl.build_generator(spec)
-    rhos = gksl.evolve(gen, nonmoral.block_mixed_state(dg, start), times)
+    rhos = gksl.evolve(gen, rho0, times)
+    if u is not None:
+        for rho in rhos:
+            rho[...] = u.T @ rho @ u
     profiles = nonmoral.natural_measure(rhos, dg)
     drift = {
         "max_trace_drift": np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max(),

@@ -47,15 +47,10 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvolutionGenerator:
-    """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0)).
-
-    symmetry is None or the involution perm of the n basis states that
-    build_generator has found, with is_symmetry, to be a symmetry of the
-    walk's operators, so that S commutes with P x P for P|x> = |perm[x]>."""
+    """Sparse superoperator S with vec(rho(t)) = exp(S t) vec(rho(0))."""
 
     s: sp.csr_matrix
     dim: int  # state dimension n; S is n^2 x n^2
-    symmetry: np.ndarray | None = None
 
     @functools.cached_property
     def real(self) -> numkernel.RealForm:
@@ -68,42 +63,12 @@ class EvolutionGenerator:
 class WalkSpec:
     """Hamiltonian, Lindblad family and weights that define one walk, for
     every model from CTQW to the nonmoralizing walk; the operators are
-    scipy sparse matrices. symmetry, when given, is a candidate symmetry:
-    an involution perm of the basis states (numkernel.check_involution)
-    that build_generator keeps only if is_symmetry holds for it."""
+    scipy sparse matrices."""
 
     hamiltonian: sp.csr_matrix
     lindblads: tuple
     ham_weight: float
     diss_weight: float
-    symmetry: np.ndarray | None = None
-
-
-def _entries(m, perm: np.ndarray) -> tuple:
-    """The shape and the sorted nonzero triples of P m P^T, for
-    P|x> = |perm[x]> and m sparse or dense, with -0.0 parts made 0.0, so
-    that equal matrices give equal keys."""
-    c = sp.coo_matrix(m, dtype=complex, copy=True)
-    c.sum_duplicates()
-    c.eliminate_zeros()
-    rows, cols = perm[c.row], perm[c.col]
-    order = np.lexsort((cols, rows))
-    return c.shape, rows[order].tobytes(), cols[order].tobytes(), (c.data[order] + 0.0).tobytes()
-
-
-def is_symmetry(perm, hamiltonian, lindblads) -> bool:
-    """True when P|x> = |perm[x]> maps the walk onto itself exactly, with no
-    tolerance: P H P^T == H, and conjugation by P permutes the Lindblad
-    family, so that the GKSL generator commutes with P x P. perm must pass
-    numkernel.check_involution for the dimension of H."""
-    ops = [sp.coo_matrix(m) for m in (hamiltonian, *lindblads)]
-    n = ops[0].shape[0]
-    if any(m.shape != (n, n) for m in ops):
-        raise DimensionError("the Hamiltonian and the Lindblads must be square and of one size")
-    perm = numkernel.check_involution(perm, n)
-    same = np.arange(n)
-    (h, ph), *pairs = [(_entries(m, same), _entries(m, perm)) for m in ops]
-    return h == ph and sorted(l for l, _ in pairs) == sorted(pl for _, pl in pairs)
 
 
 def _from_entries(entries, shape) -> sp.csr_matrix:
@@ -130,13 +95,7 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
 
     Before anything n^2 x n^2 is assembled, nnz(S) is bounded by
     2n nnz(H) + sum_L nnz(L)^2 + 2n nnz(K), and DimensionError is raised
-    when that bound exceeds GENERATOR_NNZ_CAP.
-
-    A spec's candidate symmetry is judged here and nowhere else: it is kept
-    on the generator when is_symmetry holds for it on the n x n operators,
-    and dropped otherwise, which costs only the sector of evolve.
-    DimensionError or ParameterRangeError is raised when it is not an
-    involution of the n states."""
+    when that bound exceeds GENERATOR_NNZ_CAP."""
     ham_weight, diss_weight = spec.ham_weight, spec.diss_weight
     for name, weight in (("ham_weight", ham_weight), ("diss_weight", diss_weight)):
         if not (np.isfinite(weight) and weight >= 0):
@@ -146,11 +105,6 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
     lindblads = [sp.coo_matrix(l, dtype=complex) for l in spec.lindblads] if diss_weight > 0 else []
     if any(l.shape != (n, n) for l in lindblads):
         raise DimensionError("Lindblad dimension mismatch")
-    symmetry = spec.symmetry
-    if symmetry is not None:
-        symmetry = numkernel.check_involution(symmetry, n)
-        if not is_symmetry(symmetry, h, spec.lindblads):
-            symmetry = None
     bound = 2 * n * h.nnz + sum(l.nnz ** 2 for l in lindblads)
     g = ham_weight * (-1j) * h
     if lindblads:
@@ -178,7 +132,7 @@ def build_generator(spec: WalkSpec) -> EvolutionGenerator:
             flushed, jumps, pending = _from_entries(jumps, s.shape), [], 0
             s = s + flushed
     s.eliminate_zeros()
-    return EvolutionGenerator(s=s, dim=n, symmetry=symmetry)
+    return EvolutionGenerator(s=s, dim=n)
 
 
 def _arc_lindblads(g: graphs.DiGraph) -> tuple:
@@ -215,27 +169,19 @@ def evolve(gen: EvolutionGenerator, rho0: np.ndarray, times) -> np.ndarray:
     The evolution runs in real arithmetic: the coordinates x = T^H vec(rho0)
     in the Hermitian basis T go through exp(R t) with the real R = T^H S T
     of gen.real, and each state is rebuilt as vec(rho) = T x straight into
-    the returned array, so it is Hermitian by construction. When gen
-    carries a symmetry P and P rho0 P^T == rho0 exactly, every state stays
-    in the sector that P fixes, and the same steps run on it: the
-    coordinates W^T x through W^T R W, each state rebuilt with T W, for the
-    W of numkernel.reflection_sector, on about half as many coordinates.
+    the returned array, so it is Hermitian by construction. expm_apply
+    evolves only the weak components of R that x touches.
     rho0 must be Hermitian to the rounding rule of numkernel.check_hermitian,
     or ParameterRangeError is raised. Every returned state must pass
     check_density at DRIFT_TOL; no state is symmetrised or renormalised."""
     v = numkernel.vec(np.asarray(rho0, dtype=complex))
     if v.size != gen.dim * gen.dim:
         raise DimensionError("state dimension does not match generator")
-    perm = gen.symmetry
-    rho = v.reshape(gen.dim, gen.dim)
-    matrix, basis = gen.real.matrix, gen.real.basis
-    if perm is not None and np.array_equal(rho[np.ix_(perm, perm)], rho):
-        w = numkernel.reflection_sector(perm, gen.dim)
-        matrix, basis = (w.T.tocsr() @ matrix @ w).tocsr(), (basis @ w).tocsr()
+    basis = gen.real.basis
     x = basis.conj().T @ v
     if numkernel._beyond_rounding(np.abs(x.imag).max(), x):
         raise ParameterRangeError("initial state is not Hermitian")
-    xs = numkernel.expm_apply(matrix, x.real, times)
+    xs = numkernel.expm_apply(gen.real.matrix, x.real, times)
     rhos = np.empty((len(xs), gen.dim, gen.dim), dtype=complex)
     for rho, xk in zip(rhos, xs):
         rho[...] = (basis @ xk).reshape(gen.dim, gen.dim)

@@ -135,20 +135,13 @@ def standard_rotating_hamiltonian(dg: DemoralizedGraph) -> sp.csr_matrix:
 def ngqsw_spec(dg: DemoralizedGraph, omega: float, lindblads=None) -> gksl.WalkSpec:
     """Coherent part (1-omega) H + omega H_rot with the standard and rotating
     Hamiltonians; dissipator weight omega over the given Lindblads, by
-    default the single Fourier-family Lindblad.
-
-    When the copy blocks read the same from both ends, the spec carries the
-    reflection index[v][k] -> index[n-1-v][k] as its candidate symmetry,
-    which gksl.build_generator keeps only if it is exact for these
-    operators: it is on a path numbered in order, as graphs.path numbers
-    it, with symmetrized_path_lindblads, whose two Lindblads it swaps, and
-    it is not for the Fourier Lindblad, which drifts to one side."""
+    default the single Fourier-family Lindblad."""
     gksl.check_omega(omega)
     if lindblads is None:
         lindblads = (build_nonmoral_lindblad(dg, fourier_family(dg)),)
     lindblads = tuple(lindblads)
     h = (1.0 - omega) * standard_hamiltonian(dg) + omega * standard_rotating_hamiltonian(dg)
-    return gksl.WalkSpec(h, lindblads, 1.0, omega, _reflection(dg))
+    return gksl.WalkSpec(h, lindblads, 1.0, omega)
 
 
 def _is_bidirected_path(g: graphs.DiGraph) -> bool:
@@ -157,15 +150,26 @@ def _is_bidirected_path(g: graphs.DiGraph) -> bool:
             and graphs.is_connected(und) and len(g.arcs) == 2 * len(und.edges))
 
 
-def _reflection(dg: DemoralizedGraph):
-    """index[v][k] -> index[n-1-v][k] as a permutation of the enlarged
-    basis, when the block sizes read the same from both ends; None
-    otherwise."""
+def reflection_basis(dg: DemoralizedGraph) -> sp.csr_matrix:
+    """Real orthogonal U, symmetric and its own inverse, that diagonalises
+    the reflection P: copy k of v -> copy k of n-1-v. Row x is e_x for a
+    copy of the centre vertex, which P fixes, and for each mirror pair
+    x < Px rows x and Px are (e_x + e_Px)/sqrt2 and (e_x - e_Px)/sqrt2.
+    An operator that P maps onto itself, such as the path walk's H, has no
+    entry in U H U^T between the rows with a minus sign and the others, and
+    U rho U^T evolves under the walk's operators conjugated by U.
+    WrongTopologyError when the block sizes are not mirror-symmetric."""
     if dg.block_sizes != dg.block_sizes[::-1]:
-        return None
+        raise WrongTopologyError("the copy blocks do not read the same from both ends")
     perm = np.empty(dg.dim, dtype=np.int64)
     perm[np.concatenate(dg.index)] = np.concatenate(dg.index[::-1])
-    return perm
+    x = np.arange(dg.dim)
+    moved = perm != x
+    r = 1.0 / np.sqrt(2.0)
+    rows = np.concatenate([x, x[moved]])
+    cols = np.concatenate([x, perm[moved]])
+    vals = np.concatenate([np.where(moved, np.sign(perm - x) * r, 1.0), np.full(moved.sum(), r)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dg.dim, dg.dim))
 
 
 def symmetrized_path_lindblads(dg: DemoralizedGraph) -> tuple:
@@ -201,7 +205,8 @@ def natural_measure(rhos: np.ndarray, dg: DemoralizedGraph) -> np.ndarray:
     # written so that NaN fails too
     if not np.all((low >= -gksl.DRIFT_TOL) & (np.abs(total - 1.0) <= gksl.DRIFT_TOL)):
         raise NumericalError(f"measurement probabilities are not a distribution: smallest "
-                             f"{low.min()!r}, sums {total.min()!r} to {total.max()!r}")
+                             f"{float(low.min())}, sums {float(total.min())} to "
+                             f"{float(total.max())}")
     return np.ascontiguousarray(diag @ dg.copies)  # rows sum as contiguous profiles
 
 

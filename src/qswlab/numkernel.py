@@ -1,7 +1,6 @@
 """Dense complex linear algebra: eigendecompositions, the spectral weights
 of a diagonal plus rank-one matrix, matrix-exponential action,
-vectorization, and the real Hermitian basis for superoperators with the
-sector of it that a reflection of the basis states fixes.
+vectorization, and the real Hermitian basis for superoperators.
 
 The matrix-exponential action expm_apply is a restarted Arnoldi integrator:
 one Krylov space of dimension KRYLOV_DIM per step, each step as long as
@@ -24,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from scipy.linalg import cython_lapack
 
-from .exceptions import DimensionError, NumericalError, ParameterRangeError, TimeGridError
+from .exceptions import DimensionError, NumericalError, TimeGridError
 
 TOL_HERM = 1e-12
 
@@ -175,55 +174,6 @@ def hermitian_basis(n: int) -> scipy.sparse.csr_matrix:
     vals = np.concatenate([np.ones(n), np.full(2 * p, r), np.full(p, 1j * r),
                            np.full(p, -1j * r)])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
-
-
-def check_involution(perm, n: int) -> np.ndarray:
-    """perm as a read-only int64 array if it is a 1-D integer array of
-    length n with perm[perm[x]] == x for every x in 0..n-1: a permutation of
-    n basis states that is its own inverse. DimensionError for another shape
-    or length, ParameterRangeError for entries that are not integers (NaN
-    and integral floats included) or do not form such a permutation."""
-    p = np.asarray(perm)
-    if p.shape != (n,):
-        raise DimensionError(f"expected a permutation of {n} states, got shape {p.shape}")
-    if p.dtype.kind not in "iu":
-        raise ParameterRangeError(f"permutation entries must be integers, got dtype {p.dtype}")
-    p = p.astype(np.int64)
-    if not (np.all((p >= 0) & (p < n)) and np.array_equal(p[p], np.arange(n))):
-        raise ParameterRangeError("permutation is not its own inverse on 0..n-1")
-    p.setflags(write=False)
-    return p
-
-
-def reflection_sector(perm, n: int) -> scipy.sparse.csr_matrix:
-    """Real n^2 x m matrix W with orthonormal columns that span, in the
-    coordinates of hermitian_basis(n), the Hermitian matrices rho with
-    P rho P^T = rho, for P|x> = |perm[x]> and perm an involution
-    (check_involution).
-
-    In those coordinates rho -> P rho P^T is a signed permutation Q: the
-    diagonal x goes to the diagonal perm[x], the symmetric pair of x < y to
-    that of the sorted (perm[x], perm[y]), and the antisymmetric pair to
-    that pair too, negated when perm reverses the order of x and y. Q is an
-    involution, so W has one column e_c for each coordinate c that Q fixes
-    with sign +1 and one column (e_c +- e_q)/sqrt2 for each pair c < q that
-    Q swaps, in the order of c. A superoperator that commutes with P x P
-    has a real form that maps the span of W into itself."""
-    perm = check_involution(perm, n)
-    x, y = np.triu_indices(n, 1)
-    a, b = perm[x], perm[y]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    pair = lo * (2 * n - lo - 1) // 2 + hi - lo - 1  # position of (lo, hi) among x < y
-    target = np.concatenate([perm, n + pair, n + x.size + pair])
-    sign = np.concatenate([np.ones(n + x.size), np.where(a < b, 1.0, -1.0)])
-    coord = np.arange(target.size)
-    keep = np.flatnonzero((target > coord) | ((target == coord) & (sign > 0)))
-    swapped = target[keep] > keep
-    r = 1.0 / math.sqrt(2.0)
-    rows = np.concatenate([keep, target[keep[swapped]]])
-    cols = np.concatenate([np.arange(keep.size), np.flatnonzero(swapped)])
-    vals = np.concatenate([np.where(swapped, r, 1.0), r * sign[keep[swapped]]])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, keep.size))
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,20 @@ def pure_state(n: int, k: int) -> np.ndarray:
     return rho
 
 
+def reflected_evolution(dg, spec, rho0, times) -> np.ndarray:
+    """The states of the walk spec on dg from rho0, evolved as propagate
+    evolves a centred path walk and rotated back: for U of
+    nonmoral.reflection_basis(dg), gksl.evolve runs the generator of
+    U H U^T and the U L U^T from U rho0 U^T, and each state rho becomes
+    U^T rho U."""
+    u = nonmoral.reflection_basis(dg)
+    rotated = gksl.WalkSpec(u @ spec.hamiltonian @ u.T,
+                            tuple(u @ l @ u.T for l in spec.lindblads),
+                            spec.ham_weight, spec.diss_weight)
+    rhos = gksl.evolve(gksl.build_generator(rotated), u @ rho0 @ u.T, times)
+    return np.array([u.T @ rho @ u for rho in rhos])
+
+
 def measure(rho: np.ndarray) -> np.ndarray:
     """Canonical-basis measurement probabilities, the real diagonal of rho,
     if they form a distribution to gksl.DRIFT_TOL, the tolerance `evolve`
@@ -250,7 +264,7 @@ def measure(rho: np.ndarray) -> np.ndarray:
     # written so that NaN fails too
     if not (p.min() >= -gksl.DRIFT_TOL and abs(p.sum() - 1.0) <= gksl.DRIFT_TOL):
         raise NumericalError(f"measurement probabilities are not a distribution: "
-                             f"smallest {p.min()!r}, sum {p.sum()!r}")
+                             f"smallest {float(p.min())}, sum {float(p.sum())}")
     return p
 
 

@@ -48,9 +48,10 @@ def test_scaling_exponents_exact_power():
 
 
 def test_scaling_exponents_rejects_nonpositive():
-    with pytest.raises(NonPositiveDataError):
+    """The message names the first bad point in plain floats."""
+    with pytest.raises(NonPositiveDataError, match=r"got -1\.0 at t = 2\.0$"):
         analysis.scaling_exponents([1, 2, 3], [1.0, -1.0, 2.0], batch=2)
-    with pytest.raises(NonPositiveDataError):
+    with pytest.raises(NonPositiveDataError, match=r"got 1\.0 at t = 0\.0$"):
         analysis.scaling_exponents([0, 2, 3], [1.0, 1.0, 2.0], batch=2)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qswlab import gksl, graphs, nonmoral, numkernel
+from qswlab import cli, gksl, graphs, nonmoral, numkernel
 from qswlab.exceptions import (DensityInvariantViolated, DimensionError, NumericalError,
                                ParameterRangeError, TimeGridError)
 
@@ -301,37 +301,37 @@ def _path_walk(length, omega, lindblads="symmetrized"):
     return dg, nonmoral.ngqsw_spec(dg, omega, lbs)
 
 
-def _evolve_logged(caplog, gen, rho0, times):
-    """evolve's states, and the coordinate count n of the matrix that its
-    one expm_apply call was given, read from that call's DEBUG record."""
+def _expm_logged(caplog, run, *args):
+    """run(*args), and the evolved coordinates and the coordinate count n
+    of the one expm_apply call it makes, read from that call's DEBUG
+    record."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
-        got = gksl.evolve(gen, rho0, times)
+        got = run(*args)
     (record,) = caplog.records
-    return got, record.args[-1]   # the last argument is n
+    return got, record.args[-2:]
 
 
 @pytest.mark.parametrize("length", [7, 31, 61])
 @pytest.mark.parametrize("omega", [0.3, 0.5, 0.8])
 def test_evolve_on_the_reflection_sector_matches_the_unreduced_evolution(caplog, length,
                                                                           omega):
-    """From the centre of an odd path, evolve runs on the sector that the
-    path reflection fixes, and every state agrees to 1e-13 with the
-    evolution of the same S without the symmetry. An involution with f
-    fixed points of d states fixes (d^2 + f^2)/2 dimensions of the d x d
-    Hermitian matrices, the trace of rho -> P rho P^T being f^2: 7,202 of
-    14,400 at length 61."""
+    """From the centre of an odd path, the walk evolved in the reflection's
+    basis (oracles.reflected_evolution) agrees with the plain evolution to
+    1e-13 in every state, and so do the profiles of propagate's route,
+    cli._ngqsw_path_profiles. expm_apply evolves only the start's part of
+    the split real form: 3,661 of the 14,400 coordinates at length 61."""
     dg, spec = _path_walk(length, omega)
-    gen = gksl.build_generator(spec)
-    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
     rho0 = nonmoral.block_mixed_state(dg, (length - 1) // 2)
     times = np.arange(5.0, 31.0, 5.0)
-    got, n = _evolve_logged(caplog, gen, rho0, times)
-    fixed = int(np.sum(gen.symmetry == np.arange(gen.dim)))
-    assert n == (gen.dim ** 2 + fixed ** 2) // 2 < gen.dim ** 2
+    got, (evolved, n) = _expm_logged(caplog, oracles.reflected_evolution, dg, spec, rho0, times)
+    assert n == dg.dim ** 2 and 2 * evolved < n
     if length == 61:
-        assert (n, gen.dim ** 2) == (7202, 14400)
-    assert np.abs(got - gksl.evolve(plain, rho0, times)).max() <= 1e-13
+        assert (evolved, n) == (3661, 14400)
+    want = gksl.evolve(gksl.build_generator(spec), rho0, times)
+    assert np.abs(got - want).max() <= 1e-13
+    profiles, _ = cli._ngqsw_path_profiles(length, (length - 1) // 2, omega, times)
+    assert np.abs(profiles - nonmoral.natural_measure(want, dg)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -355,66 +355,15 @@ def test_evolve_of_short_centred_path_walks_matches_dense_expm(length):
 @pytest.mark.parametrize("length, start, lindblads", [
     (60, 29, "symmetrized"),   # even: no vertex is the centre
     (31, 10, "symmetrized"),   # off-centre start
-    (31, 15, "fourier"),       # the Fourier Lindblad carries no symmetry
+    (31, 15, "fourier"),       # the Fourier Lindblad drifts to one side
 ])
 def test_evolve_runs_unreduced_when_the_start_is_not_fixed(caplog, length, start, lindblads):
-    """expm_apply runs on all dim^2 coordinates, and the states are exactly
-    those of the same S without the symmetry."""
+    """evolve hands expm_apply the whole real form: all dim^2 coordinates."""
     dg, spec = _path_walk(length, 0.5, lindblads)
     gen = gksl.build_generator(spec)
-    assert (gen.symmetry is None) == (lindblads == "fourier")
-    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
     rho0 = nonmoral.block_mixed_state(dg, start)
-    times = np.arange(5.0, 31.0, 5.0)
-    got, n = _evolve_logged(caplog, gen, rho0, times)
+    _, (_, n) = _expm_logged(caplog, gksl.evolve, gen, rho0, np.arange(5.0, 31.0, 5.0))
     assert n == gen.dim ** 2
-    assert np.array_equal(got, gksl.evolve(plain, rho0, times))
-
-
-def test_build_generator_keeps_a_checked_symmetry():
-    _, spec = _path_walk(7, 0.5)
-    gen = gksl.build_generator(spec)
-    assert np.array_equal(gen.symmetry, spec.symmetry)
-    assert not gen.symmetry.flags.writeable
-
-
-@pytest.mark.parametrize("symmetry, error", [
-    ("zeros", ParameterRangeError),         # not a permutation
-    ("short", DimensionError),              # one entry too few
-])
-def test_build_generator_refuses_a_false_symmetry(symmetry, error):
-    _, fourier = _path_walk(7, 0.5, "fourier")
-    perm = {"zeros": np.zeros_like(fourier.symmetry),
-            "short": fourier.symmetry[:-1]}[symmetry]
-    with pytest.raises(error):
-        gksl.build_generator(dataclasses.replace(fourier, symmetry=perm))
-
-
-def test_build_generator_drops_a_candidate_that_fails():
-    """The reflection is a well-formed involution but no symmetry of the
-    Fourier walk: the generator carries none, and evolve gives exactly the
-    states of the same S built without a candidate."""
-    dg, fourier = _path_walk(7, 0.5, "fourier")
-    assert fourier.symmetry is not None
-    gen = gksl.build_generator(fourier)
-    assert gen.symmetry is None
-    rho0 = nonmoral.block_mixed_state(dg, 3)
-    times = np.arange(1.0, 4.0)
-    plain = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
-    assert np.array_equal(gksl.evolve(gen, rho0, times), gksl.evolve(plain, rho0, times))
-
-
-def test_is_symmetry_needs_exact_operators():
-    """A perturbation of one Hamiltonian entry by 1e-15 breaks the check."""
-    _, spec = _path_walk(7, 0.5)
-    assert gksl.is_symmetry(spec.symmetry, spec.hamiltonian, spec.lindblads)
-    h = spec.hamiltonian.toarray()
-    h[0, 1] += 1e-15
-    h[1, 0] += 1e-15
-    assert not gksl.is_symmetry(spec.symmetry, h, spec.lindblads)
-    assert not gksl.is_symmetry(spec.symmetry, spec.hamiltonian, spec.lindblads[:1])
-    with pytest.raises(DimensionError):
-        gksl.is_symmetry(spec.symmetry, spec.hamiltonian, (np.eye(3),))
 
 
 def test_evolve_rejects_bad_grids():

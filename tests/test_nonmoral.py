@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,13 @@ def test_symmetrized_segment_profiles():
     assert max(abs(p1[k] - p1[n - 1 - k]) for k in range(n)) > 1e-3
 
 
+def _reflection(dg):
+    """The permutation copy k of v -> copy k of n-1-v of the enlarged basis."""
+    perm = np.empty(dg.dim, dtype=np.int64)
+    perm[np.concatenate(dg.index)] = np.concatenate(dg.index[::-1])
+    return perm
+
+
 @pytest.mark.parametrize("length", [7, 61])
 def test_path_reflection_is_exact(length):
     """P maps H = (1 - w) H_std + w H_rot onto itself and swaps the two
@@ -271,7 +280,7 @@ def test_path_reflection_is_exact(length):
     dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
     l1, l2 = nonmoral.symmetrized_path_lindblads(dg)
     spec = nonmoral.ngqsw_spec(dg, 0.3, (l1, l2))
-    perm = spec.symmetry
+    perm = _reflection(dg)
     assert np.array_equal(perm[[dg.index[v][-1] for v in range(length)]],
                           [dg.index[length - 1 - v][-1] for v in range(length)])
 
@@ -284,26 +293,80 @@ def test_path_reflection_is_exact(length):
     assert np.array_equal(conj(l2), l1.toarray())
 
 
-def test_generator_keeps_no_reflection_that_fails():
-    """The spec proposes the reflection whenever the block sizes are
-    mirror-symmetric, and the generator drops it for the Fourier Lindblad
-    on a path (P L P^T - L has entries of size 2) and for a path numbered
-    out of order. The star's block sizes are not mirror-symmetric, so its
-    spec proposes none."""
-    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
-    spec = nonmoral.ngqsw_spec(dg, 0.5)
-    (fourier,), perm = spec.lindblads, spec.symmetry
-    assert np.abs(fourier[perm][:, perm] - fourier).max() == 2
-    assert gksl.build_generator(spec).symmetry is None
+@pytest.mark.parametrize("length", [2, 3, 7, 60, 61])
+def test_reflection_basis_is_orthogonal_and_diagonalises_the_reflection(length):
+    """U is symmetric, U^T U = I within 1e-15, and U P U^T is diagonal with
+    -1 on the rows of the mirror pairs' differences and +1 elsewhere: a row
+    is e_x for a copy of the centre vertex, or (e_x +- e_Px)/sqrt2."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
+    u = nonmoral.reflection_basis(dg).toarray()
+    assert np.array_equal(u, u.T)
+    assert np.abs(u.T @ u - np.eye(dg.dim)).max() <= 1e-15
+    perm = _reflection(dg)
+    p = np.eye(dg.dim)[:, perm]
+    odd = (u < 0).any(axis=1)
+    assert np.abs(u @ p @ u.T - np.diag(np.where(odd, -1.0, 1.0))).max() <= 1e-15
+    assert np.count_nonzero(u, axis=1).max() <= 2
+    fixed = np.flatnonzero(perm == np.arange(dg.dim))
+    assert np.array_equal(u[fixed], np.eye(dg.dim)[fixed])
+    assert len(fixed) == (dg.block_sizes[length // 2] if length % 2 else 0)
+
+
+def _crossings(m, odd):
+    """The stored entries of m between the rows that odd marks and the rest."""
+    c = m.tocoo()
+    return int(np.count_nonzero(odd[c.row] != odd[c.col]))
+
+
+@pytest.mark.parametrize("length", [3, 7, 61])
+@pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 0.8, 1.0])
+def test_reflection_basis_splits_the_path_walk_by_parity(length, omega):
+    """In the reflection's basis, the path walk's H, its generator S and the
+    real form of S store no entry between the two parity classes: each
+    such entry is a float plus its exact negative, which rounds to 0.0 and
+    is dropped. The parity of a matrix coordinate (x, y) is that of x
+    plus that of y."""
+    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
+    u = nonmoral.reflection_basis(dg)
+    odd = (u < 0).toarray().any(axis=1)
+    spec = nonmoral.ngqsw_spec(dg, omega, nonmoral.symmetrized_path_lindblads(dg))
+    h = u @ spec.hamiltonian @ u.T
+    gen = gksl.build_generator(gksl.WalkSpec(h, tuple(u @ l @ u.T for l in spec.lindblads),
+                                             spec.ham_weight, spec.diss_weight))
+    assert _crossings(h, odd) == 0
+    pairs = odd[:, None] != odd[None, :]
+    assert _crossings(gen.s, pairs.ravel()) == 0
+    x, y = np.triu_indices(dg.dim, 1)
+    assert _crossings(gen.real.matrix, np.concatenate([np.zeros(dg.dim, bool),
+                                                       pairs[x, y], pairs[x, y]])) == 0
+
+
+def test_reflection_basis_rejects_blocks_that_are_not_mirror_symmetric():
     star = nonmoral.demoralize(graphs.to_digraph(graphs.star(5)))
-    assert nonmoral.ngqsw_spec(star, 0.5).symmetry is None
-    # the path 0-2-1-3-4: mirror-symmetric block sizes, but v -> 4 - v is no automorphism
+    assert star.block_sizes != star.block_sizes[::-1]
+    with pytest.raises(WrongTopologyError):
+        nonmoral.reflection_basis(star)
+
+
+def test_reflection_basis_needs_no_symmetry_of_the_walk():
+    """U is orthogonal, so evolving in its basis gives the same states to
+    1e-13 whether or not the reflection maps the walk onto itself: it does
+    not for the Fourier Lindblad on a path (P L P^T - L has entries of size
+    2), nor on the path 0-2-1-3-4, whose block sizes read the same from
+    both ends but for which v -> 4 - v is no automorphism."""
+    path = nonmoral.demoralize(graphs.to_digraph(graphs.path(7)))
+    fourier = nonmoral.ngqsw_spec(path, 0.5)
+    (l,), perm = fourier.lindblads, _reflection(path)
+    assert np.abs(l[perm][:, perm] - l).max() == 2
     shuffled = nonmoral.demoralize(graphs.to_digraph(
         graphs.Graph(5, frozenset({(0, 2), (1, 2), (1, 3), (3, 4)}))))
     assert shuffled.block_sizes == shuffled.block_sizes[::-1]
-    spec = nonmoral.ngqsw_spec(shuffled, 0.5, nonmoral.symmetrized_path_lindblads(shuffled))
-    assert spec.symmetry is not None
-    assert gksl.build_generator(spec).symmetry is None
+    times = np.arange(1.0, 4.0)
+    for dg, spec in ((path, fourier), (shuffled, nonmoral.ngqsw_spec(
+            shuffled, 0.5, nonmoral.symmetrized_path_lindblads(shuffled)))):
+        rho0 = nonmoral.block_mixed_state(dg, 2)
+        want = gksl.evolve(gksl.build_generator(spec), rho0, times)
+        assert np.abs(oracles.reflected_evolution(dg, spec, rho0, times) - want).max() <= 1e-13
 
 
 def test_symmetrized_lindblads_reject_non_path():
@@ -325,10 +388,11 @@ def test_natural_measure_block_indicator():
 @pytest.mark.parametrize("diag", [[0.0, 0.0, 1.001, -1e-3], [0.3, 0.3, 0.15, 0.15]])
 def test_natural_measure_rejects_non_distribution(diag):
     """A negative copy, even inside a block with a positive total, and a
-    trace of 0.9 are errors, not clipped or renormalised away."""
+    trace of 0.9 are errors, not clipped or renormalised away. The message
+    gives plain floats, such as "smallest 0.15, sums 0.9 to 1.0"."""
     dg = nonmoral.demoralize(oracles.moral_triangle())
-    with pytest.raises(NumericalError):   # one state off is enough
-        nonmoral.natural_measure([np.eye(4) / 4, np.diag(diag)], dg)
+    with pytest.raises(NumericalError, match=re.escape(f"smallest {min(diag)}, sums ")):
+        nonmoral.natural_measure([np.eye(4) / 4, np.diag(diag)], dg)   # one state off is enough
 
 
 def test_sink_block_state_is_stationary():

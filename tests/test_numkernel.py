@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qswlab import gksl, graphs, nonmoral, numkernel
-from qswlab.exceptions import DimensionError, NumericalError, ParameterRangeError, TimeGridError
+from qswlab import cli, gksl, graphs, nonmoral, numkernel
+from qswlab.exceptions import DimensionError, NumericalError, TimeGridError
 
 
 def random_hermitian(n, seed):
@@ -198,37 +198,55 @@ def test_expm_apply_logs_one_debug_record(caplog):
     assert evolved == n == 80
 
 
-def _benchmark_walk_record(caplog, reduced):
-    """The DEBUG record of expm_apply for the length-61 ngqsw walk from the
-    centre over the grid t = 5, 10, ..., 30, with the generator's path
-    reflection or, if not reduced, the same S without it."""
-    dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(61)))
-    gen = gksl.build_generator(nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg)))
-    if not reduced:
-        gen = gksl.EvolutionGenerator(s=gen.s, dim=gen.dim)
+def _centred_walk_record(caplog, length, times, rotated):
+    """The DEBUG record of expm_apply for the ngqsw walk on a path from the
+    vertex (length - 1) // 2, evolved by propagate's route
+    (cli._ngqsw_path_profiles) or, if not rotated, by gksl.evolve in the
+    basis of copies."""
+    start = (length - 1) // 2
     with caplog.at_level(logging.DEBUG, logger="qswlab.numkernel"):
-        gksl.evolve(gen, nonmoral.block_mixed_state(dg, 30), np.arange(5.0, 31.0, 5.0))
+        if rotated:
+            cli._ngqsw_path_profiles(length, start, 0.5, times)
+        else:
+            dg = nonmoral.demoralize(graphs.to_digraph(graphs.path(length)))
+            spec = nonmoral.ngqsw_spec(dg, 0.5, nonmoral.symmetrized_path_lindblads(dg))
+            gksl.evolve(gksl.build_generator(spec), nonmoral.block_mixed_state(dg, start), times)
     (record,) = caplog.records
     return record.args
 
 
+BENCHMARK_GRID = np.arange(5.0, 31.0, 5.0)
+
+
 def test_expm_apply_evolves_one_block_of_the_ngqsw_benchmark_walk(caplog):
-    """The centred start of the length-61 ngqsw walk lies in the 7,202
-    coordinates of the sector that the path reflection fixes, and the
-    sector form splits into blocks that share no nonzero: only the start's
-    3,661 coordinates are evolved, in 310 matvecs."""
-    matvecs, steps, _, _, evolved, n = _benchmark_walk_record(caplog, reduced=True)
-    assert (evolved, n) == (3661, 7202)
+    """propagate evolves the length-61 walk from its centre in the
+    reflection's basis, where the real form splits by parity and again
+    within the start's class: only the start's 3,661 of the 14,400
+    coordinates are evolved, in 310 matvecs over t = 5...30."""
+    matvecs, steps, _, _, evolved, n = _centred_walk_record(caplog, 61, BENCHMARK_GRID, True)
+    assert (evolved, n) == (3661, 14400)
     assert (matvecs, steps) == (310, 10)
 
 
 def test_expm_apply_evolves_one_block_of_the_unreduced_ngqsw_benchmark_walk(caplog):
-    """Without the symmetry, the real form of the same generator splits into
-    two blocks that share no nonzero, and the start lies in the first: only
-    its 7,260 of the 14,400 coordinates are evolved, in 310 matvecs."""
-    matvecs, steps, _, _, evolved, n = _benchmark_walk_record(caplog, reduced=False)
+    """In the basis of copies, the real form of the same generator splits
+    into two blocks that share no nonzero, and the start lies in the first:
+    only its 7,260 of the 14,400 coordinates are evolved, in 310 matvecs."""
+    matvecs, steps, _, _, evolved, n = _centred_walk_record(caplog, 61, BENCHMARK_GRID, False)
     assert (evolved, n) == (7260, 14400)
     assert (matvecs, steps) == (310, 10)
+
+
+@pytest.mark.parametrize("length, evolved, n", [
+    (60, 7021, 13924),    # even: not rotated, the path's sublattices stay apart
+    (121, 14521, 57600),  # propagate's default length
+])
+def test_propagate_route_evolves_the_start_block(caplog, length, evolved, n):
+    """An even length is evolved in the basis of copies, since the
+    reflection would mix the path's two sublattices, which the walk keeps
+    apart; the default odd length is rotated. The evolved block does not
+    depend on the grid."""
+    assert _centred_walk_record(caplog, length, [1.0], True)[-2:] == (evolved, n)
 
 
 def _interleaved_blocks():
@@ -453,65 +471,6 @@ def test_rank_one_eig_solver_failure_raises(monkeypatch):
 def test_hermitian_basis_rejects_empty():
     with pytest.raises(DimensionError):
         numkernel.hermitian_basis(0)
-
-
-def _involutions():
-    yield [0]
-    yield [1, 0]
-    yield [0, 1, 2]
-    yield [2, 1, 0]
-    yield [3, 2, 1, 0, 4]
-    rng = np.random.default_rng(5)
-    for n in (5, 6):
-        perm = np.arange(n)
-        x = rng.permutation(n)[:4]
-        perm[x[:2]], perm[x[2:]] = x[2:], x[:2]
-        yield perm
-
-
-@pytest.mark.parametrize("perm", list(_involutions()), ids=str)
-def test_reflection_sector_projects_onto_the_fixed_hermitian_matrices(perm):
-    """W W^T is the projector (I + Q)/2 onto the +1 sector of the map Q that
-    rho -> P rho P^T induces on the coordinates, formed densely from T and
-    P x P, and every column of T W is a Hermitian matrix that P fixes."""
-    n = len(perm)
-    w = numkernel.reflection_sector(perm, n).toarray()
-    t = numkernel.hermitian_basis(n).toarray()
-    p = np.eye(n)[:, perm]  # P|x> = |perm[x]>
-    q = t.conj().T @ np.kron(p, p) @ t
-    assert np.abs(q.imag).max() < 1e-15
-    assert np.abs(w.T @ w - np.eye(w.shape[1])).max() < 1e-15
-    assert np.abs(w @ w.T - (np.eye(n * n) + q.real) / 2).max() < 1e-15
-    assert np.count_nonzero(w, axis=0).max() <= 2
-    for col in (t @ w).T:
-        b = col.reshape(n, n)
-        assert np.array_equal(b, b.conj().T)
-        assert np.abs(p @ b @ p.T - b).max() < 1e-15
-
-
-@pytest.mark.parametrize("perm, n, error", [
-    ([0, 1], 3, DimensionError),
-    ([[0, 1]], 2, DimensionError),
-    ([1, 2, 0], 3, ParameterRangeError),   # a permutation, not an involution
-    ([0, 0, 2], 3, ParameterRangeError),
-    ([0, 1, 3], 3, ParameterRangeError),
-    ([-1, 1, 2], 3, ParameterRangeError),
-    ([0.0, 1.0, 2.0], 3, ParameterRangeError),
-    ([np.nan, 1, 2], 3, ParameterRangeError),
-    ([False, True], 2, ParameterRangeError),
-])
-def test_check_involution_rejects(perm, n, error):
-    with pytest.raises(error):
-        numkernel.check_involution(perm, n)
-    with pytest.raises(error):
-        numkernel.reflection_sector(perm, n)
-
-
-def test_check_involution_returns_a_read_only_copy():
-    perm = [2, 1, 0]
-    got = numkernel.check_involution(np.array(perm, dtype=np.int32), 3)
-    assert got.dtype == np.int64 and np.array_equal(got, perm)
-    assert not got.flags.writeable
 
 
 def test_unitary_apply_matches_expm():
