@@ -30,9 +30,11 @@ def second_moment(p: np.ndarray, positions: np.ndarray) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.size == 0 or pos.shape != p.shape[1:]:
         raise DimensionError(f"need a (T, n) stack and n positions, got {p.shape} and {pos.shape}")
-    # written so that NaN fails too
-    if not (np.all((p.min(axis=1) >= -MOMENT_TOL) & (np.abs(p.sum(axis=1) - 1.0) <= MOMENT_TOL))
-            and np.all(np.isfinite(pos))):
+    # written so that NaN fails too, the NaN or inf of a sum such as inf - inf included
+    with np.errstate(invalid="ignore", over="ignore"):
+        is_distribution = ((p.min(axis=1) >= -MOMENT_TOL)
+                           & (np.abs(p.sum(axis=1) - 1.0) <= MOMENT_TOL))
+    if not (np.all(is_distribution) and np.all(np.isfinite(pos))):
         raise ParameterRangeError("probabilities must form a distribution over finite "
                                   "positions")
     with np.errstate(over="ignore"):
