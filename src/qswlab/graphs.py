@@ -77,24 +77,27 @@ class Graph:
         return np.diff(arc_matrix(self).indptr)
 
 
-def adjacency(g) -> np.ndarray:
+def adjacency(g) -> sp.csr_matrix:
     """A[w, v] = 1 iff (v, w) is an arc; symmetric for undirected input.
-    The dense transpose of arc_matrix."""
-    return arc_matrix(g).T.toarray()
+    The transpose of arc_matrix, in CSR form."""
+    return arc_matrix(g).T.tocsr()
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    a = adjacency(g)
-    return np.diag(a.sum(axis=0)) - a
+def laplacian(g: Graph) -> sp.csr_matrix:
+    """L = D - A in CSR form, from one arc_matrix call."""
+    a = arc_matrix(g)
+    return (sp.diags(np.diff(a.indptr).astype(float)) - a).tocsr()
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    d = g.degrees().astype(float)
+def normalized_laplacian(g: Graph) -> sp.csr_matrix:
+    """L_norm = I - D^-1/2 A D^-1/2 in CSR form, from one arc_matrix call;
+    IsolatedVertexError for a vertex of degree 0."""
+    a = arc_matrix(g)
+    d = np.diff(a.indptr)
     if np.any(d == 0):
         raise IsolatedVertexError("normalized Laplacian undefined with isolated vertices")
-    inv_sqrt = 1.0 / np.sqrt(d)
-    a = adjacency(g)
-    return np.eye(g.n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    inv_sqrt = sp.diags(1.0 / np.sqrt(d))
+    return (sp.identity(g.n, format="csr") - inv_sqrt @ a @ inv_sqrt).tocsr()
 
 
 def underlying(g: DiGraph) -> Graph:

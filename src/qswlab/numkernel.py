@@ -1,6 +1,5 @@
-"""Dense complex linear algebra: eigendecompositions, the spectral weights
-of a diagonal plus rank-one matrix, matrix-exponential action,
-vectorization, and the real Hermitian basis for superoperators.
+"""Dense complex linear algebra: eigendecompositions, matrix-exponential
+action, vectorization, and the real Hermitian basis for superoperators.
 
 The matrix-exponential action expm_apply is a restarted Arnoldi integrator:
 one Krylov space of dimension KRYLOV_DIM per step, each step as long as
@@ -12,7 +11,6 @@ vec(A B C) = (A kron C^T) vec(B).
 """
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +19,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-from scipy.linalg import cython_lapack
 
 from .exceptions import DimensionError, NumericalError, TimeGridError
 
@@ -64,81 +61,6 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending and orthonormal eigenvectors as columns, as
     np.linalg.eigh returns them."""
     return np.linalg.eigh(check_hermitian(h))
-
-
-def _lapack_routine(name: str, nargs: int):
-    """A LAPACK routine from scipy's Cython table, called through ctypes.
-
-    Every argument of a Fortran routine is a pointer. The capsule's name
-    carries the C signature and is also the key that unlocks the pointer."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule = cython_lapack.__pyx_capi__[name]
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
-
-
-# DLAED9(K, KSTART, KSTOP, N, D, Q, LDQ, RHO, DLAMDA, W, S, LDS, INFO): the
-# secular-equation roots by dlaed4 (Gu and Eisenstat's scheme) and the
-# eigenvectors from the recomputed updating vector, orthogonal to working
-# precision.
-_DLAED9 = _lapack_routine("dlaed9", 13)
-
-
-def rank_one_eig(d: np.ndarray, z: np.ndarray, zx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, weights): the eigenvalues mu_i of M = diag(d) + z z^T that
-    deflation keeps, ascending, and c_i = (z^T u_i)(u_i^T x) for their
-    eigenvectors u_i, so that sum_i c_i f(mu_i) = z^T f(M) x, in O(n^2). The
-    start x, complex allowed, is given as zx = z * x. Every eigenvector that
-    deflation drops is orthogonal to z to within its tolerance.
-
-    Deflation follows LAPACK dlaed2 with tol = 8 eps max(|d|, |z|): weights
-    |z_j| <= tol are dropped, and sorted poles whose gap is at most tol merge
-    into one pole at their z^2-weighted mean with weight ||z_group||. The K
-    remaining poles are strictly increasing and go to one dlaed9 call with
-    w = zeta / ||zeta|| and rho = ||zeta||^2. Raises DimensionError or
-    NumericalError for bad input, and NumericalError when dlaed9 fails.
-    """
-    d = np.asarray(d, dtype=float)
-    z = np.asarray(z, dtype=float)
-    zx = np.asarray(zx)   # complex allowed
-    if d.ndim != 1 or z.shape != d.shape or zx.shape != d.shape:
-        raise DimensionError(f"shape mismatch: d {d.shape}, z {z.shape}, zx {zx.shape}")
-    if not all(np.all(np.isfinite(a)) for a in (d, z, zx)):
-        raise NumericalError("rank-one update has non-finite entries")
-    tol = 8.0 * np.finfo(float).eps * max(np.abs(d).max(initial=0.0),
-                                          np.abs(z).max(initial=0.0))
-    order = np.argsort(d, kind="stable")
-    index = order[np.abs(z[order]) > tol]
-    poles = d[index]
-    # group g spans index[starts[g]:starts[g + 1]]
-    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > tol)
-    k = starts.size
-    if k == 0:
-        return np.zeros(0), np.zeros(0)
-    sq = z[index] ** 2
-    norms = np.sqrt(np.add.reduceat(sq, starts))   # ||z_group||
-    merged = np.add.reduceat(sq * poles, starts) / norms**2
-    rho = float(norms @ norms)
-    w = norms / math.sqrt(rho)
-    values = np.empty(k)
-    work = np.empty((k, k), order="F")
-    vectors = np.empty((k, k), order="F")   # in the basis of group directions z_group / ||z_group||
-    k_c, one, info = ctypes.c_int(k), ctypes.c_int(1), ctypes.c_int(0)
-    rho_c = ctypes.c_double(rho)
-    ref = ctypes.byref
-    # K serves as KSTOP, N, LDQ and LDS
-    _DLAED9(ref(k_c), ref(one), ref(k_c), ref(k_c), values.ctypes.data,
-            work.ctypes.data, ref(k_c), ref(rho_c),
-            merged.ctypes.data, w.ctypes.data, vectors.ctypes.data, ref(k_c),
-            ref(info))
-    if info.value != 0:
-        raise NumericalError(f"secular equation solver dlaed9 failed (INFO = {info.value})")
-    # the coordinates of x along the group directions
-    x_groups = np.add.reduceat(zx[index], starts) / norms
-    return values, (norms @ vectors) * (x_groups @ vectors)
 
 
 def eig_general(m) -> np.ndarray:

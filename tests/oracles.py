@@ -1,17 +1,22 @@
 """Reference helpers that only the tests use as oracles: closed forms,
-dense and loop references, the Monte Carlo hitting-time estimator, the
-named fixture graphs and pure states, and the hypothesis strategy for
-random walk generators that several tests share."""
+dense and loop references (the dense search route with its secular-equation
+solver among them), the Monte Carlo hitting-time estimator, the named
+fixture graphs and pure states, and the hypothesis strategy for random walk
+generators that several tests share."""
+import ctypes
 import math
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import strategies as st
 from scipy import special
+from scipy.linalg import cython_lapack
 from scipy.sparse import csgraph
 
 from qswlab import gksl, graphs, nonmoral, numkernel, search
 from qswlab.exceptions import (
+    DimensionError,
     IsolatedVertexError,
     NumericalError,
     ParameterRangeError,
@@ -35,12 +40,12 @@ def search_matrix(g, kind: str) -> np.ndarray:
     """Dense H_G with top eigenvalue 1: A / lambda_max(A), I - L / lambda_max(L)
     or I - L_norm."""
     if kind == "adjacency":
-        a = graphs.adjacency(g)
+        a = graphs.adjacency(g).toarray()
         return a / np.linalg.eigvalsh(a)[-1]
     if kind == "laplacian":
-        lap = graphs.laplacian(g)
+        lap = graphs.laplacian(g).toarray()
         return np.eye(g.n) - lap / np.linalg.eigvalsh(lap)[-1]
-    return np.eye(g.n) - graphs.normalized_laplacian(g)
+    return np.eye(g.n) - graphs.normalized_laplacian(g).toarray()
 
 
 def lambert_w_bisect(x: float, branch: int) -> float:
@@ -65,7 +70,7 @@ def lambert_w_bisect(x: float, branch: int) -> float:
 
 
 def assert_spectral_weights(d, z, x, values, weights):
-    """The weights of numkernel.rank_one_eig expand z^T f(M) x over its
+    """The weights of rank_one_eig expand z^T f(M) x over its
     eigenvalues: sum_i c_i f(mu_i) = z^T f(M) x for M = diag(d) + z z^T from
     a dense eigh and f = 1, mu, mu^2 and exp(-1.7 i mu), to 1e-12 relative
     to the same sum with every term in modulus."""
@@ -108,7 +113,7 @@ def gqsw_spectrum_commuting(g, omega: float) -> np.ndarray:
     """Generator eigenvalues for an undirected GQSW, where H and L commute:
     lambda_ij = -i(1-omega)(d_i - d_j) - (omega/2)(d_i - d_j)^2 over the
     adjacency eigenvalues d."""
-    d = np.linalg.eigvalsh(graphs.adjacency(g))
+    d = np.linalg.eigvalsh(graphs.adjacency(g).toarray())
     diff = d[:, None] - d[None, :]
     lam = -1j * (1.0 - omega) * diff - 0.5 * omega * diff * diff
     return lam.ravel()
@@ -199,6 +204,16 @@ def complete_plus_leaf(n: int) -> graphs.Graph:
     edges = set((u, v) for u in range(n - 1) for v in range(u + 1, n - 1))
     edges.add((0, n - 1))
     return graphs.Graph(n, frozenset(edges))
+
+
+def broom(length: int, leaves: int, both_ends: bool = False) -> graphs.Graph:
+    """A path of `length` vertices with `leaves` leaves on its last vertex,
+    and as many on its first vertex too when both_ends."""
+    edges = {(v, v + 1) for v in range(length - 1)}
+    hubs = (length - 1, 0) if both_ends else (length - 1,)
+    for k in range(leaves * len(hubs)):
+        edges.add((hubs[k % len(hubs)], length + k))
+    return graphs.Graph(length + leaves * len(hubs), frozenset(edges))
 
 
 def circulant_jump2(n: int) -> graphs.DiGraph:
@@ -384,9 +399,13 @@ def series_probability(k: int, t: float, omega: float) -> float:
 # Search references
 
 def spectrum_of(h: np.ndarray) -> search.SearchSpectrum:
-    """Spectrum of a Hermitian matrix used as H_G without normalizing it."""
-    values, vectors = numkernel.eig_hermitian(np.asarray(h))
-    return search.SearchSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
+    """A Hermitian matrix used as H_G without normalizing it, with its
+    principal vector, gap and spectral radius from one dense eigh."""
+    h = np.asarray(h)
+    values, vectors = numkernel.eig_hermitian(h)
+    return search.SearchSpectrum(matrix=scipy.sparse.csr_matrix(h), principal=vectors[:, -1],
+                                 gap=float(values[-1] - values[-2]) if h.shape[0] > 1 else 0.0,
+                                 radius=float(np.abs(values).max(initial=0.0)))
 
 
 def shift_rescale(h: np.ndarray) -> np.ndarray:
@@ -394,15 +413,139 @@ def shift_rescale(h: np.ndarray) -> np.ndarray:
 
     Balancing the second and bottom eigenvalues maximizes the worst-case
     success bound over shifts; eigenvectors are untouched. h must be
-    Hermitian (numkernel.check_hermitian) with a simple top eigenvalue by
-    the rule of SearchSpectrum.
+    Hermitian (numkernel.check_hermitian) with at least two rows and a
+    simple top eigenvalue by the rule of SearchSpectrum.
     """
     h = numkernel.check_hermitian(np.asarray(h))
     w = np.linalg.eigvalsh(h)[::-1]
-    search._require_simple_top(w)
+    if w.size < 2:
+        raise DimensionError(f"search needs at least 2 vertices, got {w.size}")
+    search._require_simple_top(w[0] - w[1], float(np.abs(w).max()))
     lam1, lam2, lamn = w[0], w[1], w[-1]
     a = -(lam2 + lamn) / 2.0
     return (h + a * np.eye(h.shape[0])) / (lam1 + a)
+
+
+def dense_search_stats(h_g: np.ndarray, w: int) -> search.SearchStats:
+    """SearchStats from the dense eigensystem of H_G (top eigenvalue 1):
+    eps = |<v_1|w>|^2 and S_k = sum_{j>1} |<v_j|w>|^2 / (1 - lambda_j)^k."""
+    values, vectors = np.linalg.eigh(h_g)
+    overlaps = np.abs(vectors[w, ::-1]) ** 2
+    denom = 1.0 - values[::-1][1:]
+    eps = float(overlaps[0])
+    s1, s2, s3 = (float(np.sum(overlaps[1:] / denom**k)) for k in (1, 2, 3))
+    gap = float(values[-1] - values[-2])
+    cond = math.sqrt(eps) < search.SEARCH_CONDITION_CONST * min(s1 * s2 / s3, gap * math.sqrt(s2))
+    return search.SearchStats(eps=eps, s1=s1, s2=s2, s3=s3, gap=gap, condition_holds=cond,
+                              predicted_t=math.sqrt(s2 / eps) / s1,
+                              caption_gamma=s1 / (1.0 - eps))
+
+
+def principal_state(h_g: np.ndarray) -> np.ndarray:
+    """The top eigenvector of H_G from a dense eigh, signed so that the real
+    part of its entry sum is at least 0: the start of the search."""
+    v = np.linalg.eigh(h_g)[1][:, -1]
+    return -v if v.real.sum() < 0 else v
+
+
+def dense_search_probs(h_g: np.ndarray, w: int, gamma: float, x: np.ndarray, times) -> np.ndarray:
+    """p(t) = |<w|exp(-i(gamma H_G + |w><w|)t)|x>|^2 from a dense
+    eigendecomposition of the search matrix."""
+    h = gamma * np.asarray(h_g, dtype=np.result_type(h_g, float))
+    h[w, w] += 1.0
+    values, vectors = np.linalg.eigh(h)
+    weights = vectors[w, :] * (vectors.conj().T @ x)
+    return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
+
+
+def secular_search_probs(h_g: np.ndarray, w: int, gamma: float, times) -> np.ndarray:
+    """p(t) from the principal vector of H_G by the secular equation in H_G's
+    eigenbasis V, in O(n^2) after one dense eigh of H_G: the search matrix is
+    gamma Lambda + a a^H there, with a = V^H e_w, and moving the phases of a
+    into the start leaves the amplitude |a|^T exp(-i M t) x for the real
+    M = diag(gamma lambda) + |a| |a|^T, which rank_one_eig expands."""
+    values, vectors = np.linalg.eigh(h_g)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    row = vectors[w, :]
+    xhat = np.zeros(values.size)
+    xhat[0] = -1.0 if vectors[:, 0].real.sum() < 0 else 1.0
+    mu, weights = rank_one_eig(gamma * values, np.abs(row), row * xhat)
+    return np.abs(np.exp(-1j * np.outer(times, mu)) @ weights) ** 2
+
+
+def _lapack_routine(name: str, nargs: int):
+    """A LAPACK routine from scipy's Cython table, called through ctypes.
+
+    Every argument of a Fortran routine is a pointer. The capsule's name
+    carries the C signature and is also the key that unlocks the pointer."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+# DLAED9(K, KSTART, KSTOP, N, D, Q, LDQ, RHO, DLAMDA, W, S, LDS, INFO): the
+# secular-equation roots by dlaed4 (Gu and Eisenstat's scheme) and the
+# eigenvectors from the recomputed updating vector, orthogonal to working
+# precision.
+_DLAED9 = _lapack_routine("dlaed9", 13)
+
+
+def rank_one_eig(d: np.ndarray, z: np.ndarray, zx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, weights): the eigenvalues mu_i of M = diag(d) + z z^T that
+    deflation keeps, ascending, and c_i = (z^T u_i)(u_i^T x) for their
+    eigenvectors u_i, so that sum_i c_i f(mu_i) = z^T f(M) x, in O(n^2). The
+    start x, complex allowed, is given as zx = z * x. Every eigenvector that
+    deflation drops is orthogonal to z to within its tolerance.
+
+    Deflation follows LAPACK dlaed2 with tol = 8 eps max(|d|, |z|): weights
+    |z_j| <= tol are dropped, and sorted poles whose gap is at most tol merge
+    into one pole at their z^2-weighted mean with weight ||z_group||. The K
+    remaining poles are strictly increasing and go to one dlaed9 call with
+    w = zeta / ||zeta|| and rho = ||zeta||^2. Raises DimensionError or
+    NumericalError for bad input, and NumericalError when dlaed9 fails.
+    """
+    d = np.asarray(d, dtype=float)
+    z = np.asarray(z, dtype=float)
+    zx = np.asarray(zx)   # complex allowed
+    if d.ndim != 1 or z.shape != d.shape or zx.shape != d.shape:
+        raise DimensionError(f"shape mismatch: d {d.shape}, z {z.shape}, zx {zx.shape}")
+    if not all(np.all(np.isfinite(a)) for a in (d, z, zx)):
+        raise NumericalError("rank-one update has non-finite entries")
+    tol = 8.0 * np.finfo(float).eps * max(np.abs(d).max(initial=0.0),
+                                          np.abs(z).max(initial=0.0))
+    order = np.argsort(d, kind="stable")
+    index = order[np.abs(z[order]) > tol]
+    poles = d[index]
+    # group g spans index[starts[g]:starts[g + 1]]
+    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > tol)
+    k = starts.size
+    if k == 0:
+        return np.zeros(0), np.zeros(0)
+    sq = z[index] ** 2
+    norms = np.sqrt(np.add.reduceat(sq, starts))   # ||z_group||
+    merged = np.add.reduceat(sq * poles, starts) / norms**2
+    rho = float(norms @ norms)
+    w = norms / math.sqrt(rho)
+    values = np.empty(k)
+    work = np.empty((k, k), order="F")
+    vectors = np.empty((k, k), order="F")   # in the basis of group directions z_group / ||z_group||
+    k_c, one, info = ctypes.c_int(k), ctypes.c_int(1), ctypes.c_int(0)
+    rho_c = ctypes.c_double(rho)
+    ref = ctypes.byref
+    # K serves as KSTOP, N, LDQ and LDS
+    _DLAED9(ref(k_c), ref(one), ref(k_c), ref(k_c), values.ctypes.data,
+            work.ctypes.data, ref(k_c), ref(rho_c),
+            merged.ctypes.data, w.ctypes.data, vectors.ctypes.data, ref(k_c),
+            ref(info))
+    if info.value != 0:
+        raise NumericalError(f"secular equation solver dlaed9 failed (INFO = {info.value})")
+    # the coordinates of x along the group directions
+    x_groups = np.add.reduceat(zx[index], starts) / norms
+    return values, (norms @ vectors) * (x_groups @ vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_acceptance_03_scaling_exponents():
 
     # ballistic: coherent walk on a path long enough to contain the light cone
     n = 1301
-    values, vectors = numkernel.eig_hermitian(graphs.adjacency(graphs.path(n)))
+    values, vectors = numkernel.eig_hermitian(graphs.adjacency(graphs.path(n)).toarray())
     psi0 = np.zeros(n)
     psi0[n // 2] = 1.0
     coeff = vectors.conj().T @ psi0
@@ -160,7 +160,7 @@ def test_acceptance_08_complete_graph_search():
     probs, argmaxes = [], []
     for n in sizes:
         # the search starts from the principal eigenvector of K_n, the uniform state
-        a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)))
+        a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)).toarray())
         gamma = 1.0 / (n - 2)
         p = search.run_search(a, 0, gamma, np.array([math.pi * math.sqrt(n) / 2])).probs[0]
         probs.append(p)
@@ -174,13 +174,13 @@ def test_acceptance_08_complete_graph_search():
 
 def test_acceptance_09_star_graph():
     g = graphs.star(100)
-    h = oracles.shift_rescale(graphs.adjacency(g))
+    h = oracles.shift_rescale(graphs.adjacency(g).toarray())
     c = np.linalg.eigvalsh(h)[-2]
     ok_c = abs(c - 1.0 / 3.0) <= 1e-9
 
     worst = 1.0
     for n in (64, 256):
-        hp = oracles.spectrum_of(oracles.shift_rescale(graphs.adjacency(graphs.star(n))))
+        hp = oracles.spectrum_of(oracles.shift_rescale(graphs.adjacency(graphs.star(n)).toarray()))
         st = search.search_stats(hp, 1)
         grid = np.linspace(0.0, 6.0 * st.predicted_t, 900)
         run = search.run_search(hp, 1, st.s1, grid)

@@ -106,7 +106,7 @@ def test_path_closed_form_t0_delta():
 
 def test_path_closed_form_omega0_is_ctqw():
     n, start, t = 9, 4, 1.7
-    a = graphs.adjacency(graphs.path(n))
+    a = graphs.adjacency(graphs.path(n)).toarray()
     psi0 = np.zeros(n, dtype=complex)
     psi0[start] = 1.0
     p = np.abs(oracles.unitary_apply(a, psi0, t)) ** 2

@@ -1,5 +1,4 @@
 import csv
-import ctypes
 import dataclasses
 import importlib
 import json
@@ -451,35 +450,88 @@ def test_search_non_finite_report_exits_3(runner, tmp_path, monkeypatch):
     assert not (tmp_path / "s.json").exists()
 
 
-def test_search_secular_solver_failure_exits_3(runner, tmp_path, monkeypatch):
-    @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)
-    def failing(*args):
-        ctypes.c_int.from_address(args[12]).value = 1   # INFO
+def _arpack_no_convergence(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-    monkeypatch.setattr(numkernel, "_DLAED9", failing)
-    r = runner.invoke(cli.main, _search_args(tmp_path, "complete:8", 1))
+
+def _arpack_error(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackError(-9999)
+
+
+def _minres_short(a, b, **kwargs):
+    return np.zeros_like(b), 17   # info = iterations run without meeting rtol
+
+
+def _minres_wrong(a, b, **kwargs):
+    return np.ones_like(b), 0     # reported as converged, but no solution
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("eigsh", _arpack_no_convergence, "ARPACK"),
+    ("eigsh", _arpack_error, "ARPACK"),
+    ("minres", _minres_short, "short of its tolerance"),
+    ("minres", _minres_wrong, "backward error"),
+], ids=["arpack-no-convergence", "arpack-error", "minres-short", "minres-wrong"])
+def test_search_solver_failure_exits_3(runner, tmp_path, monkeypatch, name, fake, message):
+    """An ARPACK failure in search_spectrum, and a MINRES solve in
+    search_stats that stops short or returns a solution its residual
+    refutes, are numerical failures: exit 3, no traceback and no report."""
+    monkeypatch.setattr(scipy.sparse.linalg, name, fake)
+    r = runner.invoke(cli.main, _search_args(tmp_path, "star:9", 2))
     assert r.exit_code == 3, r.output
-    assert "dlaed9" in r.output and "Traceback" not in r.output
-    assert not (tmp_path / "s.json").exists()
+    assert message in r.output and "Traceback" not in r.output
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_search_repeats_byte_for_byte_in_fresh_processes(tmp_path):
+    """ARPACK starts from a fixed vector, not its random default, so two
+    runs in fresh interpreters write the same CSV and the same JSON apart
+    from wallclock_sec."""
+    graph = tmp_path / "ba.json"
+    graph.write_text(graphs.to_json(graphs.gen_ba(120, 3, seed=4)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for run in (1, 2):
+        csv_path, json_path = tmp_path / f"s{run}.csv", tmp_path / f"s{run}.json"
+        args = ["search", "--graph", f"file:{graph}", "--kind", "adjacency", "--marked", "120",
+                "--out-csv", str(csv_path), "--out-json", str(json_path)]
+        subprocess.run([sys.executable, "-c", f"import qswlab.cli; qswlab.cli.main({args!r})"],
+                       env=env, check=True, timeout=120)
+        doc = json.loads(json_path.read_text())
+        doc.pop("wallclock_sec")
+        outputs.append((csv_path.read_bytes(), json.dumps(doc, sort_keys=True)))
+    assert outputs[0] == outputs[1]
 
 
 def test_one_graph_decomposition_shared_by_marked_vertices(runner, tmp_path, monkeypatch):
+    """The ARPACK work (lambda_max and the gap) runs once per graph, not once
+    per marked vertex, and no eigensolve is dense in the graph size."""
+    arpack_calls = []
+    real_eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda a, **kw: arpack_calls.append(a.shape) or real_eigsh(a, **kw))
     eig_spy = []   # the input of every dense Hermitian eigensolve
     real = numkernel.eig_hermitian
     monkeypatch.setattr(numkernel, "eig_hermitian",
                         lambda h: eig_spy.append(np.asarray(h)) or real(h))
-    marked, samples = 3, 2
+    marked, samples, n = 3, 2, 200
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "er_p0", "n": 60, "p0": [2.0],
+    cfg.write_text(json.dumps({"kind": "er_p0", "n": n, "p0": [2.0],
                                "samples": samples, "marked_per_graph": marked,
                                "seed": 4, "outdir": str(tmp_path / "er")}))
     r = runner.invoke(cli.main, ["sweep", "--config", str(cfg)])
     assert r.exit_code == 0, r.output
-    assert len(eig_spy) == samples   # one per graph, none per marked vertex
+    # lambda_max(L) and lambda_2 per graph, none per marked vertex
+    assert len(arpack_calls) == 2 * samples
+    # one projected matrix per marked vertex, far smaller than the graph
+    assert len(eig_spy) == samples * marked
+    assert all(h.shape[0] < 0.6 * n for h in eig_spy), [h.shape for h in eig_spy]
 
     r = runner.invoke(cli.main, _search_args(tmp_path, "star:20", 2))
     assert r.exit_code == 0, r.output
-    assert len(eig_spy) == samples + 1
+    assert len(arpack_calls) == 2 * samples + 2
+    assert len(eig_spy) == samples * marked + 1
     assert not any(np.iscomplexobj(h) for h in eig_spy)
 
 

@@ -153,7 +153,7 @@ def test_lqsw_omega1_matches_classical_rates():
     p0[2] = 1.0
     t = 1.3
     rho = gksl.evolve(gen, np.diag(p0).astype(complex), [t])[0]
-    want = scipy.linalg.expm(-t * graphs.laplacian(g)) @ p0
+    want = scipy.linalg.expm(-t * graphs.laplacian(g).toarray()) @ p0
     assert np.abs(oracles.measure(rho) - want).max() < 1e-9
 
 
@@ -187,7 +187,7 @@ def test_ctqw_pure_state_consistency():
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
     t = 2.7
-    psi = oracles.unitary_apply(graphs.adjacency(g), psi0, t)
+    psi = oracles.unitary_apply(graphs.adjacency(g).toarray(), psi0, t)
     rho = gksl.evolve(gen, np.outer(psi0, psi0.conj()), [t])[0]
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-9
 

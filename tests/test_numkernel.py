@@ -414,7 +414,7 @@ def test_rank_one_eig_matches_dense(d, z):
     rng = np.random.default_rng(3)
     real = rng.standard_normal(d.size)
     for x in (real, real + 1j * rng.standard_normal(d.size)):
-        values, weights = numkernel.rank_one_eig(d, z, z * x)
+        values, weights = oracles.rank_one_eig(d, z, z * x)
         assert np.all(np.diff(values) > 0)
         assert weights.shape == values.shape
         # each kept eigenvalue is an eigenvalue of M
@@ -426,12 +426,12 @@ def test_rank_one_eig_deflates():
     d = np.array([2.0, 1.0, 2.0 + 1e-17, 0.0, 1.0])
     z = np.array([0.5, 0.5, 0.5, 1e-18, 0.5])
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    values, weights = numkernel.rank_one_eig(d, z, z * x)
+    values, weights = oracles.rank_one_eig(d, z, z * x)
     # the weightless pole is dropped and each pair of equal poles merges
     assert values.size == 2
     oracles.assert_spectral_weights(d, z, x, values, weights)
     # against poles of 1e20 every weight of a unit z is rounding: nothing is left
-    values, weights = numkernel.rank_one_eig(np.array([0.0, 1e20, -1e20]),
+    values, weights = oracles.rank_one_eig(np.array([0.0, 1e20, -1e20]),
                                              np.full(3, 1 / np.sqrt(3)), x[:3])
     assert values.size == 0 and weights.size == 0
 
@@ -441,20 +441,20 @@ def test_rank_one_eig_keeps_close_but_distinct_poles():
     d = np.array([0.0, 1e-13, 1.0, 1.0 + 1e-13, 2.0])
     z = np.array([0.5, 0.5, 0.5, 1e-13, 0.5])
     x = np.array([1.0, -2.0, 0.5j, 4.0, 1.0 + 1.0j])
-    values, weights = numkernel.rank_one_eig(d, z, z * x)
+    values, weights = oracles.rank_one_eig(d, z, z * x)
     assert values.size == 5
     oracles.assert_spectral_weights(d, z, x, values, weights)
 
 
 def test_rank_one_eig_rejects_bad_input():
     with pytest.raises(DimensionError):
-        numkernel.rank_one_eig(np.zeros(3), np.zeros(2), np.zeros(3))
+        oracles.rank_one_eig(np.zeros(3), np.zeros(2), np.zeros(3))
     with pytest.raises(DimensionError):
-        numkernel.rank_one_eig(np.zeros(3), np.zeros(3), np.zeros(2))
+        oracles.rank_one_eig(np.zeros(3), np.zeros(3), np.zeros(2))
     with pytest.raises(NumericalError):
-        numkernel.rank_one_eig(np.array([0.0, np.nan]), np.array([0.6, 0.8]), np.ones(2))
+        oracles.rank_one_eig(np.array([0.0, np.nan]), np.array([0.6, 0.8]), np.ones(2))
     with pytest.raises(NumericalError):
-        numkernel.rank_one_eig(np.array([0.0, 1.0]), np.array([0.6, 0.8]),
+        oracles.rank_one_eig(np.array([0.0, 1.0]), np.array([0.6, 0.8]),
                                np.array([1.0, np.inf]))
 
 
@@ -463,9 +463,9 @@ def test_rank_one_eig_solver_failure_raises(monkeypatch):
     def failing(*args):
         ctypes.c_int.from_address(args[12]).value = 7   # INFO
 
-    monkeypatch.setattr(numkernel, "_DLAED9", failing)
+    monkeypatch.setattr(oracles, "_DLAED9", failing)
     with pytest.raises(NumericalError, match="INFO = 7"):
-        numkernel.rank_one_eig(np.arange(4.0), np.full(4, 0.5), np.ones(4))
+        oracles.rank_one_eig(np.arange(4.0), np.full(4, 0.5), np.ones(4))
 
 
 def test_hermitian_basis_rejects_empty():

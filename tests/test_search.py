@@ -1,9 +1,11 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,17 +23,21 @@ from qswlab.exceptions import (
 
 
 def test_search_spectrum_top_eigenvalue_one():
+    """The sparse H_G is the dense one, v_1 is its unit top eigenvector for
+    eigenvalue 1 and the ARPACK gap is the dense 1 - lambda_2."""
     g = graphs.gen_er(30, 0.3, seed=2)
     g = graphs.giant_component(g)
     for kind in search.GRAPH_MATRIX_KINDS:
         spec = search.search_spectrum(g, kind)
         h = oracles.search_matrix(g, kind)
-        assert abs(np.linalg.eigvalsh(h)[-1] - 1.0) < 1e-10
-        # the transformed eigensystem of the graph matrix is that of H_G
-        assert np.all(np.diff(spec.values) <= 0)
-        assert np.abs(spec.values - np.linalg.eigvalsh(h)[::-1]).max() < 1e-12
-        assert np.abs(h @ spec.vectors - spec.vectors * spec.values).max() < 1e-12
-        assert np.abs(spec.vectors.T @ spec.vectors - np.eye(g.n)).max() < 1e-12
+        values = np.linalg.eigvalsh(h)
+        assert abs(values[-1] - 1.0) < 1e-10
+        assert spec.matrix.format == "csr" and spec.radius == 1.0
+        assert np.abs(spec.matrix.toarray() - h).max() < 1e-12
+        v1 = spec.principal
+        assert abs(np.linalg.norm(v1) - 1.0) < 1e-14
+        assert np.abs(h @ v1 - v1).max() < 1e-12
+        assert abs(spec.gap - (values[-1] - values[-2])) < 1e-12 * spec.gap
 
 
 def test_search_spectrum_disconnected():
@@ -72,7 +78,7 @@ def test_normalized_laplacian_top_eigenvector_sqrt_degrees():
 
 def test_shift_rescale_balances_spectrum():
     g = graphs.star(100)
-    h = oracles.shift_rescale(graphs.adjacency(g))
+    h = oracles.shift_rescale(graphs.adjacency(g).toarray())
     w = np.linalg.eigvalsh(h)
     assert abs(w[-1] - 1.0) < 1e-10
     assert abs(abs(w[-2]) - abs(w[0])) < 1e-10
@@ -130,7 +136,7 @@ def test_search_stats_vertex_transitive_independent_of_w():
 
 def test_run_search_complete_graph():
     n = 64
-    a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)))
+    a = oracles.spectrum_of(graphs.adjacency(graphs.complete(n)).toarray())
     # the principal eigenvector of K_n is the uniform state
     good = search.run_search(a, 0, 1 / (n - 2), np.array([math.pi * math.sqrt(n) / 2]))
     assert good.probs[0] >= 0.9
@@ -139,14 +145,12 @@ def test_run_search_complete_graph():
 
 
 def test_run_search_sign_flip_invariance():
-    """The eigensolver's choice of eigenvector signs, v_1's included, does
-    not change p(t): the start is signed by its entry sum."""
+    """The eigensolver's choice of the sign of v_1 does not change p(t): the
+    start is signed by its entry sum."""
     g = graphs.gen_er(12, 0.5, seed=3)
     g = graphs.giant_component(g)
-    spec = search.search_spectrum(g, "laplacian")
-    signs = np.where(np.random.default_rng(3).random(g.n) < 0.5, -1.0, 1.0)
-    signs[0] = -1.0
-    flipped = search.SearchSpectrum(values=spec.values, vectors=spec.vectors * signs)
+    spec = search.search_spectrum(g, "adjacency")
+    flipped = dataclasses.replace(spec, principal=-spec.principal)
     times = np.linspace(0, 10, 21)
     for gamma in (0.0, 0.7):
         direct = search.run_search(flipped, 2, gamma, times)
@@ -176,7 +180,7 @@ def test_run_search_matches_dense_expm():
             run = search.run_search(spec, w, gamma, times)
             h = gamma * h_g
             h[w, w] += 1.0
-            psi = spec.vectors[:, 0]
+            psi = spec.principal
             want = [abs(scipy.linalg.expm(-1j * t * h)[w] @ psi) ** 2 for t in times]
             assert np.abs(run.probs - want).max() < 1e-12
 
@@ -189,20 +193,6 @@ def gamma_of(spec, w, rule):
     if rule == "caption":
         return search.search_stats(spec, w).caption_gamma
     return rule
-
-
-def dense_search_probs(h_g, w, gamma, x, times):
-    """Oracle: p(t) from a dense eigendecomposition of gamma H_G + |w><w|."""
-    h = gamma * h_g
-    h[w, w] += 1.0
-    values, vectors = np.linalg.eigh(h)
-    weights = vectors[w, :] * (vectors.conj().T @ x)
-    return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
-
-
-def principal_state(spec):
-    v = spec.vectors[:, 0]
-    return -v if v.real.sum() < 0 else v
 
 
 SECULAR_CASES = {
@@ -219,27 +209,36 @@ SECULAR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SECULAR_CASES))
 def test_run_search_secular_matches_dense_eigh(case):
+    """run_search against the two dense oracles: the secular equation in
+    H_G's eigenbasis, which run_search used to be, and eigh of the whole
+    search matrix. A grid to t = 60 needs K = n on the small graphs, and
+    Lanczos steps on er and ba at small gamma."""
     g, kind, marked = SECULAR_CASES[case]
     spec = search.search_spectrum(g, kind)
+    h_g = oracles.search_matrix(g, kind)
     times = np.linspace(0.0, 60.0, 121)
-    x = principal_state(spec)
+    x = oracles.principal_state(h_g)
     for w in marked:
         for rule in ("s1", "caption", 0.0, -0.8, 2.5):
             gamma = gamma_of(spec, w, rule)
             run = search.run_search(spec, w, gamma, times)
-            want = dense_search_probs(oracles.search_matrix(g, kind), w, gamma, x, times)
+            want = oracles.dense_search_probs(h_g, w, gamma, x, times)
             assert np.abs(run.probs - want).max() < 1e-12, (w, rule)
+            secular = oracles.secular_search_probs(h_g, w, gamma, times)
+            assert np.abs(run.probs - secular).max() < 1e-12, (w, rule)
 
 
 def test_run_search_deflation_counts():
-    """Degenerate poles merge, and with gamma = 0 every pole is one."""
-    spec = search.search_spectrum(graphs.star(9), "adjacency")
-    row = np.abs(spec.vectors[4, :])
-    assert numkernel.rank_one_eig(0.5 * spec.values, row, row)[0].size == 3
-    assert numkernel.rank_one_eig(0.0 * spec.values, row, row)[0].size == 1
-    spec = search.search_spectrum(graphs.complete(8), "adjacency")
-    row = np.abs(spec.vectors[0, :])
-    assert numkernel.rank_one_eig(0.3 * spec.values, row, row)[0].size == 2
+    """The secular oracle merges degenerate poles, and with gamma = 0 every
+    pole is one."""
+    def pole_count(g, w, gamma):
+        values, vectors = np.linalg.eigh(oracles.search_matrix(g, "adjacency"))
+        row = np.abs(vectors[w, :])
+        return oracles.rank_one_eig(gamma * values, row, row)[0].size
+
+    assert pole_count(graphs.star(9), 4, 0.5) == 3
+    assert pole_count(graphs.star(9), 4, 0.0) == 1
+    assert pole_count(graphs.complete(8), 0, 0.3) == 2
 
 
 def test_run_search_secular_complex_hermitian():
@@ -250,12 +249,15 @@ def test_run_search_secular_complex_hermitian():
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h_g = (a + a.conj().T) / 10.0
     spec = oracles.spectrum_of(h_g)
-    assert np.iscomplexobj(spec.vectors)
-    times = np.linspace(0.0, 25.0, 51)
-    x = principal_state(spec)
-    for w, gamma in ((0, 0.7), (7, -1.3), (19, 0.0)):
-        run = search.run_search(spec, w, gamma, times)
-        assert np.abs(run.probs - dense_search_probs(h_g, w, gamma, x, times)).max() < 1e-12
+    assert np.iscomplexobj(spec.principal)
+    x = oracles.principal_state(h_g)
+    # t = 25 needs K = n; t = 2 leaves room for Lanczos steps on a complex H_G
+    for t_last in (25.0, 2.0):
+        times = np.linspace(0.0, t_last, 51)
+        for w, gamma in ((0, 0.7), (7, -1.3), (19, 0.0)):
+            run = search.run_search(spec, w, gamma, times)
+            want = oracles.dense_search_probs(h_g, w, gamma, x, times)
+            assert np.abs(run.probs - want).max() < 1e-12
 
 
 @settings(deadline=None, max_examples=40)
@@ -266,42 +268,180 @@ def test_run_search_invariants_random_graphs(n, p, seed, kind, gamma, data):
     assume(graphs.is_connected(g))
     spec = search.search_spectrum(g, kind)
     w = data.draw(st.integers(0, n - 1))
-    x = principal_state(spec)
     times = np.linspace(0.0, 30.0, 31)
     run = search.run_search(spec, w, gamma, times)
-    assert run.probs[0] == pytest.approx(abs(x[w]) ** 2, abs=1e-12)
+    assert run.probs[0] == pytest.approx(abs(spec.principal[w]) ** 2, abs=1e-12)
     assert np.all((run.probs >= 0.0) & (run.probs <= 1.0))
-    # the weights expand |a|^T f(M) x over the kept eigenvalues of
-    # M = diag(gamma lambda) + |a| |a|^T, for x the start with the phases
-    # of a = V^H e_w moved into it
-    row = spec.vectors[w, :]
-    z = np.abs(row)
-    x = np.zeros(n, dtype=row.dtype)
-    x[0] = row[0] / z[0] * np.sign(spec.vectors[:, 0].real.sum() or 1.0)
-    values, weights = numkernel.rank_one_eig(gamma * spec.values, z, z * x)
-    oracles.assert_spectral_weights(gamma * spec.values, z, x, values, weights)
+    # the secular oracle's weights expand |a|^T f(M) x over the kept
+    # eigenvalues of M = diag(gamma lambda) + |a| |a|^T, for x the start with
+    # the phases of a = V^H e_w moved into it
+    values, vectors = np.linalg.eigh(oracles.search_matrix(g, kind))
+    values, vectors = values[::-1], vectors[:, ::-1]
+    z = np.abs(vectors[w, :])
+    x = np.zeros(n)
+    x[0] = np.sign(vectors[w, 0]) * np.sign(vectors[:, 0].sum() or 1.0)
+    mu, weights = oracles.rank_one_eig(gamma * values, z, z * x)
+    oracles.assert_spectral_weights(gamma * values, z, x, mu, weights)
+
+
+@st.composite
+def connected_marked(draw):
+    """A connected graph of 2 to 40 vertices, a random spanning tree with ER
+    edges on top, and a marked vertex of it."""
+    n = draw(st.integers(2, 40))
+    tree = frozenset((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    extra = graphs.gen_er(n, draw(st.floats(0.0, 0.5)), draw(st.integers(0, 2**32 - 1))).edges
+    return graphs.Graph(n, tree | extra), draw(st.integers(0, n - 1))
+
+
+def _oracle_tolerances(want, half_width, t_last):
+    """The relative tolerance of each SearchStats field and the absolute
+    tolerance of p against the dense oracle: 1e-12, plus what rounding
+    leaves undetermined. A backward error of eps in a symmetric eigensolve
+    moves each eigenvalue by about eps and v_1 by about eps / gap, so
+    1 / (1 - lambda_2)^k and p are fixed only to about eps / gap,
+    eps = |v_1[w]|^2 and predicted_t only to about eps / sqrt(eps)
+    relative, and a phase t mu only to eps * a * t for the spectral
+    half-width a of the search matrix."""
+    eps = np.finfo(float).eps
+    rtol = 1e-12 + 30.0 * eps / want.gap
+    rtols = {field.name: rtol for field in dataclasses.fields(search.SearchStats)}
+    rtols["eps"] = rtols["predicted_t"] = rtol + 10.0 * eps / math.sqrt(want.eps)
+    return rtols, rtol + 10.0 * eps * half_width * t_last
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_marked(), st.sampled_from(search.GRAPH_MATRIX_KINDS),
+       st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.none())
+@example((graphs.path(2), 0), "adjacency", 0.0, None)
+@example((graphs.complete(8), 3), "adjacency", -0.7, None)   # lambda_2 = ... = lambda_n
+@example((graphs.star(9), 4), "normalized_laplacian", 1.3, None)
+@example((graphs.path(31), 5), "laplacian", 0.4, 2000.0)     # K = n
+def test_search_matches_dense_oracle(case, kind, gamma, t_last):
+    """Every SearchStats field to 1e-12 relative, and p(t) to 1e-12 on the
+    automatic grid of `qswlab search` or on a grid to t_last, against the
+    dense eigensystems of H_G and of the search matrix; the tolerances grow
+    only where rounding leaves the oracle itself less well determined."""
+    g, w = case
+    h_g = oracles.search_matrix(g, kind)
+    spec = search.search_spectrum(g, kind)
+    stats = search.search_stats(spec, w)
+    want = oracles.dense_search_stats(h_g, w)
+    times = np.linspace(0.0, t_last or 3.0 * want.predicted_t, 301)
+    rtols, atol_p = _oracle_tolerances(want, abs(gamma) + 0.5, times[-1])
+    for name, rtol in rtols.items():
+        got, ref = getattr(stats, name), getattr(want, name)
+        if isinstance(ref, bool):
+            assert got == ref, name
+        else:
+            assert abs(got - ref) <= rtol * abs(ref), (name, got, ref)
+    run = search.run_search(spec, w, gamma, times)
+    p = oracles.dense_search_probs(h_g, w, gamma, oracles.principal_state(h_g), times)
+    assert np.abs(run.probs - p).max() <= atol_p
+
+
+@pytest.mark.parametrize("g, kind", [
+    # the Perron vector decays along the path: |v_1[0]| = 9e-15
+    (oracles.broom(30, 10), "adjacency"),
+    # two hubs 19 steps apart: a top gap of 6.8e-10, yet simple
+    (oracles.broom(20, 10, both_ends=True), "adjacency"),
+    (oracles.broom(20, 10, both_ends=True), "laplacian"),
+])
+def test_search_matches_dense_oracle_when_ill_conditioned(g, kind):
+    """Tiny overlaps and a nearly degenerate top eigenvalue: every vertex
+    within the oracle's own rounding. The second MINRES solve of the double
+    broom has a right-hand side of norm 7e8 that is nearly an eigenvector."""
+    h_g = oracles.search_matrix(g, kind)
+    spec = search.search_spectrum(g, kind)
+    for w in range(g.n):
+        stats, want = search.search_stats(spec, w), oracles.dense_search_stats(h_g, w)
+        rtols, _ = _oracle_tolerances(want, 0.5, 0.0)
+        for name in ("eps", "s1", "s2", "s3", "gap", "predicted_t", "caption_gamma"):
+            got, ref = getattr(stats, name), getattr(want, name)
+            assert abs(got - ref) <= rtols[name] * abs(ref), (w, name, got, ref)
+
+
+def test_search_stats_complex_hermitian():
+    """A complex H_G is solved in the real form of I - H_G + v_1 v_1^H."""
+    rng = np.random.default_rng(12)
+    n = 30
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h_g = (a + a.conj().T) / 10.0
+    h_g -= (np.linalg.eigvalsh(h_g)[-1] - 1.0) * np.eye(n)   # top eigenvalue 1
+    spec = oracles.spectrum_of(h_g)
+    for w in (0, 7, 19):
+        stats, want = search.search_stats(spec, w), oracles.dense_search_stats(h_g, w)
+        for name in ("eps", "s1", "s2", "s3", "predicted_t"):
+            assert getattr(stats, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+
+def _lanczos_steps(at):
+    """The fewest K > at with (at/2)^K / K! below 1e-16, by plain search."""
+    k = math.floor(at) + 1
+    while (at / 2.0) ** k / math.factorial(k) >= 1e-16:
+        k += 1
+    return k
+
+
+def test_search_logs_its_solver_work(caplog):
+    """One DEBUG record per call: search_spectrum gives its ARPACK matvec
+    count, search_stats and classical_mfpt the MINRES iterations and
+    relative residuals, run_search the Lanczos K, its tail bound and whether
+    the invariant stop fired."""
+    g = graphs.gen_ba(60, 2, seed=3)
+
+    def record(call, *args):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qswlab.search"):
+            out = call(*args)
+        (rec,) = caplog.records
+        assert rec.levelno == logging.DEBUG
+        return out, rec.args
+
+    spec, (kind, n, matvecs, gap) = record(search.search_spectrum, g, "laplacian")
+    assert (kind, n, gap) == ("laplacian", 60, spec.gap) and matvecs > 0
+    stats, (iter1, iter2, res1, res2) = record(search.search_stats, spec, 5)
+    assert iter1 > 0 and iter2 > 0 and max(res1, res2) < 1e-12
+    _, (iterations, residual) = record(search.classical_mfpt, g, 5)
+    assert iterations > 0 and residual < 1e-12
+
+    # Lanczos steps to the Bessel tail: a = |gamma| + 1/2 bounds the spectrum
+    t_last = 4.0
+    _, (k, n, tail, invariant) = record(search.run_search, spec, 5, stats.s1,
+                                        np.linspace(0.0, t_last, 11))
+    at = (abs(stats.s1) + 0.5) * t_last
+    assert (k, n, invariant) == (_lanczos_steps(at), 60, False)
+    assert tail == pytest.approx((at / 2.0) ** k / math.factorial(k), rel=1e-9)
+    assert tail < search.LANCZOS_TAIL
+    # from the uniform state on K_64, span{v_1, |w>} is invariant: the steps
+    # stop at K = 2, before the tail rule's 6, since beta * t_last, a
+    # rounding residue times t_last, is below LANCZOS_TAIL
+    complete = search.search_spectrum(graphs.complete(64), "adjacency")
+    _, (k, n, _, invariant) = record(search.run_search, complete, 0, 1 / 62, np.array([0.01]))
+    assert (k, n, invariant) == (2, 64, True) and _lanczos_steps(0.01 * (1 / 62 + 0.5)) == 6
+    # a grid to t = 2,000 on path:31 needs K = n: H itself, exactly
+    path = search.search_spectrum(graphs.path(31), "laplacian")
+    _, (k, n, tail, invariant) = record(search.run_search, path, 5, 0.4, np.array([2000.0]))
+    assert (k, n, tail, invariant) == (31, 31, 0.0, False)
 
 
 def test_run_search_rejects_bad_probabilities(monkeypatch):
     spec = search.search_spectrum(graphs.complete(8), "adjacency")
     times = np.linspace(0.0, 5.0, 11)
-    # at gamma = 1e20 the marked-vertex term is below rounding and deflates away,
-    # so the t = 0 amplitude misses <w|v_1>
-    with pytest.raises(NumericalError, match="amplitude at t = 0"):
-        search.run_search(spec, 0, 1e20, times)
     # a start on the marked vertex keeps p = 1 and never exceeds it
     diag = oracles.spectrum_of(np.diag([1.0, 0.5, 0.2, -0.3]))
     run = search.run_search(diag, 0, 1.0, times)
     assert run.probs.max() <= 1.0
     assert run.probs[0] == pytest.approx(1.0, abs=1e-12)
 
-    real = numkernel.rank_one_eig
-
-    def nan_values(d, z, zx):
-        values, weights = real(d, z, zx)
-        return np.full_like(values, np.nan), weights
-
-    monkeypatch.setattr(numkernel, "rank_one_eig", nan_values)
+    real = numkernel.eig_hermitian
+    # eigenvectors that are not orthonormal miss the t = 0 amplitude <w|v_1>
+    monkeypatch.setattr(numkernel, "eig_hermitian", lambda h: (real(h)[0], 2.0 * real(h)[1]))
+    with pytest.raises(NumericalError, match="amplitude at t = 0"):
+        search.run_search(spec, 0, 1.0, times)
+    # a NaN eigenvalue gives NaN probabilities, which are refused
+    monkeypatch.setattr(numkernel, "eig_hermitian",
+                        lambda h: (np.full(h.shape[0], np.nan), real(h)[1]))
     with pytest.raises(NumericalError, match=r"not in \[0, 1\]"):
         search.run_search(spec, 0, 1.0, times)
 
